@@ -1,130 +1,8 @@
-"""Multitarget tracking for grids of non-directional amplitude sensors."""
+"""Multitarget tracking for grids of non-directional amplitude sensors.
 
-from .consistency import (
-    ConsistencyConfig,
-    RecoveryOutcome,
-    chi2_threshold,
-    consistency_statistic,
-    is_consistent,
-    one_by_one_recovery,
-    square_hopping_recovery,
-)
-from .errors import (
-    ConfigurationError,
-    HessianRepairError,
-    NumericalError,
-    SimulationError,
-)
-from .experiment import LABELS, VARIANTS, ExperimentSpec, run_experiment
-from .hessfix import HessianRepair, repair_hessian
-from .metrics import BpfConfig, OmatResult, TrackRecord, bpf_track, omat
-from .model import (
-    MeasurementModel,
-    MotionModel,
-    Scenario,
-    SensorGrid,
-    Trajectory,
-    build_grid,
-    expected_signal,
-    propagate_truth,
-    simulate,
-)
-from .moments import PosteriorBelief, assemble, spatial_moments, velocity_moments
-from .nll import (
-    FilterNoiseModel,
-    GaussianBelief,
-    NllReport,
-    PropagatedPrior,
-    combined_nll,
-    measurement_nll,
-    prior_nll,
-    propagate_prior,
-)
-from .optimize import (
-    BoxConstraints,
-    NewtonOptions,
-    OptimizeResult,
-    box_from_grid,
-    minimize,
-)
-from .quadrature import (
-    DirectionSet,
-    RadialRule,
-    SigmaPointSet,
-    build_sigma_points,
-    inverse_polar,
-    polar_jacobian,
-    polar_sigma_adjust,
-    polar_transform,
-    radial_rule,
-    simplex_directions,
-)
-from .tracker import FilterConfig, FilterContext, init_belief, make_context, step, track
+The API is the submodules (``ttfilter.model``, ``ttfilter.tracker``,
+``ttfilter.config``, ...); README's "Library use" shows the usual entry
+points.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoxConstraints",
-    "BpfConfig",
-    "ConfigurationError",
-    "ConsistencyConfig",
-    "DirectionSet",
-    "ExperimentSpec",
-    "FilterConfig",
-    "FilterContext",
-    "FilterNoiseModel",
-    "GaussianBelief",
-    "HessianRepair",
-    "HessianRepairError",
-    "LABELS",
-    "MeasurementModel",
-    "MotionModel",
-    "NewtonOptions",
-    "NllReport",
-    "NumericalError",
-    "OmatResult",
-    "OptimizeResult",
-    "PosteriorBelief",
-    "PropagatedPrior",
-    "RadialRule",
-    "RecoveryOutcome",
-    "Scenario",
-    "SensorGrid",
-    "SigmaPointSet",
-    "TrackRecord",
-    "Trajectory",
-    "VARIANTS",
-    "assemble",
-    "box_from_grid",
-    "bpf_track",
-    "build_grid",
-    "build_sigma_points",
-    "chi2_threshold",
-    "combined_nll",
-    "consistency_statistic",
-    "expected_signal",
-    "init_belief",
-    "inverse_polar",
-    "is_consistent",
-    "make_context",
-    "measurement_nll",
-    "minimize",
-    "omat",
-    "one_by_one_recovery",
-    "polar_jacobian",
-    "polar_sigma_adjust",
-    "polar_transform",
-    "prior_nll",
-    "propagate_prior",
-    "propagate_truth",
-    "radial_rule",
-    "repair_hessian",
-    "run_experiment",
-    "simulate",
-    "simplex_directions",
-    "spatial_moments",
-    "square_hopping_recovery",
-    "step",
-    "track",
-    "velocity_moments",
-]

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import chi2 as _chi2
 
 from .errors import ConfigurationError
-from .model import MeasurementModel, SensorGrid, signal_components
+from .model import MeasurementModel, SensorGrid, _pair_offsets, signal_components
 from .nll import PropagatedPrior, measurement_nll
 from .optimize import BoxConstraints, NewtonOptions, OptimizeResult, minimize
 
@@ -72,8 +72,9 @@ class ExcessDeficit:
 
     ``excess[c]`` sums, over sensors, how much of the predicted surplus
     (alpha_s - a_s) target c's own contribution could account for;
-    ``deficit[s]`` is the measured signal left unexplained once the
-    ``removed`` targets are dropped from the prediction.
+    ``removed`` holds the targets with the largest excess (ties toward the
+    lower index) and ``deficit[s]`` is the measured signal left unexplained
+    once they are dropped from the prediction.
     """
 
     excess: np.ndarray  # (C,)
@@ -81,25 +82,20 @@ class ExcessDeficit:
     removed: tuple[int, ...]
 
 
-def signal_excess(
-    x: np.ndarray, frame: np.ndarray, grid: SensorGrid, meas: MeasurementModel
-) -> np.ndarray:
-    f = signal_components(x, grid, meas)  # (C, S)
-    surplus = f.sum(axis=0) - np.asarray(frame, dtype=float)  # alpha - a
-    return np.maximum(surplus[None, :] - f, 0.0).sum(axis=1)
-
-
 def excess_deficit(
     x: np.ndarray,
     frame: np.ndarray,
     grid: SensorGrid,
     meas: MeasurementModel,
-    removed: np.ndarray,
+    n_remove: int,
 ) -> ExcessDeficit:
-    f = signal_components(x, grid, meas)
+    """Signal excess per target, then the deficit once the ``n_remove``
+    targets with the largest excess are removed."""
+    f = signal_components(x, grid, meas)  # (C, S)
     frame = np.asarray(frame, dtype=float)
-    surplus = f.sum(axis=0) - frame
+    surplus = f.sum(axis=0) - frame  # alpha - a
     excess = np.maximum(surplus[None, :] - f, 0.0).sum(axis=1)
+    removed = np.lexsort((np.arange(excess.size), -excess))[:n_remove]
     keep = np.setdiff1d(np.arange(f.shape[0]), removed)
     alpha_tilde = f[keep].sum(axis=0) if keep.size else np.zeros(grid.count)
     deficit = np.maximum(frame - alpha_tilde, 0.0)
@@ -118,9 +114,7 @@ def maximin_order(
     remaining = np.setdiff1d(np.arange(grid.count), used)
     if remaining.size == 0:
         return remaining
-    d = np.linalg.norm(
-        pos[:, None, :] - grid.positions[remaining][None, :, :], axis=2
-    ).min(axis=0)
+    d = _pair_offsets(pos, grid.positions[remaining])[1].min(axis=0)
     order = np.lexsort((remaining, -d))
     return remaining[order]
 
@@ -206,7 +200,6 @@ def square_hopping_recovery(
     frame: np.ndarray,
     grid: SensorGrid,
     meas: MeasurementModel,
-    prior: PropagatedPrior,
     box: BoxConstraints,
     config: ConsistencyConfig,
     options: NewtonOptions | None = None,
@@ -217,16 +210,13 @@ def square_hopping_recovery(
     squares are ranked by the measured signal their corner sensors are left
     unable to explain; each small square subset seeds a fresh measurement
     fit with the removed targets placed at the square centers.  Like the
-    one-by-one procedure the refit ignores the prior (the prior argument is
-    kept for interface symmetry): the first candidate whose statistic clears
-    the gate wins, and a gate pass always improves on the inconsistent
-    incoming estimate because both are scored by the same statistic.  If no
-    candidate passes, the best measurement NLL seen (including the incoming
-    estimate) is returned flagged.
+    one-by-one procedure the refit ignores the prior: the first candidate
+    whose statistic clears the gate wins, and a gate pass always improves on
+    the inconsistent incoming estimate because both are scored by the same
+    statistic.  If no candidate passes, the best measurement NLL seen
+    (including the incoming estimate) is returned flagged.
     """
-    del prior
     x_est = np.asarray(x_est, dtype=float).ravel()
-    n_targets = x_est.size // 2
     thr = chi2_threshold(grid.count, config.p_value)
 
     incoming = OptimizeResult(
@@ -239,10 +229,8 @@ def square_hopping_recovery(
     if 2.0 * incoming.value <= thr:
         return RecoveryOutcome(result=incoming, gate_passed=True, attempts=0)
 
-    n_bad = min(config.n_bad_tgt, n_targets)
-    ed_probe = excess_deficit(x_est, frame, grid, meas, np.array([], dtype=int))
-    bad = np.lexsort((np.arange(n_targets), -ed_probe.excess))[:n_bad]
-    ed = excess_deficit(x_est, frame, grid, meas, bad)
+    ed = excess_deficit(x_est, frame, grid, meas, config.n_bad_tgt)
+    bad, n_bad = ed.removed, len(ed.removed)
 
     corners, centers = grid.squares()
     sq_deficit = ed.deficit[corners].sum(axis=1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HessianRepairError
-from .model import MeasurementModel, SensorGrid
+from .model import MeasurementModel, SensorGrid, _pair_offsets
 from .nll import NllReport, PropagatedPrior, combined_nll
 from .optimize import BoxConstraints, NewtonOptions, minimize
 
@@ -43,8 +43,7 @@ def _cholesky_ok(hess: np.ndarray) -> bool:
 def _closest_new_pair(
     x: np.ndarray, grid: SensorGrid, excluded: list[tuple[int, int]]
 ) -> tuple[int, int]:
-    pos = x.reshape(-1, 2)
-    d = np.linalg.norm(pos[:, None, :] - grid.positions[None, :, :], axis=2)
+    d = _pair_offsets(x.reshape(-1, 2), grid.positions)[1]
     for flat in np.argsort(d, axis=None, kind="stable"):
         c, s = np.unravel_index(flat, d.shape)
         pair = (int(c), int(s))

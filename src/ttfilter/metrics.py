@@ -13,7 +13,7 @@ from .model import (
     F_SINGLE,
     Scenario,
     Trajectory,
-    expected_signal_batch,
+    expected_signal,
 )
 from .nll import FilterNoiseModel
 
@@ -159,7 +159,7 @@ def bpf_track(
         if chol_vp is not None:
             particles += rng.standard_normal((n, c, 4)) @ chol_vp.T
 
-        alpha = expected_signal_batch(particles[:, :, :2], grid, meas)  # (N, S)
+        alpha = expected_signal(particles[:, :, :2], grid, meas)  # (N, S)
         resid = alpha - trajectory.frames[t]
         log_w += -0.5 * np.einsum("ns,ns->n", resid, resid / sig2)
 

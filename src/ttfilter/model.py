@@ -188,18 +188,28 @@ def _clamped_power(rho: np.ndarray, p: float) -> np.ndarray:
     return rho**p
 
 
-def expected_signal_batch(
-    positions: np.ndarray, grid: SensorGrid, meas: MeasurementModel
-) -> np.ndarray:
-    """Noise-free sensor readings for a batch of target sets.
+def _pair_offsets(
+    positions: np.ndarray, sensors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target-sensor offsets ``r`` (..., C, S, 2) and distances ``rho``
+    (..., C, S) clamped at ``R_MIN``, for positions (..., C, 2) and sensors
+    (S, 2)."""
+    r = positions[..., :, None, :] - sensors
+    rho = np.maximum(np.sqrt(np.einsum("...i,...i->...", r, r)), R_MIN)
+    return r, rho
 
-    ``positions`` has shape ``(..., C, 2)``; the result has shape ``(..., S)``.
+
+def _pair_terms(positions: np.ndarray, sensors: np.ndarray, meas: MeasurementModel):
+    """The signal model per target-sensor pair: ``(r, rho, rho_p, D, f)``.
+
+    ``rho_p = rho**p``, ``D = rho_p + d0`` and ``f = A / D``, each
+    (..., C, S).  Every signal, likelihood and derivative in the package is
+    assembled from these terms.
     """
-    rel = positions[..., :, None, :] - grid.positions  # (..., C, S, 2)
-    rho = np.sqrt(np.einsum("...csi,...csi->...cs", rel, rel))
-    rho = np.maximum(rho, R_MIN)
-    f = meas.amplitude / (_clamped_power(rho, meas.exponent) + meas.offset)
-    return f.sum(axis=-2)
+    r, rho = _pair_offsets(positions, sensors)
+    rho_p = _clamped_power(rho, meas.exponent)
+    D = rho_p + meas.offset
+    return r, rho, rho_p, D, meas.amplitude / D
 
 
 def signal_components(
@@ -207,16 +217,21 @@ def signal_components(
 ) -> np.ndarray:
     """Per-target, per-sensor contributions ``f[c, s]`` for one target set."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    rel = pos[:, None, :] - grid.positions
-    rho = np.maximum(np.sqrt(np.einsum("csi,csi->cs", rel, rel)), R_MIN)
-    return meas.amplitude / (_clamped_power(rho, meas.exponent) + meas.offset)
+    return _pair_terms(pos, grid.positions, meas)[-1]
 
 
 def expected_signal(
     positions: np.ndarray, grid: SensorGrid, meas: MeasurementModel
 ) -> np.ndarray:
-    """Noise-free sensor readings for one target set ((C, 2) or flat (2C,))."""
-    return signal_components(positions, grid, meas).sum(axis=0)
+    """Noise-free sensor readings for target sets of shape (..., C, 2).
+
+    The result has shape (..., S).  A stacked (2C,) vector is read as one
+    (C, 2) target set.
+    """
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim == 1:
+        pos = pos.reshape(-1, 2)
+    return _pair_terms(pos, grid.positions, meas)[-1].sum(axis=-2)
 
 
 def propagate_truth(
@@ -324,7 +339,7 @@ def _attach_frames(
 ) -> Trajectory:
     """Draw all measurement frames for an already-final truth path."""
     sig = np.sqrt(meas.noise_variances(grid.count))
-    alpha = expected_signal_batch(states[1:, :, :2], grid, meas)
+    alpha = expected_signal(states[1:, :, :2], grid, meas)
     frames = alpha + sig * rng.standard_normal(alpha.shape)
     return Trajectory(states=states, frames=frames)
 

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NumericalError
-from .model import R_MIN, MeasurementModel, SensorGrid, _clamped_power
+from .model import MeasurementModel, SensorGrid, _pair_terms
 
 
 @dataclass
@@ -204,11 +204,6 @@ def propagate_prior(belief: GaussianBelief, noise: FilterNoiseModel) -> Propagat
     return PropagatedPrior(mean=mean, cov=cov, xx_inv=xx_inv)
 
 
-def _as_positions(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x.reshape(-1, 2)
-
-
 def measurement_nll(
     x: np.ndarray,
     frame: np.ndarray,
@@ -221,7 +216,7 @@ def measurement_nll(
     ``sensor_indices`` restricts the sum to a subset of sensors (recovery and
     Hessian repair need this); None means all sensors.
     """
-    pos = _as_positions(x)
+    pos = np.asarray(x, dtype=float).reshape(-1, 2)
     n = pos.size
     c = pos.shape[0]
     sens = grid.positions
@@ -237,12 +232,8 @@ def measurement_nll(
     if np.any(sig2 <= 0.0):
         raise ConfigurationError("measurement NLL needs positive noise variances")
 
-    p, A, d0 = meas.exponent, meas.amplitude, meas.offset
-    rel = pos[:, None, :] - sens[None, :, :]  # (C, S, 2)
-    rho = np.maximum(np.sqrt(np.einsum("csi,csi->cs", rel, rel)), R_MIN)
-    rho_p = _clamped_power(rho, p)
-    D = rho_p + d0
-    f = A / D
+    p, A = meas.exponent, meas.amplitude
+    rel, rho, rho_p, D, f = _pair_terms(pos, sens, meas)  # rel (C, S, 2), rest (C, S)
     alpha = f.sum(axis=0)
     res = (alpha - a) / sig2  # (S,)
 
@@ -258,10 +249,9 @@ def measurement_nll(
     # residual curvature, block diagonal per target
     beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)  # (C, S)
     blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
-    iso = (res * g).sum(axis=1)  # (C,)
-    for k in range(c):
-        blk = blocks[k] + iso[k] * np.eye(2)
-        hess[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += blk
+    blocks[:, [0, 1], [0, 1]] += (res * g).sum(axis=1)[:, None]
+    idx = np.arange(n).reshape(c, 2)
+    hess[idx[:, :, None], idx[:, None, :]] += blocks
     hess = 0.5 * (hess + hess.T)
     return NllReport(value, grad, hess)
 
@@ -296,9 +286,7 @@ def combined_value_batch(
     """Objective values only, for a (K, 2C) batch of stacked positions."""
     pts = np.asarray(points, dtype=float)
     k, n = pts.shape
-    rel = pts.reshape(k, n // 2, 1, 2) - grid.positions[None, None, :, :]
-    rho = np.maximum(np.sqrt(np.einsum("kcsi,kcsi->kcs", rel, rel)), R_MIN)
-    f = meas.amplitude / (_clamped_power(rho, meas.exponent) + meas.offset)
+    f = _pair_terms(pts.reshape(k, n // 2, 2), grid.positions, meas)[-1]
     alpha = f.sum(axis=1)  # (K, S)
     sig2 = meas.noise_variances(grid.count)
     if np.any(sig2 <= 0.0):

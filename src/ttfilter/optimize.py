@@ -20,6 +20,10 @@ from .nll import NllReport
 
 Objective = Callable[[np.ndarray], NllReport]
 
+ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+MIN_STEP = 1e-12  # smallest step length tried before giving up on a direction
+LEVENBERG_SCALE = 1e-6  # first diagonal shift, relative to the mean diagonal
+
 
 @dataclass(frozen=True)
 class BoxConstraints:
@@ -60,9 +64,6 @@ def box_from_grid(
 class NewtonOptions:
     grad_tol: float = 1e-6
     max_iter: int = 200
-    armijo: float = 1e-4
-    min_step: float = 1e-12
-    levenberg_scale: float = 1e-6
 
 
 @dataclass
@@ -74,21 +75,24 @@ class OptimizeResult:
     active_set: np.ndarray  # indices of coordinates sitting on a bound
 
 
-def _shifted_solve(hess: np.ndarray, rhs: np.ndarray, opts: NewtonOptions) -> np.ndarray:
+def _shifted_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve H d = rhs via Cholesky, adding a doubling diagonal shift until PD."""
     n = hess.shape[0]
     lam = 0.0
-    lam0 = max(opts.levenberg_scale * abs(np.trace(hess)) / n, 1e-12)
+    lam0 = max(LEVENBERG_SCALE * abs(np.trace(hess)) / n, 1e-12)
+    shifted = hess
     for _ in range(80):
         try:
-            L = np.linalg.cholesky(hess + lam * np.eye(n))
+            L = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            lam = lam0 if lam == 0.0 else 2.0 * lam
-            continue
-        d = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-        if np.all(np.isfinite(d)):
-            return d
+            pass
+        else:
+            d = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            if np.all(np.isfinite(d)):
+                return d
         lam = lam0 if lam == 0.0 else 2.0 * lam
+        shifted = hess.copy()
+        shifted.flat[:: n + 1] += lam
     raise NumericalError("Newton system unsolvable even with diagonal shift")
 
 
@@ -98,14 +102,13 @@ def _line_search(
     x: np.ndarray,
     report: NllReport,
     direction: np.ndarray,
-    opts: NewtonOptions,
 ):
     """Backtracking Armijo search along a projected direction.
 
     Returns ``(x_new, report_new)`` or None if no acceptable step exists.
     """
     t = 1.0
-    while t >= opts.min_step:
+    while t >= MIN_STEP:
         xt = box.clip(x + t * direction)
         move = xt - x
         if not np.any(move):
@@ -114,7 +117,7 @@ def _line_search(
         if not np.isfinite(rt.value):
             t *= 0.5
             continue
-        if rt.value <= report.value + opts.armijo * float(report.grad @ move):
+        if rt.value <= report.value + ARMIJO * float(report.grad @ move):
             return xt, rt
         t *= 0.5
     return None
@@ -151,12 +154,12 @@ def minimize(
         if free.any():
             idx = np.flatnonzero(free)
             hff = report.hess[np.ix_(idx, idx)]
-            direction[idx] = _shifted_solve(hff, -g[idx], opts)
+            direction[idx] = _shifted_solve(hff, -g[idx])
 
-        step = _line_search(fun, box, x, report, direction, opts)
+        step = _line_search(fun, box, x, report, direction)
         if step is None and free.any():
             # fall back on steepest descent if the Newton direction stalls
-            step = _line_search(fun, box, x, report, -g, opts)
+            step = _line_search(fun, box, x, report, -g)
         if step is None:
             break
         x, report = step

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NumericalError
-from .model import R_MIN, SensorGrid
+from .model import R_MIN, SensorGrid, _pair_offsets
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def near_sensor_pairs(
 ) -> list[tuple[int, int]]:
     """(target, nearest sensor) pairs closer than ``threshold`` meters."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    d = np.linalg.norm(pos[:, None, :] - grid.positions[None, :, :], axis=2)
+    d = _pair_offsets(pos, grid.positions)[1]
     nearest = d.argmin(axis=1)
     return [
         (c, int(s))

@@ -211,7 +211,7 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
 
         if not ok and cfg.hopping:
             outcome = square_hopping_recovery(
-                x_hat, frame, grid, meas, prior, ctx.box, cfg.consistency, cfg.optimizer
+                x_hat, frame, grid, meas, ctx.box, cfg.consistency, cfg.optimizer
             )
             actions.append(
                 f"hopping:{'pass' if outcome.gate_passed else 'best'}"
@@ -242,13 +242,15 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
                 chol = scipy.linalg.cho_factor(repair.hessian, lower=True)
                 cov_prelim = scipy.linalg.cho_solve(chol, np.eye(repair.x.size))
                 for c, s in near:
-                    points = polar_sigma_adjust(
+                    adjusted = polar_sigma_adjust(
                         points,
                         c,
                         grid.positions[s],
                         cov_prelim[2 * c : 2 * c + 2, 2 * c : 2 * c + 2],
                     )
-                    actions.append(f"polar:{c}@{s}")
+                    tag = "polar-skip" if adjusted is points else "polar"
+                    actions.append(f"{tag}:{c}@{s}")
+                    points = adjusted
 
         mean_x, cov_xx = spatial_moments(points)
         mean_v, cov_vv, cov_vx = velocity_moments(prior, mean_x, cov_xx)

@@ -13,7 +13,6 @@ from ttfilter.consistency import (
     is_consistent,
     maximin_order,
     one_by_one_recovery,
-    signal_excess,
     square_hopping_recovery,
 )
 from ttfilter.errors import ConfigurationError
@@ -145,8 +144,8 @@ def test_maximin_matches_enumeration_on_3x3(rng):
 def test_signal_excess_zero_when_no_surplus(grid55, meas_default, rng):
     pos = rng.uniform(5.0, 35.0, size=(3, 2))
     alpha = expected_signal(pos, grid55, meas_default)
-    eps = signal_excess(pos.ravel(), alpha + 1.0, grid55, meas_default)
-    np.testing.assert_array_equal(eps, np.zeros(3))
+    ed = excess_deficit(pos.ravel(), alpha + 1.0, grid55, meas_default, 0)
+    np.testing.assert_array_equal(ed.excess, np.zeros(3))
 
 
 def test_signal_excess_single_sensor_unit_case():
@@ -157,14 +156,14 @@ def test_signal_excess_single_sensor_unit_case():
     # keep the frame equal to the prediction except one sensor short by f+1
     frame = f.sum(axis=0).copy()
     frame[0] -= f[0, 0] + 1.0
-    eps = signal_excess(x, frame, grid, meas)
-    assert eps[0] == pytest.approx(1.0, rel=1e-12)
+    ed = excess_deficit(x, frame, grid, meas, 1)
+    assert ed.excess[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_signal_excess_matches_scalar_loop(grid55, meas_default, rng):
     x = rng.uniform(5.0, 35.0, size=8)
     frame = rng.uniform(0.5, 4.0, size=25)
-    eps = signal_excess(x, frame, grid55, meas_default)
+    eps = excess_deficit(x, frame, grid55, meas_default, 2).excess
     f = signal_components(x, grid55, meas_default)
     alpha = f.sum(axis=0)
     for c in range(4):
@@ -177,13 +176,16 @@ def test_signal_excess_matches_scalar_loop(grid55, meas_default, rng):
 def test_excess_deficit_nonnegative_and_removal(grid55, meas_default, rng):
     x = rng.uniform(5.0, 35.0, size=8)
     frame = rng.uniform(0.5, 4.0, size=25)
-    ed = excess_deficit(x, frame, grid55, meas_default, np.array([1, 3]))
+    ed = excess_deficit(x, frame, grid55, meas_default, 2)
     assert (ed.excess >= 0.0).all()
     assert (ed.deficit >= 0.0).all()
+    # the two targets with the largest excess are the ones removed
+    removed = sorted(range(4), key=lambda c: (-ed.excess[c], c))[:2]
+    assert ed.removed == tuple(removed)
+    keep = [c for c in range(4) if c not in removed]
     f = signal_components(x, grid55, meas_default)
-    expect = np.maximum(frame - f[[0, 2]].sum(axis=0), 0.0)
+    expect = np.maximum(frame - f[keep].sum(axis=0), 0.0)
     np.testing.assert_allclose(ed.deficit, expect, rtol=1e-12)
-    assert ed.removed == (1, 3)
 
 
 def test_one_by_one_recovers_from_belief_drift(grid55):
@@ -219,10 +221,9 @@ def test_square_count_and_subset_cap(grid55):
 def test_hopping_short_circuits_when_consistent(grid55, meas_default):
     truth = np.asarray(DEFAULT_TARGETS)[:, :2]
     frame = expected_signal(truth, grid55, meas_default)
-    prior = default_prior(truth)
     box = box_from_grid(grid55, n_targets=4)
     out = square_hopping_recovery(
-        truth.ravel(), frame, grid55, meas_default, prior, box, ConsistencyConfig()
+        truth.ravel(), frame, grid55, meas_default, box, ConsistencyConfig()
     )
     assert out.gate_passed
     assert out.attempts == 0
@@ -235,10 +236,9 @@ def test_hopping_relocates_misplaced_target(grid55):
     frame = expected_signal(truth, grid55, meas)
     wrong = truth.copy()
     wrong[2] = [25.0, 15.0]  # one square over from (20, 13) area, wrong basin
-    prior = default_prior(wrong)
     box = box_from_grid(grid55, n_targets=4)
     out = square_hopping_recovery(
-        wrong.ravel(), frame, grid55, meas, prior, box, ConsistencyConfig()
+        wrong.ravel(), frame, grid55, meas, box, ConsistencyConfig()
     )
     assert out.gate_passed
     assert out.attempts >= 1
@@ -251,12 +251,11 @@ def test_recovery_never_worsens_value(grid55, rng):
     truth = rng.uniform(8.0, 32.0, size=(4, 2))
     frame = expected_signal(truth, grid55, meas) + 0.1 * rng.standard_normal(25)
     wrong = rng.uniform(8.0, 32.0, size=(4, 2))
-    prior = default_prior(wrong)
     box = box_from_grid(grid55, n_targets=4)
     from ttfilter.nll import measurement_nll
 
     incoming = measurement_nll(wrong.ravel(), frame, grid55, meas).value
     out = square_hopping_recovery(
-        wrong.ravel(), frame, grid55, meas, prior, box, ConsistencyConfig()
+        wrong.ravel(), frame, grid55, meas, box, ConsistencyConfig()
     )
     assert out.result.value <= incoming + 1e-12

@@ -244,6 +244,25 @@ def test_step_polar_action_fires_near_sensor():
     assert not any(a.startswith("polar") for a in off.actions)
 
 
+def test_step_logs_skipped_polar_adjustment():
+    # north of the center sensor the pushed-forward covariance is not PD, so
+    # the adjustment returns its input and the step matches the linear path
+    scn = one_target_scenario(20.0, 20.4)
+    truth = scn.initial_states
+    frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
+    with pytest.warns(RuntimeWarning, match="skipping adjustment"):
+        out = step(tight_belief(truth), frame, make_context(scn, FilterConfig()))
+    assert "polar-skip:0@12" in out.actions
+    assert "polar:0@12" not in out.actions
+    off = step(
+        tight_belief(truth),
+        frame,
+        make_context(scn, FilterConfig(nonlinear_correction=False)),
+    )
+    np.testing.assert_array_equal(out.posterior.mean, off.posterior.mean)
+    np.testing.assert_array_equal(out.posterior.cov, off.posterior.cov)
+
+
 def test_step_posterior_satisfies_belief_invariants(rng):
     scn = benchmark_scenario(sigma_s2=0.1)
     ctx = make_context(scn, FilterConfig())
