@@ -81,12 +81,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _experiment_int(exp: dict, key: str, default: int | None) -> int:
+    try:
+        return int(exp.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"experiment.{key} must be an integer, got {exp[key]!r}"
+        ) from exc
+
+
 def _resolve_seed(args, cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
     exp = cfg.get("experiment", {})
     if isinstance(exp, dict) and exp.get("seed") is not None:
-        return int(exp["seed"])
+        return _experiment_int(exp, "seed", None)
     env = os.environ.get("TT_SEED")
     if env is not None:
         try:
@@ -115,8 +124,8 @@ def _experiment_spec(args, cfg: dict, default_variants: tuple[str, ...]) -> Expe
         filter_config=fcfg,
         bpf_config=bcfg,
         variants=variants,
-        tracks=args.tracks if args.tracks is not None else int(exp.get("tracks", 50)),
-        steps=args.steps if args.steps is not None else int(exp.get("steps", 40)),
+        tracks=args.tracks if args.tracks is not None else _experiment_int(exp, "tracks", 50),
+        steps=args.steps if args.steps is not None else _experiment_int(exp, "steps", 40),
         seed=_resolve_seed(args, cfg),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,

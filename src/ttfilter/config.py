@@ -47,7 +47,7 @@ def _section(cfg: dict, name: str) -> dict:
 
 def scenario_from_config(cfg: dict) -> Scenario:
     sec = _section(cfg, "scenario")
-    grid_sec = sec.get("grid", {})
+    grid_sec = _section(sec, "grid")
     targets = sec.get("targets")
     try:
         grid = build_grid(

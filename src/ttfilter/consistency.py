@@ -160,7 +160,6 @@ def one_by_one_recovery(
     meas: MeasurementModel,
     prior: PropagatedPrior,
     box: BoxConstraints,
-    x0: np.ndarray | None = None,
     options: NewtonOptions | None = None,
 ) -> OptimizeResult:
     """Re-acquire the target vector by growing the sensor set one at a time.
@@ -172,13 +171,13 @@ def one_by_one_recovery(
     in maximin order, re-optimizing after each addition, so the final result
     uses every sensor and twice its value is the consistency statistic.
 
-    The whole sweep runs from two starts, the prior mean (or ``x0``) and a
-    neutral ring at the grid center, keeping the lower final NLL.  The prior
-    mean is the better start when the belief merely drifted; the neutral
-    start wins when the belief itself is the wrong-basin culprit, which is
-    common right after a widely scattered initialization.
+    The whole sweep runs from two starts, the prior mean and a neutral ring
+    at the grid center, keeping the lower final NLL.  The prior mean is the
+    better start when the belief merely drifted; the neutral start wins when
+    the belief itself is the wrong-basin culprit, which is common right after
+    a widely scattered initialization.
     """
-    start = prior.mean_x if x0 is None else np.asarray(x0, dtype=float).ravel()
+    start = prior.mean_x
     res = _grow_sensor_set(frame, grid, meas, start, box, options)
     neutral = _center_ring(grid, start.size // 2)
     if not np.allclose(neutral, start):
@@ -219,9 +218,11 @@ def square_hopping_recovery(
     x_est = np.asarray(x_est, dtype=float).ravel()
     thr = chi2_threshold(grid.count, config.p_value)
 
+    rep = measurement_nll(x_est, frame, grid, meas)
     incoming = OptimizeResult(
         x=x_est.copy(),
-        value=measurement_nll(x_est, frame, grid, meas).value,
+        value=rep.value,
+        hess=rep.hess,
         iterations=0,
         converged=True,
         active_set=np.array([], dtype=int),

@@ -2,10 +2,12 @@
 
 Near a sensor the residual-curvature term of the measurement Hessian can
 overwhelm the Gauss-Newton term and leave the full Hessian indefinite, which
-would break the Cholesky-based sigma-point construction.  The repair
+would break the Cholesky-based sigma-point construction.  The repair takes
+the Hessian the fit ended on and returns its lower Cholesky factor, which
+the cubature and the polar step reuse.  When the factorization fails it
 iteratively excludes the closest target-sensor pair, re-optimizes the
 remaining targets without the excluded sensors (excluded targets stay frozen
-but keep contributing signal), and accepts once the reduced Hessian admits a
+but keep contributing signal), and stops once the repaired matrix admits a
 Cholesky factorization.  Excluded targets re-enter the full-size matrix as
 independent 2x2 blocks with diagonal d0^{-2}, the curvature scale of the
 signal peak they are sitting on.
@@ -25,19 +27,10 @@ from .optimize import BoxConstraints, NewtonOptions, minimize
 
 @dataclass
 class HessianRepair:
-    hessian: np.ndarray  # (2C, 2C), Cholesky-factorizable
+    hessian: np.ndarray  # (2C, 2C), positive definite
+    chol: np.ndarray  # (2C, 2C) lower Cholesky factor of ``hessian``
     x: np.ndarray  # (2C,) possibly re-optimized estimate
     exclusions: tuple[tuple[int, int], ...]  # (target, sensor) pairs
-
-
-def _cholesky_ok(hess: np.ndarray) -> bool:
-    if hess.size == 0:
-        return True
-    try:
-        np.linalg.cholesky(hess)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 def _closest_new_pair(
@@ -54,6 +47,7 @@ def _closest_new_pair(
 
 def repair_hessian(
     x_ml: np.ndarray,
+    hess: np.ndarray,
     frame: np.ndarray,
     grid: SensorGrid,
     meas: MeasurementModel,
@@ -61,15 +55,27 @@ def repair_hessian(
     box: BoxConstraints,
     options: NewtonOptions | None = None,
 ) -> HessianRepair:
-    """Return a Cholesky-factorizable Hessian at (a possibly adjusted) x_ml."""
+    """Positive-definite Hessian and its lower factor at (a possibly adjusted) x_ml.
+
+    ``hess`` is the Hessian of the combined NLL at ``x_ml``, as the fit that
+    produced ``x_ml`` last evaluated it.
+    """
     x = np.asarray(x_ml, dtype=float).ravel().copy()
     n = x.size
-    full = combined_nll(x, frame, grid, meas, prior)
-    if _cholesky_ok(full.hess):
-        return HessianRepair(hessian=full.hess, x=x, exclusions=())
-
     excluded: list[tuple[int, int]] = []
-    while len(excluded) < (n // 2) * grid.count:
+    repaired = hess
+    # terminates: once every target has an excluded pair the matrix is
+    # diagonal and positive definite
+    while True:
+        try:
+            chol = np.linalg.cholesky(repaired)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return HessianRepair(
+                hessian=repaired, chol=chol, x=x, exclusions=tuple(excluded)
+            )
+
         excluded.append(_closest_new_pair(x, grid, excluded))
         bad_targets = sorted({c for c, _ in excluded})
         keep_sensors = np.setdiff1d(np.arange(grid.count), [s for _, s in excluded])
@@ -78,6 +84,7 @@ def repair_hessian(
             [i for c in free_targets for i in (2 * c, 2 * c + 1)], dtype=int
         )
 
+        repaired = np.zeros((n, n))
         if free_idx.size:
             frozen = x.copy()
 
@@ -94,20 +101,7 @@ def repair_hessian(
             sub_box = BoxConstraints(box.lower[free_idx], box.upper[free_idx])
             res = minimize(reduced, x[free_idx], sub_box, options)
             x[free_idx] = res.x
-            reduced_hess = reduced(res.x).hess
-        else:
-            reduced_hess = np.empty((0, 0))
-
-        if _cholesky_ok(reduced_hess):
-            repaired = np.zeros((n, n))
-            if free_idx.size:
-                repaired[np.ix_(free_idx, free_idx)] = reduced_hess
-            for c in bad_targets:
-                repaired[2 * c, 2 * c] = meas.offset**-2
-                repaired[2 * c + 1, 2 * c + 1] = meas.offset**-2
-            return HessianRepair(
-                hessian=repaired, x=x, exclusions=tuple(excluded)
-            )
-    raise HessianRepairError(
-        f"no positive-definite reduction after {len(excluded)} exclusions"
-    )
+            repaired[np.ix_(free_idx, free_idx)] = res.hess
+        for c in bad_targets:
+            repaired[2 * c, 2 * c] = meas.offset**-2
+            repaired[2 * c + 1, 2 * c + 1] = meas.offset**-2

@@ -171,10 +171,6 @@ class MotionModel:
             raise ConfigurationError("gamma must be non-negative")
 
     @property
-    def F_prop(self) -> np.ndarray:
-        return F_SINGLE.copy()
-
-    @property
     def V(self) -> np.ndarray:
         """Per-target process noise covariance, 4x4."""
         return self.gamma * PROCESS_SHAPE

@@ -74,9 +74,8 @@ def assemble(
     cov_xx: np.ndarray,
     cov_vv: np.ndarray,
     cov_vx: np.ndarray,
-    floor: float = EIGEN_FLOOR,
 ) -> PosteriorBelief:
-    """Assemble the joint posterior, flooring eigenvalues at ``floor``.
+    """Assemble the joint posterior, flooring eigenvalues at ``EIGEN_FLOOR``.
 
     The cubature can return a spatial covariance with a slightly negative
     eigenvalue when the weights concentrate on few points; the floor keeps
@@ -88,8 +87,8 @@ def assemble(
     joint = np.block([[cov_xx, cov_vx.T], [cov_vx, cov_vv]])
     joint = 0.5 * (joint + joint.T)
     vals, vecs = np.linalg.eigh(joint)
-    if vals.min() < floor:
-        joint = (vecs * np.maximum(vals, floor)) @ vecs.T
+    if vals.min() < EIGEN_FLOOR:
+        joint = (vecs * np.maximum(vals, EIGEN_FLOOR)) @ vecs.T
         joint = 0.5 * (joint + joint.T)
     d = len(mean_x)
     return PosteriorBelief(

@@ -70,6 +70,7 @@ class NewtonOptions:
 class OptimizeResult:
     x: np.ndarray
     value: float
+    hess: np.ndarray  # the objective's Hessian at x, from its last evaluation
     iterations: int
     converged: bool
     active_set: np.ndarray  # indices of coordinates sitting on a bound
@@ -169,6 +170,7 @@ def minimize(
     return OptimizeResult(
         x=x,
         value=report.value,
+        hess=report.hess,
         iterations=iterations,
         converged=converged,
         active_set=np.flatnonzero(on_bound),

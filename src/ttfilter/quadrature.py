@@ -1,7 +1,8 @@
 """Sigma-point cubature for exp(-NLL) moments.
 
 The posterior spatial density is proportional to exp(-N(x)) in d = 2C
-dimensions.  Writing x = m + H^{-1/2} y and integrating in spherical
+dimensions.  Writing x = m + L^{-T} y, where H = L L^T is the Cholesky
+factorization the Hessian repair hands over, and integrating in spherical
 coordinates splits the problem into a radial integral with weight
 t^(d/2 - 1) e^{-t} (after t = r^2 / 2), handled exactly for cubics by the
 two-point generalized Gauss-Laguerre rule, and a spherical integral handled
@@ -14,13 +15,13 @@ otherwise.
 Near a sensor the surface is banana-shaped around the signal peak; the polar
 adjustment rebuilds one target's two coordinates in local (range, arc-length)
 coordinates where the surface is close to Gaussian, maps the points back, and
-keeps the weights (the transform has unit Jacobian determinant).
+keeps the weights (the transform has unit Jacobian determinant).  Its 2x2
+input covariance is a block of H^{-1}, read from the same factor.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -100,9 +101,7 @@ class SigmaPointSet:
     """Weighted sigma points plus the ingredients needed to rebuild them.
 
     Point ``k < J`` uses the inner radial node with direction ``k``; point
-    ``J + k`` uses the outer node with the same direction.  ``normalizer``
-    is the reciprocal of the summed raw weights after the overflow guard
-    subtracted ``nll_offset`` from every NLL value.
+    ``J + k`` uses the outer node with the same direction.
     """
 
     points: np.ndarray  # (2J, d)
@@ -110,32 +109,26 @@ class SigmaPointSet:
     mean: np.ndarray  # (d,) center the points were built around
     rule: RadialRule
     dirs: DirectionSet
-    normalizer: float
-    nll_offset: float
 
 
 def build_sigma_points(
     mean: np.ndarray,
-    hess: np.ndarray,
+    chol: np.ndarray,
     rule: RadialRule,
     dirs: DirectionSet,
     nll_values: Callable[[np.ndarray], np.ndarray],
 ) -> SigmaPointSet:
-    """Place and weight sigma points for the surface with Hessian ``hess``.
+    """Place and weight sigma points for the surface with Hessian ``chol chol^T``.
 
+    ``chol`` is the lower Cholesky factor of the Hessian at ``mean``.
     ``nll_values`` maps a (K, d) batch of points to their NLL values (up to a
     shared additive constant, which cancels in the normalized weights).
     """
     mean = np.asarray(mean, dtype=float).ravel()
-    d = mean.size
-    try:
-        L = np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "sigma-point Hessian is not positive definite; repair it first"
-        ) from exc
     # H^{-1/2} theta for every direction: solve L^T y = theta
-    spread = scipy.linalg.solve_triangular(L, dirs.directions.T, lower=True, trans="T").T
+    spread = scipy.linalg.solve_triangular(
+        chol, dirs.directions.T, lower=True, trans="T"
+    ).T
     pts = np.vstack(
         [
             mean + math.sqrt(2.0 * rule.z_minus) * spread,
@@ -163,8 +156,6 @@ def build_sigma_points(
         mean=mean,
         rule=rule,
         dirs=dirs,
-        normalizer=1.0 / total,
-        nll_offset=offset,
     )
 
 
@@ -224,7 +215,8 @@ def polar_sigma_adjust(
     through the polar map linearized at the mean, points are redrawn along
     each direction's 2-component sub-block, and mapped back.  Weights are
     untouched.  If the pushed-forward covariance is not positive definite
-    the adjustment is skipped with a warning.
+    the adjustment is skipped: ``points`` itself is returned, which the
+    caller records as a skip.
     """
     c0 = 2 * target
     mean_xy = points.mean[c0 : c0 + 2]
@@ -236,11 +228,6 @@ def polar_sigma_adjust(
     try:
         L = np.linalg.cholesky(sigma_uu)
     except np.linalg.LinAlgError:
-        warnings.warn(
-            "polar-adjusted covariance not positive definite; skipping adjustment",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         return points
 
     mean_u = polar_transform(mean_xy, sensor)

@@ -6,7 +6,10 @@ the fit with the chi-square consistency test (escalating through one-by-one
 sensor re-acquisition and square hopping when it fails), repair the Hessian
 to positive definite, spread sigma points on the combined NLL surface (with
 the polar correction for targets sitting close to a sensor), and read off
-posterior moments.  Any numerical failure downgrades the step to the
+posterior moments.  The Hessian is the one the main fit ends on, evaluated
+again only when a measurement-only recovery fit is adopted; the repair
+factors it once and that factor places the sigma points and gives the polar
+step its covariance blocks.  Any numerical failure downgrades the step to the
 propagated prior so a single bad frame cannot kill the track.
 """
 
@@ -195,7 +198,7 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
 
     try:
         res = minimize(objective, prior.mean_x, ctx.box, cfg.optimizer)
-        x_hat = res.x
+        x_hat, hess = res.x, res.hess
         ok, stat = is_consistent(x_hat, frame, grid, meas, cfg.consistency)
 
         # Recoveries refit by measurement likelihood alone, so their value
@@ -206,7 +209,7 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
             )
             actions.append("one_by_one")
             if 2.0 * cand.value < stat:
-                x_hat = cand.x
+                x_hat, hess = cand.x, None
                 ok, stat = is_consistent(x_hat, frame, grid, meas, cfg.consistency)
 
         if not ok and cfg.hopping:
@@ -218,11 +221,13 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
                 f"[{outcome.attempts}]"
             )
             if 2.0 * outcome.result.value < stat:
-                x_hat = outcome.result.x
+                x_hat, hess = outcome.result.x, None
                 ok, stat = is_consistent(x_hat, frame, grid, meas, cfg.consistency)
 
+        if hess is None:  # an adopted recovery fit ignored the prior
+            hess = objective(x_hat).hess
         repair = repair_hessian(
-            x_hat, frame, grid, meas, prior, ctx.box, cfg.optimizer
+            x_hat, hess, frame, grid, meas, prior, ctx.box, cfg.optimizer
         )
         if repair.exclusions:
             actions.append(
@@ -231,7 +236,7 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
 
         points = build_sigma_points(
             repair.x,
-            repair.hessian,
+            repair.chol,
             ctx.rule,
             ctx.dirs,
             lambda pts: combined_value_batch(pts, frame, grid, meas, prior),
@@ -239,8 +244,9 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
         if cfg.nonlinear_correction:
             near = near_sensor_pairs(repair.x, grid, ctx.near_threshold)
             if near:
-                chol = scipy.linalg.cho_factor(repair.hessian, lower=True)
-                cov_prelim = scipy.linalg.cho_solve(chol, np.eye(repair.x.size))
+                cov_prelim = scipy.linalg.cho_solve(
+                    (repair.chol, True), np.eye(repair.x.size)
+                )
                 for c, s in near:
                     adjusted = polar_sigma_adjust(
                         points,

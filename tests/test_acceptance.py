@@ -166,7 +166,7 @@ def test_criterion_5_cubature_exact_on_quadratic_surface():
     hess = random_spd(8, rng, scale=0.5)
     sp = build_sigma_points(
         m,
-        hess,
+        np.linalg.cholesky(hess),
         rule,
         dirs,
         lambda pts: 0.5 * np.einsum("ki,ij,kj->k", pts - m, hess, pts - m),

@@ -72,10 +72,16 @@ def test_missing_config_gives_io_exit(tmp_path, capsys):
 
 def test_invalid_config_gives_config_exit(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
-    cfg.write_text("{oops")
-    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    for command, text in [
+        ("simulate", "{oops"),
+        ("simulate", '{"scenario": {"grid": 5}}'),
+        ("simulate", '{"experiment": {"seed": "abc"}}'),
+        ("track", '{"experiment": {"tracks": "x"}}'),
+    ]:
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2, text
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_track_subcommand_writes_outputs(tmp_path, capsys):

@@ -24,6 +24,19 @@ def prior_at(x: np.ndarray):
     return propagate_prior(belief, FilterNoiseModel())
 
 
+def repair_at(x, frame, grid, meas, prior, box):
+    """Repair the combined-NLL Hessian at ``x``, as the fit would hand it over."""
+    hess = combined_nll(x, frame, grid, meas, prior).hess
+    return repair_hessian(x, hess, frame, grid, meas, prior, box)
+
+
+def assert_factor_matches(fix):
+    np.testing.assert_array_equal(fix.chol, np.tril(fix.chol))
+    np.testing.assert_allclose(
+        fix.chol @ fix.chol.T, fix.hessian, rtol=1e-12, atol=1e-12
+    )
+
+
 @pytest.fixture()
 def indefinite_case(grid55):
     """Target 0 parked beside the center sensor, which reads an impossible
@@ -41,11 +54,12 @@ def test_pd_hessian_returned_unchanged(grid55, meas_default, rng):
     frame = expected_signal(x, grid55, meas_default)
     prior = prior_at(x)
     box = box_from_grid(grid55, n_targets=2)
-    fix = repair_hessian(x, frame, grid55, meas_default, prior, box)
+    fix = repair_at(x, frame, grid55, meas_default, prior, box)
     assert fix.exclusions == ()
     np.testing.assert_array_equal(fix.x, x)
     expect = combined_nll(x, frame, grid55, meas_default, prior).hess
     np.testing.assert_array_equal(fix.hessian, expect)
+    assert_factor_matches(fix)
 
 
 def test_indefinite_fixture_is_actually_indefinite(grid55, indefinite_case):
@@ -57,16 +71,17 @@ def test_indefinite_fixture_is_actually_indefinite(grid55, indefinite_case):
 def test_repair_restores_positive_definiteness(grid55, indefinite_case):
     meas, x, frame = indefinite_case
     box = box_from_grid(grid55, n_targets=2)
-    fix = repair_hessian(x, frame, grid55, meas, prior_at(x), box)
+    fix = repair_at(x, frame, grid55, meas, prior_at(x), box)
+    assert fix.exclusions
     w = np.linalg.eigvalsh(fix.hessian)
     assert w.min() > 0.0
-    np.linalg.cholesky(fix.hessian)
+    assert_factor_matches(fix)
 
 
 def test_closest_pair_excluded_first(grid55, indefinite_case):
     meas, x, frame = indefinite_case
     box = box_from_grid(grid55, n_targets=2)
-    fix = repair_hessian(x, frame, grid55, meas, prior_at(x), box)
+    fix = repair_at(x, frame, grid55, meas, prior_at(x), box)
     assert len(fix.exclusions) >= 1
     assert fix.exclusions[0] == (0, 12)
     assert len(set(fix.exclusions)) == len(fix.exclusions)
@@ -78,7 +93,7 @@ def test_closest_pair_excluded_first(grid55, indefinite_case):
 def test_excluded_target_gets_fixed_variance_block(grid55, indefinite_case):
     meas, x, frame = indefinite_case
     box = box_from_grid(grid55, n_targets=2)
-    fix = repair_hessian(x, frame, grid55, meas, prior_at(x), box)
+    fix = repair_at(x, frame, grid55, meas, prior_at(x), box)
     bad = sorted({c for c, _ in fix.exclusions})
     assert bad == [0]
     scale = meas.offset**-2
@@ -91,7 +106,7 @@ def test_kept_block_matches_reduced_hessian(grid55, indefinite_case):
     meas, x, frame = indefinite_case
     prior = prior_at(x)
     box = box_from_grid(grid55, n_targets=2)
-    fix = repair_hessian(x, frame, grid55, meas, prior, box)
+    fix = repair_at(x, frame, grid55, meas, prior, box)
     kept_sensors = np.setdiff1d(
         np.arange(grid55.count), [s for _, s in fix.exclusions]
     )
@@ -110,6 +125,7 @@ def test_single_target_full_exclusion(grid55):
     hess = combined_nll(x, frame, grid55, meas, prior_at(x)).hess
     assert np.linalg.eigvalsh(hess).min() < 0.0
     box = box_from_grid(grid55, n_targets=1)
-    fix = repair_hessian(x, frame, grid55, meas, prior_at(x), box)
+    fix = repair_at(x, frame, grid55, meas, prior_at(x), box)
     np.testing.assert_array_equal(fix.hessian, meas.offset**-2 * np.eye(2))
     assert fix.exclusions == ((0, 12),)
+    assert_factor_matches(fix)

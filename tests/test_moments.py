@@ -34,8 +34,6 @@ def point_set(points: np.ndarray, weights: np.ndarray) -> SigmaPointSet:
         mean=points[0],
         rule=rule,
         dirs=dirs,
-        normalizer=1.0,
-        nll_offset=0.0,
     )
 
 
@@ -64,7 +62,7 @@ def test_quadratic_fixture_recovers_inverse_hessian(rng):
         d = points - m
         return 0.5 * np.einsum("ki,ij,kj->k", d, H, d)
 
-    pts = build_sigma_points(m, H, rule, dirs, nll)
+    pts = build_sigma_points(m, np.linalg.cholesky(H), rule, dirs, nll)
     mean, cov = spatial_moments(pts)
     np.testing.assert_allclose(mean, m, atol=1e-10)
     target = np.linalg.inv(H)

@@ -108,6 +108,8 @@ def test_noise_free_signal_fit_recovers_target(rng):
     box = box_from_grid(grid, n_targets=1)
     res = minimize(fun, np.array([5.0, 5.0]), box)
     assert res.converged
+    # the result carries the Hessian of its final evaluation, at res.x
+    np.testing.assert_array_equal(res.hess, fun(res.x).hess)
 
     # coarse grid search oracle: best 0.01 m cell should agree
     xs = np.arange(3.0, 7.01, 0.01)

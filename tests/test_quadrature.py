@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
-from ttfilter.errors import ConfigurationError, NumericalError
+from ttfilter.errors import ConfigurationError
 from ttfilter.model import build_grid
 from ttfilter.quadrature import (
     DirectionSet,
@@ -137,7 +138,8 @@ def test_sigma_points_reproduce_gaussian_moments(rule8, dirs8):
     for _ in range(5):
         m = rng.uniform(-10.0, 10.0, size=8)
         H = random_spd(8, rng, scale=0.5)
-        pts = build_sigma_points(m, H, rule8, dirs8, quadratic_nll(m, H))
+        L = np.linalg.cholesky(H)
+        pts = build_sigma_points(m, L, rule8, dirs8, quadratic_nll(m, H))
         assert pts.points.shape == (144, 8)
         assert pts.weights.min() >= 0.0
         assert pts.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -149,8 +151,8 @@ def test_sigma_points_reproduce_gaussian_moments(rule8, dirs8):
 
 def test_sigma_points_constant_nll_weights(rule8, dirs8):
     m = np.zeros(8)
-    H = np.eye(8)
-    pts = build_sigma_points(m, H, rule8, dirs8, lambda p: np.full(len(p), 3.7))
+    L = np.linalg.cholesky(np.eye(8))
+    pts = build_sigma_points(m, L, rule8, dirs8, lambda p: np.full(len(p), 3.7))
     j = dirs8.count
     denom = j * (
         rule8.w_minus * math.exp(rule8.z_minus)
@@ -167,9 +169,10 @@ def test_sigma_points_constant_nll_weights(rule8, dirs8):
 def test_sigma_points_invariant_to_nll_offset(rule8, dirs8, rng):
     m = rng.uniform(-5.0, 5.0, size=8)
     H = random_spd(8, rng)
+    L = np.linalg.cholesky(H)
     base = quadratic_nll(m, H)
-    a = build_sigma_points(m, H, rule8, dirs8, base)
-    b = build_sigma_points(m, H, rule8, dirs8, lambda p: base(p) + 5000.0)
+    a = build_sigma_points(m, L, rule8, dirs8, base)
+    b = build_sigma_points(m, L, rule8, dirs8, lambda p: base(p) + 5000.0)
     np.testing.assert_array_equal(a.points, b.points)
     np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12)
 
@@ -178,8 +181,9 @@ def test_sigma_points_translation_equivariance(rule8, dirs8, rng):
     H = random_spd(8, rng)
     m = rng.uniform(-5.0, 5.0, size=8)
     t = rng.uniform(-3.0, 3.0, size=8)
-    a = build_sigma_points(m, H, rule8, dirs8, quadratic_nll(m, H))
-    b = build_sigma_points(m + t, H, rule8, dirs8, quadratic_nll(m + t, H))
+    L = np.linalg.cholesky(H)
+    a = build_sigma_points(m, L, rule8, dirs8, quadratic_nll(m, H))
+    b = build_sigma_points(m + t, L, rule8, dirs8, quadratic_nll(m + t, H))
     np.testing.assert_allclose(b.points, a.points + t, atol=1e-12)
     np.testing.assert_allclose(b.weights, a.weights, rtol=1e-9)
 
@@ -189,20 +193,16 @@ def test_sigma_points_permutation_consistency(rule8, dirs8, rng):
     H = random_spd(8, rng)
     perm = rng.permutation(8)
     P = np.eye(8)[perm]
-    a = build_sigma_points(m, H, rule8, dirs8, quadratic_nll(m, H))
+    L = np.linalg.cholesky(H)
+    a = build_sigma_points(m, L, rule8, dirs8, quadratic_nll(m, H))
     Hp = P @ H @ P.T
     mp = P @ m
-    b = build_sigma_points(mp, Hp, rule8, dirs8, quadratic_nll(mp, Hp))
+    Lp = np.linalg.cholesky(Hp)
+    b = build_sigma_points(mp, Lp, rule8, dirs8, quadratic_nll(mp, Hp))
     mean_a, cov_a = weighted_moments(a)
     mean_b, cov_b = weighted_moments(b)
     np.testing.assert_allclose(mean_b, P @ mean_a, atol=1e-10)
     np.testing.assert_allclose(cov_b, P @ cov_a @ P.T, atol=1e-10)
-
-
-def test_sigma_points_require_pd_hessian(rule8, dirs8):
-    H = np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    with pytest.raises(NumericalError):
-        build_sigma_points(np.zeros(8), H, rule8, dirs8, lambda p: np.zeros(len(p)))
 
 
 def test_polar_transform_axis_cases():
@@ -254,7 +254,9 @@ def test_polar_adjust_on_axis_isotropic_preserves_radii(rule8, dirs8):
     # sigma_uu equals sigma_xx and the redrawn radii follow the same spread
     m = np.array([23.0, 20.0, 8.0, 31.0, 12.0, 5.0, 30.0, 11.0])
     H = np.eye(8) * 4.0
-    pts = build_sigma_points(m, H, rule8, dirs8, quadratic_nll(m, H))
+    pts = build_sigma_points(
+        m, np.linalg.cholesky(H), rule8, dirs8, quadratic_nll(m, H)
+    )
     sensor = np.array([20.0, 20.0])
     sigma_xx = 0.09 * np.eye(2)
     adj = polar_sigma_adjust(pts, 0, sensor, sigma_xx)
@@ -279,9 +281,12 @@ def test_polar_adjust_on_axis_isotropic_preserves_radii(rule8, dirs8):
 def test_polar_adjust_skips_when_pushforward_not_pd(rule8, dirs8):
     m = np.array([19.777, 20.279, 8.0, 31.0, 12.0, 5.0, 30.0, 11.0])
     H = np.eye(8) * 4.0
-    pts = build_sigma_points(m, H, rule8, dirs8, quadratic_nll(m, H))
+    pts = build_sigma_points(
+        m, np.linalg.cholesky(H), rule8, dirs8, quadratic_nll(m, H)
+    )
     sensor = np.array([20.0, 20.0])
     sigma_xx = np.array([[2.0985, 0.9097], [0.9097, 0.4063]])
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         adj = polar_sigma_adjust(pts, 0, sensor, sigma_xx)
-    np.testing.assert_array_equal(adj.points, pts.points)
+    assert adj is pts

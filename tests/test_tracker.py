@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from ttfilter import hessfix, tracker
 from ttfilter.consistency import chi2_threshold, consistency_statistic
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import (
@@ -26,6 +29,7 @@ from ttfilter.nll import (
     propagate_prior,
 )
 from ttfilter.optimize import minimize
+from ttfilter.quadrature import polar_sigma_adjust
 from ttfilter.tracker import FilterConfig, init_belief, make_context, step, track
 
 from conftest import benchmark_scenario
@@ -192,6 +196,28 @@ def test_step_no_recovery_when_consistent():
     assert not any(a.startswith(("one_by_one", "hopping")) for a in out.actions)
 
 
+def test_step_evaluates_combined_nll_once_per_point(monkeypatch):
+    # the main fit's final Hessian feeds the repair, so a step that keeps the
+    # fit's estimate never evaluates the combined objective twice at one point
+    scn = benchmark_scenario()
+    ctx = make_context(scn, FilterConfig())
+    truth = scn.initial_states
+    frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
+    seen = []
+
+    def counted(x, *args):
+        seen.append(np.asarray(x, dtype=float).tobytes())
+        return combined_nll(x, *args)
+
+    monkeypatch.setattr(tracker, "combined_nll", counted)
+    monkeypatch.setattr(hessfix, "combined_nll", counted)
+    out = step(tight_belief(truth), frame, ctx)
+    assert out.consistent and not out.exclusions
+    assert not any(a.startswith(("one_by_one", "hopping")) for a in out.actions)
+    repeats = len(seen) - len(set(seen))
+    assert seen and repeats == 0, f"{repeats} repeated evaluation(s)"
+
+
 def test_step_recovery_engages_and_never_worsens_statistic():
     scn = benchmark_scenario()
     ctx = make_context(scn, FilterConfig())
@@ -244,14 +270,24 @@ def test_step_polar_action_fires_near_sensor():
     assert not any(a.startswith("polar") for a in off.actions)
 
 
-def test_step_logs_skipped_polar_adjustment():
+def test_step_logs_skipped_polar_adjustment(monkeypatch):
     # north of the center sensor the pushed-forward covariance is not PD, so
     # the adjustment returns its input and the step matches the linear path
     scn = one_target_scenario(20.0, 20.4)
     truth = scn.initial_states
     frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
-    with pytest.warns(RuntimeWarning, match="skipping adjustment"):
+    returned_input = []
+
+    def spy(points, *args):
+        adjusted = polar_sigma_adjust(points, *args)
+        returned_input.append(adjusted is points)
+        return adjusted
+
+    monkeypatch.setattr(tracker, "polar_sigma_adjust", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = step(tight_belief(truth), frame, make_context(scn, FilterConfig()))
+    assert returned_input == [True]
     assert "polar-skip:0@12" in out.actions
     assert "polar:0@12" not in out.actions
     off = step(
