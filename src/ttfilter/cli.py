@@ -82,19 +82,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_int(exp: dict, key: str, default: int | None) -> int:
+    value = exp.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"experiment.{key} must be an integer, got {value!r}")
     try:
-        return int(exp.get(key, default))
+        return int(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
-            f"experiment.{key} must be an integer, got {exp[key]!r}"
+            f"experiment.{key} must be an integer, got {value!r}"
         ) from exc
 
 
 def _resolve_seed(args, cfg: dict) -> int:
+    exp = cfgmod._section(cfg, "experiment")
     if args.seed is not None:
         return args.seed
-    exp = cfg.get("experiment", {})
-    if isinstance(exp, dict) and exp.get("seed") is not None:
+    if exp.get("seed") is not None:
         return _experiment_int(exp, "seed", None)
     env = os.environ.get("TT_SEED")
     if env is not None:
@@ -106,7 +109,7 @@ def _resolve_seed(args, cfg: dict) -> int:
 
 
 def _experiment_spec(args, cfg: dict, default_variants: tuple[str, ...]) -> ExperimentSpec:
-    exp = cfg.get("experiment", {}) if isinstance(cfg.get("experiment", {}), dict) else {}
+    exp = cfgmod._section(cfg, "experiment")
     scenario = cfgmod.scenario_from_config(cfg)
     fcfg = cfgmod.filter_config_from_config(cfg)
     bcfg = cfgmod.bpf_config_from_config(cfg, fcfg)

@@ -25,6 +25,7 @@ is block diagonal per target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -33,20 +34,45 @@ from .errors import ConfigurationError, NumericalError
 from .model import MeasurementModel, SensorGrid, _pair_terms
 
 
-@dataclass
 class NllReport:
-    """Objective value with its gradient and Hessian at one point."""
+    """Objective value with its gradient and Hessian at one point.
 
-    value: float
-    grad: np.ndarray  # (n,)
-    hess: np.ndarray  # (n, n), symmetric
+    ``NllReport(value, grad, hess)`` holds all three.  The objectives in this
+    module compute the value at once and pass ``derivatives``, a function
+    returning ``(grad, hess)`` that runs when ``grad`` or ``hess`` is first
+    read.  A line-search trial that is rejected reads only the value, so it
+    never builds the derivatives.
+    """
 
-    def __add__(self, other: "NllReport") -> "NllReport":
-        return NllReport(
-            value=self.value + other.value,
-            grad=self.grad + other.grad,
-            hess=self.hess + other.hess,
-        )
+    __slots__ = ("value", "_grad", "_hess", "_derivatives")
+
+    def __init__(
+        self,
+        value: float,
+        grad: np.ndarray | None = None,  # (n,)
+        hess: np.ndarray | None = None,  # (n, n), symmetric
+        derivatives: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
+    ):
+        self.value = value
+        self._grad = grad
+        self._hess = hess
+        self._derivatives = derivatives
+
+    def _derive(self) -> None:
+        self._grad, self._hess = self._derivatives()
+        self._derivatives = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._derivatives is not None:
+            self._derive()
+        return self._grad
+
+    @property
+    def hess(self) -> np.ndarray:
+        if self._derivatives is not None:
+            self._derive()
+        return self._hess
 
 
 @dataclass(frozen=True)
@@ -204,18 +230,14 @@ def propagate_prior(belief: GaussianBelief, noise: FilterNoiseModel) -> Propagat
     return PropagatedPrior(mean=mean, cov=cov, xx_inv=xx_inv)
 
 
-def measurement_nll(
+def _measurement_terms(
     x: np.ndarray,
     frame: np.ndarray,
     grid: SensorGrid,
     meas: MeasurementModel,
-    sensor_indices: np.ndarray | None = None,
-) -> NllReport:
-    """Measurement half of the objective with exact derivatives.
-
-    ``sensor_indices`` restricts the sum to a subset of sensors (recovery and
-    Hessian repair need this); None means all sensors.
-    """
+    sensor_indices: np.ndarray | None,
+) -> tuple[float, Callable[[], tuple[np.ndarray, np.ndarray]]]:
+    """Measurement value, and a function that builds its gradient and Hessian."""
     pos = np.asarray(x, dtype=float).reshape(-1, 2)
     n = pos.size
     c = pos.shape[0]
@@ -228,7 +250,7 @@ def measurement_nll(
         a = a[sensor_indices]
         sig2 = sig2[sensor_indices]
     if sens.shape[0] == 0:
-        return NllReport(0.0, np.zeros(n), np.zeros((n, n)))
+        return 0.0, lambda: (np.zeros(n), np.zeros((n, n)))
     if np.any(sig2 <= 0.0):
         raise ConfigurationError("measurement NLL needs positive noise variances")
 
@@ -239,21 +261,41 @@ def measurement_nll(
 
     value = 0.5 * float(np.dot(alpha - a, res))
 
-    g = -p * A * rho_p / (rho * rho * D * D)  # p A rho^(p-2) / D^2, clamped rho
-    jac = g[:, :, None] * rel  # (C, S, 2) gradient of f per pair
-    grad = np.einsum("s,csi->ci", res, jac).ravel()
+    def derivatives() -> tuple[np.ndarray, np.ndarray]:
+        g = -p * A * rho_p / (rho * rho * D * D)  # p A rho^(p-2) / D^2, clamped rho
+        jac = g[:, :, None] * rel  # (C, S, 2) gradient of f per pair
+        grad = np.einsum("s,csi->ci", res, jac).ravel()
 
-    # Gauss-Newton cross-target term
-    jflat = jac.transpose(1, 0, 2).reshape(-1, n)  # (S, 2C)
-    hess = jflat.T @ (jflat / sig2[:, None])
-    # residual curvature, block diagonal per target
-    beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)  # (C, S)
-    blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
-    blocks[:, [0, 1], [0, 1]] += (res * g).sum(axis=1)[:, None]
-    idx = np.arange(n).reshape(c, 2)
-    hess[idx[:, :, None], idx[:, None, :]] += blocks
-    hess = 0.5 * (hess + hess.T)
-    return NllReport(value, grad, hess)
+        # Gauss-Newton cross-target term
+        jflat = jac.transpose(1, 0, 2).reshape(-1, n)  # (S, 2C)
+        hess = jflat.T @ (jflat / sig2[:, None])
+        # residual curvature, block diagonal per target
+        beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)  # (C, S)
+        blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
+        blocks[:, [0, 1], [0, 1]] += (res * g).sum(axis=1)[:, None]
+        diag = np.arange(c)
+        hess.reshape(c, 2, c, 2)[diag, :, diag, :] += blocks
+        hess = 0.5 * (hess + hess.T)
+        return grad, hess
+
+    return value, derivatives
+
+
+def measurement_nll(
+    x: np.ndarray,
+    frame: np.ndarray,
+    grid: SensorGrid,
+    meas: MeasurementModel,
+    sensor_indices: np.ndarray | None = None,
+) -> NllReport:
+    """Measurement half of the objective with exact derivatives.
+
+    ``sensor_indices`` restricts the sum to a subset of sensors (recovery and
+    Hessian repair need this); None means all sensors.  The gradient and
+    Hessian are built when first read.
+    """
+    value, derivatives = _measurement_terms(x, frame, grid, meas, sensor_indices)
+    return NllReport(value, derivatives=derivatives)
 
 
 def prior_nll(x: np.ndarray, prior: PropagatedPrior) -> NllReport:
@@ -272,8 +314,17 @@ def combined_nll(
     prior: PropagatedPrior,
     sensor_indices: np.ndarray | None = None,
 ) -> NllReport:
-    """Measurement plus prior objective."""
-    return measurement_nll(x, frame, grid, meas, sensor_indices) + prior_nll(x, prior)
+    """Measurement plus prior objective; derivatives built when first read."""
+    x = np.asarray(x, dtype=float).ravel()
+    value, meas_derivatives = _measurement_terms(x, frame, grid, meas, sensor_indices)
+    diff = x - prior.mean_x
+    prior_grad = prior.xx_inv @ diff
+
+    def derivatives() -> tuple[np.ndarray, np.ndarray]:
+        grad, hess = meas_derivatives()
+        return grad + prior_grad, hess + prior.xx_inv
+
+    return NllReport(value + 0.5 * float(diff @ prior_grad), derivatives=derivatives)
 
 
 def combined_value_batch(

@@ -5,6 +5,13 @@ with an inward-pointing gradient are frozen, the Newton system is solved on
 the free block (with a Levenberg diagonal shift when the block is not PD),
 and the step is backtracked under the Armijo rule after projection onto the
 box.  Convergence is declared on the projected-gradient norm.
+
+The loop pays only for work it uses.  Line-search trials read only the
+objective's value, so a rejected trial never builds a gradient or Hessian
+(see ``nll.NllReport``).  The Levenberg shift is searched with LAPACK's
+``dpotrf`` info code instead of exceptions, and bracketed by the most
+negative eigenvalue so that shifts which must fail are not tried.  The
+accepted shift and the direction are those of the plain doubling search.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ConfigurationError, NumericalError
 from .model import SensorGrid
@@ -76,24 +84,48 @@ class OptimizeResult:
     active_set: np.ndarray  # indices of coordinates sitting on a bound
 
 
+def _factor_solve(shifted: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Cholesky solve of ``shifted d = rhs``, or None if ``shifted`` is not PD.
+
+    LAPACK's ``dpotrf`` info code answers the PD question without raising;
+    the direction itself comes from numpy's factor and solves.
+    """
+    if dpotrf(shifted, lower=1, clean=0)[1] != 0:
+        return None
+    try:
+        L = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
+    d = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    return d if np.all(np.isfinite(d)) else None
+
+
 def _shifted_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve H d = rhs via Cholesky, adding a doubling diagonal shift until PD."""
+    """Solve H d = rhs via Cholesky, adding a doubling diagonal shift until PD.
+
+    The shifts tried are 0, lam0, 2 lam0, 4 lam0, ... (80 in all).  When H
+    itself fails, one ``eigvalsh`` brackets the search: a shift below
+    -lambda_min / 2 leaves an eigenvalue below lambda_min / 2 < 0, so it is
+    skipped untried.  Doubling is exact, so the shift accepted is the first
+    one the plain doubling loop accepts.
+    """
+    d = _factor_solve(hess, rhs)
+    if d is not None:
+        return d
     n = hess.shape[0]
-    lam = 0.0
-    lam0 = max(LEVENBERG_SCALE * abs(np.trace(hess)) / n, 1e-12)
-    shifted = hess
-    for _ in range(80):
-        try:
-            L = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            d = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-            if np.all(np.isfinite(d)):
+    try:
+        floor = -0.5 * np.linalg.eigvalsh(hess)[0]
+    except np.linalg.LinAlgError as exc:  # eigvalsh does not converge on NaN
+        raise NumericalError(f"Newton system has a non-finite Hessian ({exc})") from exc
+    lam = max(LEVENBERG_SCALE * abs(np.trace(hess)) / n, 1e-12)
+    for _ in range(79):
+        if lam >= floor:
+            shifted = hess.copy()
+            shifted.flat[:: n + 1] += lam
+            d = _factor_solve(shifted, rhs)
+            if d is not None:
                 return d
-        lam = lam0 if lam == 0.0 else 2.0 * lam
-        shifted = hess.copy()
-        shifted.flat[:: n + 1] += lam
+        lam *= 2.0
     raise NumericalError("Newton system unsolvable even with diagonal shift")
 
 
@@ -152,7 +184,9 @@ def minimize(
         active = (at_lo & (g > 0.0)) | (at_hi & (g < 0.0))
         free = ~active
         direction = np.zeros_like(x)
-        if free.any():
+        if free.all():  # nothing active: solve on the Hessian itself, no copy
+            direction = _shifted_solve(report.hess, -g)
+        elif free.any():
             idx = np.flatnonzero(free)
             hff = report.hess[np.ix_(idx, idx)]
             direction[idx] = _shifted_solve(hff, -g[idx])

@@ -77,6 +77,11 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         ("simulate", '{"scenario": {"grid": 5}}'),
         ("simulate", '{"experiment": {"seed": "abc"}}'),
         ("track", '{"experiment": {"tracks": "x"}}'),
+        ("simulate", '{"experiment": 5}'),
+        ("track", '{"experiment": 5}'),
+        ("track", '{"experiment": {"tracks": 1.7}}'),
+        ("track", '{"experiment": {"steps": true}}'),
+        ("simulate", '{"experiment": {"seed": false}}'),
     ]:
         cfg.write_text(text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path)])

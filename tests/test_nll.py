@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from ttfilter.errors import ConfigurationError
-from ttfilter.model import MeasurementModel, build_grid, expected_signal
+from ttfilter.model import MeasurementModel, _pair_terms, build_grid, expected_signal
 from ttfilter.nll import (
     FilterNoiseModel,
     GaussianBelief,
+    NllReport,
     PropagatedPrior,
     combined_nll,
     combined_value_batch,
@@ -206,6 +207,64 @@ def test_combined_empty_sensor_set_is_prior_only(grid55, meas_default, rng):
     p = prior_nll(x, prior)
     assert rep.value == p.value
     np.testing.assert_array_equal(rep.grad, p.grad)
+
+
+def eager_measurement_nll(x, frame, grid, meas, sensor_indices=None) -> NllReport:
+    """Reference: value, gradient and Hessian built together, eagerly."""
+    pos = np.asarray(x, dtype=float).reshape(-1, 2)
+    n, c = pos.size, pos.shape[0]
+    sens, a = grid.positions, np.asarray(frame, dtype=float)
+    sig2 = meas.noise_variances(grid.count)
+    if sensor_indices is not None:
+        sens, a, sig2 = sens[sensor_indices], a[sensor_indices], sig2[sensor_indices]
+    if sens.shape[0] == 0:
+        return NllReport(0.0, np.zeros(n), np.zeros((n, n)))
+    p, A = meas.exponent, meas.amplitude
+    rel, rho, rho_p, D, f = _pair_terms(pos, sens, meas)
+    alpha = f.sum(axis=0)
+    res = (alpha - a) / sig2
+    value = 0.5 * float(np.dot(alpha - a, res))
+    g = -p * A * rho_p / (rho * rho * D * D)
+    jac = g[:, :, None] * rel
+    grad = np.einsum("s,csi->ci", res, jac).ravel()
+    jflat = jac.transpose(1, 0, 2).reshape(-1, n)
+    hess = jflat.T @ (jflat / sig2[:, None])
+    beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)
+    blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
+    blocks[:, [0, 1], [0, 1]] += (res * g).sum(axis=1)[:, None]
+    idx = np.arange(n).reshape(c, 2)
+    hess[idx[:, :, None], idx[:, None, :]] += blocks
+    hess = 0.5 * (hess + hess.T)
+    return NllReport(value, grad, hess)
+
+
+@pytest.mark.parametrize(
+    "sensors", [None, np.array([0, 3, 12, 17, 24]), np.array([], dtype=int)],
+    ids=["all", "subset", "empty"],
+)
+def test_lazy_derivatives_equal_eager_ones_bit_for_bit(grid55, meas_default, sensors):
+    rng = np.random.default_rng(11)
+    prior = random_prior(4, rng)
+    for trial in range(10):
+        x = rng.uniform(2.0, 38.0, size=8)
+        frame = rng.uniform(0.5, 4.0, size=25)
+        meas = eager_measurement_nll(x, frame, grid55, meas_default, sensors)
+        pri = prior_nll(x, prior)
+        lazy_m = measurement_nll(x, frame, grid55, meas_default, sensors)
+        lazy_c = combined_nll(x, frame, grid55, meas_default, prior, sensors)
+        assert lazy_m.value == meas.value
+        assert lazy_c.value == meas.value + pri.value
+        # the derivatives do not depend on which of them is read first
+        if trial % 2:
+            _ = (lazy_m.hess, lazy_c.hess)
+        for lazy, eager in [
+            (lazy_m.grad, meas.grad),
+            (lazy_m.hess, meas.hess),
+            (lazy_c.grad, meas.grad + pri.grad),
+            (lazy_c.hess, meas.hess + pri.hess),
+        ]:
+            assert lazy.shape == eager.shape and lazy.tobytes() == eager.tobytes()
+        assert lazy_c.grad is lazy_c.grad  # built once, then kept
 
 
 def test_combined_derivatives_match_fd(grid55, meas_default):

@@ -11,8 +11,10 @@ from ttfilter.errors import ConfigurationError, NumericalError
 from ttfilter.model import MeasurementModel, build_grid, expected_signal
 from ttfilter.nll import NllReport, measurement_nll
 from ttfilter.optimize import (
+    LEVENBERG_SCALE,
     BoxConstraints,
     NewtonOptions,
+    _shifted_solve,
     box_from_grid,
     minimize,
 )
@@ -174,3 +176,106 @@ def test_iteration_cap_respected(rng):
     opts = NewtonOptions(max_iter=1)
     res = minimize(quadratic(H, m), np.zeros(3), wide_box(3), opts)
     assert res.iterations <= 1
+
+
+def test_rejected_line_search_trials_build_no_derivatives(grid55, meas_default):
+    # the objective counts value evaluations and derivative builds; only the
+    # start and the accepted iterates may have their derivatives read
+    frame = np.random.default_rng(3).uniform(0.5, 4.0, size=25)
+    evals, builds = [0], [0]
+
+    def fun(x):
+        evals[0] += 1
+        rep = measurement_nll(x, frame, grid55, meas_default)
+
+        def derivatives():
+            builds[0] += 1
+            return rep.grad, rep.hess
+
+        return NllReport(rep.value, derivatives=derivatives)
+
+    box = box_from_grid(grid55, n_targets=2)
+    res = minimize(fun, np.array([8.0, 31.0, 33.0, 6.0]), box)
+    assert evals[0] > res.iterations + 1, "the fit must backtrack at least once"
+    assert builds[0] == res.iterations + 1
+    assert builds[0] < evals[0]
+
+
+def reference_shifted_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The plain doubling loop: try Cholesky at shifts 0, lam0, 2 lam0, ..."""
+    n = hess.shape[0]
+    lam = 0.0
+    lam0 = max(LEVENBERG_SCALE * abs(np.trace(hess)) / n, 1e-12)
+    shifted = hess
+    for _ in range(80):
+        try:
+            L = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            d = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            if np.all(np.isfinite(d)):
+                return d
+        lam = lam0 if lam == 0.0 else 2.0 * lam
+        shifted = hess.copy()
+        shifted.flat[:: n + 1] += lam
+    raise NumericalError("Newton system unsolvable even with diagonal shift")
+
+
+def symmetric_with_spectrum(eigs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((eigs.size, eigs.size)))
+    h = (q * eigs) @ q.T
+    return 0.5 * (h + h.T)
+
+
+def test_shifted_solve_matches_plain_doubling_loop():
+    rng = np.random.default_rng(17)
+    shifted_cases = 0
+    for n in range(2, 9):
+        for _ in range(40):
+            scale = 10.0 ** rng.uniform(-4.0, 4.0)
+            pos = scale * rng.uniform(0.1, 10.0, size=n)
+            a = rng.standard_normal((n, n))
+            cases = {
+                "pd": random_spd(n, rng, scale=scale),
+                "mild": symmetric_with_spectrum(
+                    np.append(pos[1:], -scale * 10.0 ** rng.uniform(-7.0, -2.0)), rng
+                ),
+                "strong": scale * (a + a.T),
+                "negative trace": symmetric_with_spectrum(-pos, rng),
+            }
+            rhs = rng.standard_normal(n)
+            for kind, hess in cases.items():
+                before = hess.copy()
+                d = _shifted_solve(hess, rhs)
+                np.testing.assert_array_equal(hess, before)  # input untouched
+                assert np.array_equal(d, reference_shifted_solve(hess, rhs)), (n, kind)
+                shifted_cases += kind != "pd"
+    assert shifted_cases > 500
+
+
+def test_shifted_solve_gives_up_after_eighty_tries():
+    # trace 0 starts the shift at 1e-12; 79 doublings stay below 1e12
+    hess = np.diag([1e12, -1e12])
+    rhs = np.ones(2)
+    with pytest.raises(NumericalError):
+        reference_shifted_solve(hess, rhs)
+    with pytest.raises(NumericalError):
+        _shifted_solve(hess, rhs)
+    # here only the last shift, 1e-12 * 2**78 = 3.0e11, is large enough
+    hess = np.diag([2e11, -2e11])
+    assert np.array_equal(_shifted_solve(hess, rhs), reference_shifted_solve(hess, rhs))
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_nan_hessian_raises_numerical_error(where):
+    hess = random_spd(3, np.random.default_rng(5))
+    hess[where] = hess[where[::-1]] = np.nan
+    with pytest.raises(NumericalError):
+        _shifted_solve(hess, np.ones(3))
+
+    def fun(x):
+        return NllReport(value=float(x @ x), grad=2.0 * x, hess=hess)
+
+    with pytest.raises(NumericalError):
+        minimize(fun, np.ones(3), wide_box(3))

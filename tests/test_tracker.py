@@ -24,6 +24,7 @@ from ttfilter.moments import EIGEN_FLOOR
 from ttfilter.nll import (
     FilterNoiseModel,
     GaussianBelief,
+    NllReport,
     combined_nll,
     combined_value_batch,
     propagate_prior,
@@ -216,6 +217,30 @@ def test_step_evaluates_combined_nll_once_per_point(monkeypatch):
     assert not any(a.startswith(("one_by_one", "hopping")) for a in out.actions)
     repeats = len(seen) - len(set(seen))
     assert seen and repeats == 0, f"{repeats} repeated evaluation(s)"
+
+
+def test_step_nan_hessian_falls_back_to_prior(monkeypatch):
+    # a NaN in the fit's Hessian fails the Newton solve with NumericalError,
+    # which the step turns into a prior carry-forward
+    scn = benchmark_scenario()
+    ctx = make_context(scn, FilterConfig())
+    truth = scn.initial_states
+    frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
+
+    def nan_hessian(x, *args):
+        rep = combined_nll(x, *args)
+        hess = rep.hess.copy()
+        hess[0, 1] = hess[1, 0] = np.nan
+        return NllReport(rep.value, rep.grad, hess)
+
+    monkeypatch.setattr(tracker, "combined_nll", nan_hessian)
+    belief = tight_belief(truth)
+    out = step(belief, frame, ctx)
+    assert len(out.actions) == 1
+    assert out.actions[0].startswith("fallback:prior(Newton system")
+    prior = propagate_prior(belief, ctx.noise)
+    np.testing.assert_array_equal(out.x_ml, prior.mean_x)
+    assert not out.consistent
 
 
 def test_step_recovery_engages_and_never_worsens_statistic():
