@@ -113,9 +113,11 @@ def _experiment_spec(args, cfg: dict, default_variants: tuple[str, ...]) -> Expe
     scenario = cfgmod.scenario_from_config(cfg)
     fcfg = cfgmod.filter_config_from_config(cfg)
     bcfg = cfgmod.bpf_config_from_config(cfg, fcfg)
-    variants = tuple(args.variant) if args.variant else tuple(
-        exp.get("variants", default_variants)
-    )
+    variants = exp.get("variants", list(default_variants))
+    if not (isinstance(variants, list) and all(isinstance(v, str) for v in variants)):
+        raise ConfigurationError("`variants` must be a list of names")
+    if args.variant:
+        variants = args.variant
     sweep_axis = getattr(args, "axis", None)
     sweep_values = None
     if sweep_axis is not None:
@@ -126,7 +128,7 @@ def _experiment_spec(args, cfg: dict, default_variants: tuple[str, ...]) -> Expe
         scenario=scenario,
         filter_config=fcfg,
         bpf_config=bcfg,
-        variants=variants,
+        variants=tuple(variants),
         tracks=args.tracks if args.tracks is not None else _experiment_int(exp, "tracks", 50),
         steps=args.steps if args.steps is not None else _experiment_int(exp, "steps", 40),
         seed=_resolve_seed(args, cfg),

@@ -94,10 +94,8 @@ def repair_hessian(
                 rep = combined_nll(xx, frame, grid, meas, prior, keep_sensors)
                 return NllReport(
                     rep.value,
-                    derivatives=lambda: (
-                        rep.grad[free_idx],
-                        rep.hess[np.ix_(free_idx, free_idx)],
-                    ),
+                    lambda: rep.grad[free_idx],
+                    lambda: rep.hess[np.ix_(free_idx, free_idx)],
                 )
 
             sub_box = BoxConstraints(box.lower[free_idx], box.upper[free_idx])

@@ -184,6 +184,19 @@ def _clamped_power(rho: np.ndarray, p: float) -> np.ndarray:
     return rho**p
 
 
+def _clamped_distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Distance for offsets ``(dx, dy)``, clamped from below at ``R_MIN``."""
+    return np.maximum(np.sqrt(dx * dx + dy * dy), R_MIN)
+
+
+def _distance_terms(rho: np.ndarray, meas: MeasurementModel):
+    """``(rho_p, D, f)`` for clamped distances: ``rho_p = rho**p``,
+    ``D = rho_p + d0`` and the signal ``f = A / D``."""
+    rho_p = _clamped_power(rho, meas.exponent)
+    D = rho_p + meas.offset
+    return rho_p, D, meas.amplitude / D
+
+
 def _pair_offsets(
     positions: np.ndarray, sensors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -191,21 +204,19 @@ def _pair_offsets(
     (..., C, S) clamped at ``R_MIN``, for positions (..., C, 2) and sensors
     (S, 2)."""
     r = positions[..., :, None, :] - sensors
-    rho = np.maximum(np.sqrt(np.einsum("...i,...i->...", r, r)), R_MIN)
-    return r, rho
+    return r, _clamped_distance(r[..., 0], r[..., 1])
 
 
 def _pair_terms(positions: np.ndarray, sensors: np.ndarray, meas: MeasurementModel):
     """The signal model per target-sensor pair: ``(r, rho, rho_p, D, f)``.
 
     ``rho_p = rho**p``, ``D = rho_p + d0`` and ``f = A / D``, each
-    (..., C, S).  Every signal, likelihood and derivative in the package is
-    assembled from these terms.
+    (..., C, S).  Every likelihood and derivative in the package is
+    assembled from these terms; ``expected_signal`` uses the same two
+    helpers one target at a time.
     """
     r, rho = _pair_offsets(positions, sensors)
-    rho_p = _clamped_power(rho, meas.exponent)
-    D = rho_p + meas.offset
-    return r, rho, rho_p, D, meas.amplitude / D
+    return (r, rho, *_distance_terms(rho, meas))
 
 
 def signal_components(
@@ -222,12 +233,19 @@ def expected_signal(
     """Noise-free sensor readings for target sets of shape (..., C, 2).
 
     The result has shape (..., S).  A stacked (2C,) vector is read as one
-    (C, 2) target set.
+    (C, 2) target set.  The targets are added one at a time on (..., S)
+    arrays, so a particle cloud of N target sets never holds more than a
+    few (N, S) temporaries.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim == 1:
         pos = pos.reshape(-1, 2)
-    return _pair_terms(pos, grid.positions, meas)[-1].sum(axis=-2)
+    sx, sy = grid.positions[:, 0], grid.positions[:, 1]
+    total = np.zeros(pos.shape[:-2] + sx.shape)
+    for c in range(pos.shape[-2]):
+        rho = _clamped_distance(pos[..., c, 0, None] - sx, pos[..., c, 1, None] - sy)
+        total += _distance_terms(rho, meas)[-1]
+    return total
 
 
 def propagate_truth(
@@ -425,16 +443,6 @@ def stack_state(states: np.ndarray) -> np.ndarray:
     """(C, 4) per-target rows -> stacked (4C,) positions-then-velocities."""
     states = np.asarray(states, dtype=float)
     return np.concatenate([states[:, :2].ravel(), states[:, 2:].ravel()])
-
-
-def unstack_state(mean: np.ndarray) -> np.ndarray:
-    """Stacked (4C,) vector -> (C, 4) per-target rows."""
-    mean = np.asarray(mean, dtype=float)
-    c = mean.size // 4
-    out = np.empty((c, 4))
-    out[:, :2] = mean[: 2 * c].reshape(c, 2)
-    out[:, 2:] = mean[2 * c :].reshape(c, 2)
-    return out
 
 
 def write_truth_csv(trajectory: Trajectory, path) -> None:

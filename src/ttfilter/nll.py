@@ -20,11 +20,27 @@ u = rho^2 and D = rho^p + d0:
 The measurement Hessian couples targets through the Gauss-Newton term
 sum_s (grad alpha_s)(grad alpha_s)^T / sigma_s^2; the residual-curvature term
 is block diagonal per target.
+
+Which curvature drives which Newton iterations: the Gauss-Newton term plus
+the prior precision Sigma_xx^{-1} is positive definite at every point, and
+``combined_nll`` offers it as ``NllReport.gauss_newton``, so the main
+(prior-anchored) fit takes its first few directions from it and needs no
+Levenberg shift there (see ``optimize.minimize``).  The exact Hessian is
+built only where it is read: for the later iterations, and at the final
+iterate, whose Hessian shapes the cubature.  ``measurement_nll`` offers no
+such matrix, so the measurement-only fits (recovery and the fixed-center
+initial fit) run exact Newton throughout, as does the Hessian repair's
+refit, whose reduced objective passes only the gradient and Hessian on.
+That split was measured: warming the measurement-only fits up as well made
+the ``acquire`` benchmark worse (square-hopping calls 11 -> 64 and
+one-by-one calls 165 -> 218 per round, p99 47 -> 104 ms, avg OMAT
+0.518 -> 0.533 m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,42 +53,47 @@ from .model import MeasurementModel, SensorGrid, _pair_terms
 class NllReport:
     """Objective value with its gradient and Hessian at one point.
 
-    ``NllReport(value, grad, hess)`` holds all three.  The objectives in this
-    module compute the value at once and pass ``derivatives``, a function
-    returning ``(grad, hess)`` that runs when ``grad`` or ``hess`` is first
-    read.  A line-search trial that is rejected reads only the value, so it
-    never builds the derivatives.
+    ``grad`` and ``hess`` are given as arrays, or as functions of no
+    arguments that build them when first read; the objectives in this module
+    compute only the value at once.  A line-search trial that is rejected
+    reads only the value, so it never builds a derivative.
+
+    ``gauss_newton``, when given, is a positive-definite stand-in for the
+    Hessian that is cheaper to build: only ``combined_nll`` offers one (the
+    Gauss-Newton matrix plus the prior precision).  It is None otherwise.
     """
 
-    __slots__ = ("value", "_grad", "_hess", "_derivatives")
+    __slots__ = ("value", "_grad", "_hess", "_gauss_newton")
 
     def __init__(
         self,
         value: float,
-        grad: np.ndarray | None = None,  # (n,)
-        hess: np.ndarray | None = None,  # (n, n), symmetric
-        derivatives: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
+        grad: np.ndarray | Callable[[], np.ndarray],  # (n,)
+        hess: np.ndarray | Callable[[], np.ndarray],  # (n, n), symmetric
+        gauss_newton: np.ndarray | Callable[[], np.ndarray] | None = None,  # PD
     ):
         self.value = value
         self._grad = grad
         self._hess = hess
-        self._derivatives = derivatives
-
-    def _derive(self) -> None:
-        self._grad, self._hess = self._derivatives()
-        self._derivatives = None
+        self._gauss_newton = gauss_newton
 
     @property
     def grad(self) -> np.ndarray:
-        if self._derivatives is not None:
-            self._derive()
+        if callable(self._grad):
+            self._grad = self._grad()
         return self._grad
 
     @property
     def hess(self) -> np.ndarray:
-        if self._derivatives is not None:
-            self._derive()
+        if callable(self._hess):
+            self._hess = self._hess()
         return self._hess
+
+    @property
+    def gauss_newton(self) -> np.ndarray | None:
+        if callable(self._gauss_newton):
+            self._gauss_newton = self._gauss_newton()
+        return self._gauss_newton
 
 
 @dataclass(frozen=True)
@@ -230,17 +251,70 @@ def propagate_prior(belief: GaussianBelief, noise: FilterNoiseModel) -> Propagat
     return PropagatedPrior(mean=mean, cov=cov, xx_inv=xx_inv)
 
 
+def _residual_curvature(
+    rel: np.ndarray, rho: np.ndarray, rho_p: np.ndarray, D: np.ndarray,
+    g: np.ndarray, res: np.ndarray, p: float,
+) -> np.ndarray:
+    """Residual-curvature blocks sum_s res_s hess f_cs, one 2x2 per target."""
+    beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)  # (C, S)
+    blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
+    blocks[:, [0, 1], [0, 1]] += (res * g).sum(axis=1)[:, None]
+    return blocks
+
+
+class _MeasurementDerivatives:
+    """Derivatives of the measurement term at one point, each built on first use.
+
+    ``grad`` and ``gauss_newton`` share the per-pair Jacobian; ``hess`` adds
+    the residual-curvature blocks to ``gauss_newton``, so reading either of
+    the first two never builds those blocks.
+    """
+
+    def __init__(self, rel, rho, rho_p, D, res, sig2, meas: MeasurementModel):
+        self._pairs = rel, rho, rho_p, D
+        self._res, self._sig2 = res, sig2
+        self._p, self._A = meas.exponent, meas.amplitude
+
+    @cached_property
+    def _g(self) -> np.ndarray:  # p A rho^(p-2) / D^2 per pair, clamped rho
+        _, rho, rho_p, D = self._pairs
+        return -self._p * self._A * rho_p / (rho * rho * D * D)
+
+    @cached_property
+    def _jac(self) -> np.ndarray:  # (C, S, 2) gradient of f per pair
+        return self._g[:, :, None] * self._pairs[0]
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return np.einsum("s,csi->ci", self._res, self._jac).ravel()
+
+    @cached_property
+    def gauss_newton(self) -> np.ndarray:
+        """sum_s (grad alpha_s)(grad alpha_s)^T / sigma_s^2, coupling targets."""
+        n = self._jac.shape[0] * 2
+        jflat = self._jac.transpose(1, 0, 2).reshape(-1, n)  # (S, 2C)
+        return jflat.T @ (jflat / self._sig2[:, None])
+
+    @cached_property
+    def hess(self) -> np.ndarray:
+        rel, rho, rho_p, D = self._pairs
+        blocks = _residual_curvature(rel, rho, rho_p, D, self._g, self._res, self._p)
+        c = blocks.shape[0]
+        hess = self.gauss_newton.copy()
+        diag = np.arange(c)
+        hess.reshape(c, 2, c, 2)[diag, :, diag, :] += blocks
+        return 0.5 * (hess + hess.T)
+
+
 def _measurement_terms(
     x: np.ndarray,
     frame: np.ndarray,
     grid: SensorGrid,
     meas: MeasurementModel,
     sensor_indices: np.ndarray | None,
-) -> tuple[float, Callable[[], tuple[np.ndarray, np.ndarray]]]:
-    """Measurement value, and a function that builds its gradient and Hessian."""
+) -> tuple[float, _MeasurementDerivatives]:
+    """Measurement value, and the derivatives there, built when first read."""
     pos = np.asarray(x, dtype=float).reshape(-1, 2)
-    n = pos.size
-    c = pos.shape[0]
     sens = grid.positions
     a = np.asarray(frame, dtype=float)
     sig2 = meas.noise_variances(grid.count)
@@ -249,36 +323,14 @@ def _measurement_terms(
         sens = sens[sensor_indices]
         a = a[sensor_indices]
         sig2 = sig2[sensor_indices]
-    if sens.shape[0] == 0:
-        return 0.0, lambda: (np.zeros(n), np.zeros((n, n)))
     if np.any(sig2 <= 0.0):
         raise ConfigurationError("measurement NLL needs positive noise variances")
 
-    p, A = meas.exponent, meas.amplitude
     rel, rho, rho_p, D, f = _pair_terms(pos, sens, meas)  # rel (C, S, 2), rest (C, S)
     alpha = f.sum(axis=0)
     res = (alpha - a) / sig2  # (S,)
-
     value = 0.5 * float(np.dot(alpha - a, res))
-
-    def derivatives() -> tuple[np.ndarray, np.ndarray]:
-        g = -p * A * rho_p / (rho * rho * D * D)  # p A rho^(p-2) / D^2, clamped rho
-        jac = g[:, :, None] * rel  # (C, S, 2) gradient of f per pair
-        grad = np.einsum("s,csi->ci", res, jac).ravel()
-
-        # Gauss-Newton cross-target term
-        jflat = jac.transpose(1, 0, 2).reshape(-1, n)  # (S, 2C)
-        hess = jflat.T @ (jflat / sig2[:, None])
-        # residual curvature, block diagonal per target
-        beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)  # (C, S)
-        blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
-        blocks[:, [0, 1], [0, 1]] += (res * g).sum(axis=1)[:, None]
-        diag = np.arange(c)
-        hess.reshape(c, 2, c, 2)[diag, :, diag, :] += blocks
-        hess = 0.5 * (hess + hess.T)
-        return grad, hess
-
-    return value, derivatives
+    return value, _MeasurementDerivatives(rel, rho, rho_p, D, res, sig2, meas)
 
 
 def measurement_nll(
@@ -292,18 +344,12 @@ def measurement_nll(
 
     ``sensor_indices`` restricts the sum to a subset of sensors (recovery and
     Hessian repair need this); None means all sensors.  The gradient and
-    Hessian are built when first read.
+    Hessian are built when first read.  No Gauss-Newton matrix is offered,
+    so fits of this objective run exact Newton from the first iteration
+    (see the module docstring for why).
     """
-    value, derivatives = _measurement_terms(x, frame, grid, meas, sensor_indices)
-    return NllReport(value, derivatives=derivatives)
-
-
-def prior_nll(x: np.ndarray, prior: PropagatedPrior) -> NllReport:
-    """Quadratic prior term (x - m)^T Sigma_xx^{-1} (x - m) / 2."""
-    x = np.asarray(x, dtype=float).ravel()
-    diff = x - prior.mean_x
-    grad = prior.xx_inv @ diff
-    return NllReport(0.5 * float(diff @ grad), grad, prior.xx_inv.copy())
+    value, d = _measurement_terms(x, frame, grid, meas, sensor_indices)
+    return NllReport(value, lambda: d.grad, lambda: d.hess)
 
 
 def combined_nll(
@@ -314,17 +360,23 @@ def combined_nll(
     prior: PropagatedPrior,
     sensor_indices: np.ndarray | None = None,
 ) -> NllReport:
-    """Measurement plus prior objective; derivatives built when first read."""
+    """Measurement plus prior objective; derivatives built when first read.
+
+    Besides the exact Hessian it offers ``gauss_newton``: the Gauss-Newton
+    matrix plus the prior precision ``xx_inv``.  That is positive definite
+    wherever the objective is evaluated, so ``optimize.minimize`` can take
+    its first directions from it without a Levenberg shift search.
+    """
     x = np.asarray(x, dtype=float).ravel()
-    value, meas_derivatives = _measurement_terms(x, frame, grid, meas, sensor_indices)
+    value, d = _measurement_terms(x, frame, grid, meas, sensor_indices)
     diff = x - prior.mean_x
     prior_grad = prior.xx_inv @ diff
-
-    def derivatives() -> tuple[np.ndarray, np.ndarray]:
-        grad, hess = meas_derivatives()
-        return grad + prior_grad, hess + prior.xx_inv
-
-    return NllReport(value + 0.5 * float(diff @ prior_grad), derivatives=derivatives)
+    return NllReport(
+        value + 0.5 * float(diff @ prior_grad),
+        lambda: d.grad + prior_grad,
+        lambda: d.hess + prior.xx_inv,
+        lambda: d.gauss_newton + prior.xx_inv,
+    )
 
 
 def combined_value_batch(

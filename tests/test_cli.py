@@ -82,11 +82,15 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         ("track", '{"experiment": {"tracks": 1.7}}'),
         ("track", '{"experiment": {"steps": true}}'),
         ("simulate", '{"experiment": {"seed": false}}'),
+        ("track", '{"experiment": {"variants": "tt-linear"}}'),
     ]:
         cfg.write_text(text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2, text
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        if "variants" in text:  # not split into ['t', 't', '-', ...]
+            assert "`variants` must be a list of names" in err
 
 
 def test_track_subcommand_writes_outputs(tmp_path, capsys):

@@ -17,7 +17,6 @@ from ttfilter.model import (
     propagate_truth,
     simulate,
     stack_state,
-    unstack_state,
     write_frames_csv,
     write_truth_csv,
 )
@@ -289,7 +288,11 @@ def test_stack_unstack_roundtrip(rng):
     states = rng.standard_normal((4, 4))
     flat = stack_state(states)
     np.testing.assert_array_equal(flat[:8], states[:, :2].ravel())
-    np.testing.assert_array_equal(unstack_state(flat), states)
+    c = states.shape[0]
+    rows = np.concatenate(
+        [flat[: 2 * c].reshape(c, 2), flat[2 * c :].reshape(c, 2)], axis=1
+    )
+    np.testing.assert_array_equal(rows, states)
 
 
 def test_csv_writers_roundtrip(tmp_path):

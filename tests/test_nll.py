@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ttfilter import nll as nll_module
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import MeasurementModel, _pair_terms, build_grid, expected_signal
 from ttfilter.nll import (
@@ -15,7 +16,6 @@ from ttfilter.nll import (
     combined_nll,
     combined_value_batch,
     measurement_nll,
-    prior_nll,
     propagate_prior,
     stacked_filter_noise,
     stacked_transition,
@@ -165,23 +165,40 @@ def test_propagate_prior_matches_dense_oracle(rng):
     )
 
 
+def reference_prior_nll(x: np.ndarray, prior: PropagatedPrior) -> NllReport:
+    """Reference: the quadratic prior term (x - m)^T Sigma_xx^{-1} (x - m) / 2."""
+    diff = x - prior.mean_x
+    grad = prior.xx_inv @ diff
+    return NllReport(0.5 * float(diff @ grad), grad, prior.xx_inv.copy())
+
+
+NO_SENSORS = np.array([], dtype=int)
+
+
+def prior_term(x: np.ndarray, prior: PropagatedPrior) -> NllReport:
+    """The prior term alone: the combined objective over no sensors."""
+    return combined_nll(x, np.zeros(25), build_grid(5, 5, 10.0), MeasurementModel(),
+                        prior, NO_SENSORS)
+
+
 def test_prior_nll_minimum_at_mean(rng):
     prior = random_prior(2, rng)
-    rep = prior_nll(prior.mean_x, prior)
+    rep = prior_term(prior.mean_x, prior)
     assert rep.value == 0.0
     np.testing.assert_allclose(rep.grad, 0.0, atol=1e-12)
     np.testing.assert_allclose(rep.hess, prior.xx_inv)
+    np.testing.assert_allclose(rep.gauss_newton, prior.xx_inv)
 
 
 def test_prior_nll_quadratic_form(rng):
     prior = random_prior(2, rng)
     delta = 1e-3 * rng.standard_normal(4)
-    rep = prior_nll(prior.mean_x + delta, prior)
+    rep = prior_term(prior.mean_x + delta, prior)
     assert rep.value == pytest.approx(
         0.5 * delta @ prior.xx_inv @ delta, abs=1e-10
     )
     # Hessian is constant in position
-    far = prior_nll(prior.mean_x + 5.0, prior)
+    far = prior_term(prior.mean_x + 5.0, prior)
     np.testing.assert_array_equal(far.hess, rep.hess)
 
 
@@ -191,7 +208,7 @@ def test_combined_is_exact_sum(grid55, meas_default, rng):
     frame = rng.uniform(0.5, 4.0, size=25)
     total = combined_nll(x, frame, grid55, meas_default, prior)
     m = measurement_nll(x, frame, grid55, meas_default)
-    p = prior_nll(x, prior)
+    p = reference_prior_nll(x, prior)
     assert total.value == m.value + p.value
     np.testing.assert_array_equal(total.grad, m.grad + p.grad)
     np.testing.assert_array_equal(total.hess, m.hess + p.hess)
@@ -204,7 +221,7 @@ def test_combined_empty_sensor_set_is_prior_only(grid55, meas_default, rng):
     rep = combined_nll(
         x, frame, grid55, meas_default, prior, np.array([], dtype=int)
     )
-    p = prior_nll(x, prior)
+    p = reference_prior_nll(x, prior)
     assert rep.value == p.value
     np.testing.assert_array_equal(rep.grad, p.grad)
 
@@ -218,7 +235,7 @@ def eager_measurement_nll(x, frame, grid, meas, sensor_indices=None) -> NllRepor
     if sensor_indices is not None:
         sens, a, sig2 = sens[sensor_indices], a[sensor_indices], sig2[sensor_indices]
     if sens.shape[0] == 0:
-        return NllReport(0.0, np.zeros(n), np.zeros((n, n)))
+        return NllReport(0.0, np.zeros(n), np.zeros((n, n)), np.zeros((n, n)))
     p, A = meas.exponent, meas.amplitude
     rel, rho, rho_p, D, f = _pair_terms(pos, sens, meas)
     alpha = f.sum(axis=0)
@@ -229,13 +246,14 @@ def eager_measurement_nll(x, frame, grid, meas, sensor_indices=None) -> NllRepor
     grad = np.einsum("s,csi->ci", res, jac).ravel()
     jflat = jac.transpose(1, 0, 2).reshape(-1, n)
     hess = jflat.T @ (jflat / sig2[:, None])
+    gauss_newton = hess.copy()
     beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)
     blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
     blocks[:, [0, 1], [0, 1]] += (res * g).sum(axis=1)[:, None]
     idx = np.arange(n).reshape(c, 2)
     hess[idx[:, :, None], idx[:, None, :]] += blocks
     hess = 0.5 * (hess + hess.T)
-    return NllReport(value, grad, hess)
+    return NllReport(value, grad, hess, gauss_newton)
 
 
 @pytest.mark.parametrize(
@@ -249,7 +267,7 @@ def test_lazy_derivatives_equal_eager_ones_bit_for_bit(grid55, meas_default, sen
         x = rng.uniform(2.0, 38.0, size=8)
         frame = rng.uniform(0.5, 4.0, size=25)
         meas = eager_measurement_nll(x, frame, grid55, meas_default, sensors)
-        pri = prior_nll(x, prior)
+        pri = reference_prior_nll(x, prior)
         lazy_m = measurement_nll(x, frame, grid55, meas_default, sensors)
         lazy_c = combined_nll(x, frame, grid55, meas_default, prior, sensors)
         assert lazy_m.value == meas.value
@@ -262,9 +280,29 @@ def test_lazy_derivatives_equal_eager_ones_bit_for_bit(grid55, meas_default, sen
             (lazy_m.hess, meas.hess),
             (lazy_c.grad, meas.grad + pri.grad),
             (lazy_c.hess, meas.hess + pri.hess),
+            (lazy_c.gauss_newton, meas.gauss_newton + pri.hess),
         ]:
             assert lazy.shape == eager.shape and lazy.tobytes() == eager.tobytes()
         assert lazy_c.grad is lazy_c.grad  # built once, then kept
+        assert lazy_m.gauss_newton is None  # measurement-only fits: exact Newton
+
+
+def test_grad_and_gauss_newton_build_no_residual_curvature(
+    grid55, meas_default, monkeypatch
+):
+    built = []
+    real = nll_module._residual_curvature
+    monkeypatch.setattr(
+        nll_module, "_residual_curvature", lambda *a: built.append(1) or real(*a)
+    )
+    rng = np.random.default_rng(5)
+    prior = random_prior(4, rng)
+    x = rng.uniform(2.0, 38.0, size=8)
+    rep = combined_nll(x, rng.uniform(0.5, 4.0, size=25), grid55, meas_default, prior)
+    _ = (rep.grad, rep.gauss_newton)
+    assert built == []
+    _ = rep.hess
+    assert built == [1]
 
 
 def test_combined_derivatives_match_fd(grid55, meas_default):

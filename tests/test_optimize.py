@@ -7,11 +7,15 @@ import itertools
 import numpy as np
 import pytest
 
+from scipy.linalg.lapack import dpotrf, dpotrs
+
+from ttfilter import config, optimize, tracker
 from ttfilter.errors import ConfigurationError, NumericalError
-from ttfilter.model import MeasurementModel, build_grid, expected_signal
-from ttfilter.nll import NllReport, measurement_nll
+from ttfilter.model import MeasurementModel, build_grid, expected_signal, simulate
+from ttfilter.nll import NllReport, combined_nll, measurement_nll, propagate_prior
 from ttfilter.optimize import (
     LEVENBERG_SCALE,
+    WARMUP_ITERATIONS,
     BoxConstraints,
     NewtonOptions,
     _shifted_solve,
@@ -20,6 +24,8 @@ from ttfilter.optimize import (
 )
 
 from conftest import random_spd
+
+EPS = np.finfo(float).eps
 
 
 def quadratic(H: np.ndarray, m: np.ndarray):
@@ -182,40 +188,45 @@ def test_rejected_line_search_trials_build_no_derivatives(grid55, meas_default):
     # the objective counts value evaluations and derivative builds; only the
     # start and the accepted iterates may have their derivatives read
     frame = np.random.default_rng(3).uniform(0.5, 4.0, size=25)
-    evals, builds = [0], [0]
+    evals, grads, hessians = [0], [0], [0]
 
     def fun(x):
         evals[0] += 1
         rep = measurement_nll(x, frame, grid55, meas_default)
 
-        def derivatives():
-            builds[0] += 1
-            return rep.grad, rep.hess
+        def grad():
+            grads[0] += 1
+            return rep.grad
 
-        return NllReport(rep.value, derivatives=derivatives)
+        def hess():
+            hessians[0] += 1
+            return rep.hess
+
+        return NllReport(rep.value, grad, hess)
 
     box = box_from_grid(grid55, n_targets=2)
     res = minimize(fun, np.array([8.0, 31.0, 33.0, 6.0]), box)
     assert evals[0] > res.iterations + 1, "the fit must backtrack at least once"
-    assert builds[0] == res.iterations + 1
-    assert builds[0] < evals[0]
+    assert grads[0] == hessians[0] == res.iterations + 1
+    assert grads[0] < evals[0]
 
 
-def reference_shifted_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The plain doubling loop: try Cholesky at shifts 0, lam0, 2 lam0, ..."""
+def reference_shifted_solve(hess: np.ndarray, rhs: np.ndarray):
+    """The plain doubling loop: try Cholesky at shifts 0, lam0, 2 lam0, ...
+
+    Each try factors with ``dpotrf`` and solves with ``dpotrs`` on that
+    factor.  Returns the direction and the shifted matrix it solves.
+    """
     n = hess.shape[0]
     lam = 0.0
     lam0 = max(LEVENBERG_SCALE * abs(np.trace(hess)) / n, 1e-12)
     shifted = hess
     for _ in range(80):
-        try:
-            L = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            d = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-            if np.all(np.isfinite(d)):
-                return d
+        factor, info = dpotrf(shifted, lower=1, clean=0)
+        if info == 0:
+            d, info = dpotrs(factor, rhs, lower=1)
+            if info == 0 and np.all(np.isfinite(d)):
+                return d, shifted
         lam = lam0 if lam == 0.0 else 2.0 * lam
         shifted = hess.copy()
         shifted.flat[:: n + 1] += lam
@@ -249,7 +260,15 @@ def test_shifted_solve_matches_plain_doubling_loop():
                 before = hess.copy()
                 d = _shifted_solve(hess, rhs)
                 np.testing.assert_array_equal(hess, before)  # input untouched
-                assert np.array_equal(d, reference_shifted_solve(hess, rhs)), (n, kind)
+                ref, shifted = reference_shifted_solve(hess, rhs)
+                assert np.array_equal(d, ref), (n, kind)
+                # the direction solves the accepted system as well as numpy's
+                # LU solve does: both forward errors are within
+                # 10 n eps cond, so they differ by at most twice that
+                exact = np.linalg.solve(shifted, rhs)
+                tol = 20 * n * EPS * np.linalg.cond(shifted)
+                err = np.linalg.norm(d - exact)
+                assert err <= tol * np.linalg.norm(exact), (n, kind)
                 shifted_cases += kind != "pd"
     assert shifted_cases > 500
 
@@ -264,7 +283,8 @@ def test_shifted_solve_gives_up_after_eighty_tries():
         _shifted_solve(hess, rhs)
     # here only the last shift, 1e-12 * 2**78 = 3.0e11, is large enough
     hess = np.diag([2e11, -2e11])
-    assert np.array_equal(_shifted_solve(hess, rhs), reference_shifted_solve(hess, rhs))
+    ref, _ = reference_shifted_solve(hess, rhs)
+    assert np.array_equal(_shifted_solve(hess, rhs), ref)
 
 
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
@@ -279,3 +299,91 @@ def test_nan_hessian_raises_numerical_error(where):
 
     with pytest.raises(NumericalError):
         minimize(fun, np.ones(3), wide_box(3))
+
+
+def acceptance_steps(n_steps: int = 8):
+    """Priors and frames of one track of the acceptance scenario (5x5 grid,
+    4 targets, sigma^2 = 0.1), filtered by the default TT filter."""
+    cfg = {"scenario": {"sigma_s2": 0.1}}
+    scenario = config.scenario_from_config(cfg)
+    ctx = tracker.make_context(scenario, config.filter_config_from_config(cfg))
+    traj = simulate(scenario, n_steps, np.random.SeedSequence([7, 0, 0]))
+    belief = tracker.init_belief(
+        "random_around_truth", ctx.config, scenario.grid,
+        np.random.default_rng(3), truth_state=traj.states[0],
+    )
+    for frame in traj.frames:
+        yield ctx, propagate_prior(belief, ctx.noise), frame
+        belief = tracker.step(belief, frame, ctx).posterior.belief()
+
+
+def test_gauss_newton_plus_prior_factors_unshifted_on_acceptance_geometry():
+    rng = np.random.default_rng(2)
+    tried = 0
+    for ctx, prior, frame in acceptance_steps():
+        grid = ctx.scenario.grid
+        points = [
+            rng.uniform(ctx.box.lower, ctx.box.upper, size=(40, 8)),
+            grid.positions[rng.integers(0, grid.count, size=(10, 4))].reshape(10, 8),
+            np.tile(rng.uniform(0.0, 40.0, size=(10, 2)), 4),  # coincident targets
+        ]
+        for x in np.concatenate(points):
+            rep = combined_nll(x, frame, grid, ctx.meas, prior)
+            assert dpotrf(rep.gauss_newton, lower=1, clean=0)[1] == 0
+            d = _shifted_solve(rep.gauss_newton, -rep.grad)
+            ref, shifted = reference_shifted_solve(rep.gauss_newton, -rep.grad)
+            assert shifted is rep.gauss_newton and np.array_equal(d, ref)
+            tried += 1
+    assert tried == 8 * 60
+
+
+def test_main_fit_returns_exact_hessian_also_inside_warm_up():
+    ctx, prior, frame = list(acceptance_steps(2))[1]
+    grid, meas = ctx.scenario.grid, ctx.meas
+
+    def fun(x):
+        return combined_nll(x, frame, grid, meas, prior)
+
+    far = minimize(fun, prior.mean_x, ctx.box)
+    near = minimize(fun, far.x + 1e-6, ctx.box)
+    assert far.iterations >= WARMUP_ITERATIONS and far.converged
+    assert 0 < near.iterations < WARMUP_ITERATIONS and near.converged
+    for res in (far, near):
+        exact = fun(res.x)
+        assert res.hess.tobytes() == exact.hess.tobytes()
+        assert res.hess.tobytes() != exact.gauss_newton.tobytes()
+
+
+def evaluation_points(fun, x0, box, warmup, monkeypatch):
+    points = []
+
+    def spy(x):
+        points.append(x.copy())
+        return fun(x)
+
+    monkeypatch.setattr(optimize, "WARMUP_ITERATIONS", warmup)
+    res = minimize(spy, x0, box)
+    return np.array(points), res
+
+
+def test_measurement_only_fit_runs_exact_newton_from_the_start(monkeypatch):
+    ctx, prior, frame = next(acceptance_steps())
+    grid, meas, box = ctx.scenario.grid, ctx.meas, ctx.box
+    offsets = np.array([3.0, 1.0, -2.0, 4.0, 1.0, -3.0, -4.0, -1.0])
+    x0 = np.tile(grid.center, 4) + offsets
+
+    def meas_fun(x):
+        return measurement_nll(x, frame, grid, meas)
+
+    warm, res = evaluation_points(meas_fun, x0, box, WARMUP_ITERATIONS, monkeypatch)
+    exact, _ = evaluation_points(meas_fun, x0, box, 0, monkeypatch)
+    assert res.iterations > WARMUP_ITERATIONS
+    assert warm.shape == exact.shape and warm.tobytes() == exact.tobytes()
+
+    # the same comparison does see the warm-up on the prior-anchored objective
+    def main_fun(x):
+        return combined_nll(x, frame, grid, meas, prior)
+
+    warm, _ = evaluation_points(main_fun, x0, box, WARMUP_ITERATIONS, monkeypatch)
+    exact, _ = evaluation_points(main_fun, x0, box, 0, monkeypatch)
+    assert warm.shape != exact.shape or warm.tobytes() != exact.tobytes()
