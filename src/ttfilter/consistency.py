@@ -20,7 +20,7 @@ from scipy.stats import chi2 as _chi2
 
 from .errors import ConfigurationError
 from .model import MeasurementModel, SensorGrid, _pair_offsets, signal_components
-from .nll import PropagatedPrior, measurement_nll
+from .nll import PropagatedPrior, measurement_nll, measurement_objective
 from .optimize import BoxConstraints, NewtonOptions, OptimizeResult, minimize
 
 
@@ -135,21 +135,11 @@ def _grow_sensor_set(
     options: NewtonOptions | None,
 ) -> OptimizeResult:
     used = grid.boundary_indices()
-    res = minimize(
-        lambda x: measurement_nll(x, frame, grid, meas, used),
-        start,
-        box,
-        options,
-    )
+    res = minimize(measurement_objective(frame, grid, meas, used), start, box, options)
     while used.size < grid.count:
-        nxt = maximin_order(res.x, grid, used)[0]
-        used = np.append(used, nxt)
-        sensors = used.copy()
+        used = np.append(used, maximin_order(res.x, grid, used)[0])
         res = minimize(
-            lambda x, s=sensors: measurement_nll(x, frame, grid, meas, s),
-            res.x,
-            box,
-            options,
+            measurement_objective(frame, grid, meas, used), res.x, box, options
         )
     return res
 
@@ -218,7 +208,8 @@ def square_hopping_recovery(
     x_est = np.asarray(x_est, dtype=float).ravel()
     thr = chi2_threshold(grid.count, config.p_value)
 
-    rep = measurement_nll(x_est, frame, grid, meas)
+    objective = measurement_objective(frame, grid, meas)  # shared by every subset fit
+    rep = objective(x_est)
     incoming = OptimizeResult(
         x=x_est.copy(),
         value=rep.value,
@@ -246,9 +237,7 @@ def square_hopping_recovery(
         x_start = x_est.copy()
         for tgt, sq in zip(bad, subset):
             x_start[2 * tgt : 2 * tgt + 2] = centers[sq]
-        res = minimize(
-            lambda x: measurement_nll(x, frame, grid, meas), x_start, box, options
-        )
+        res = minimize(objective, x_start, box, options)
         attempts += 1
         if res.value < best.value:
             best = res

@@ -81,6 +81,12 @@ class ExperimentSpec:
             raise ConfigurationError("tracks and steps must be positive")
         if self.sweep_axis is not None and not self.sweep_values:
             raise ConfigurationError("sweep_axis set but sweep_values empty")
+        # the summary groups rows by sweep value: a repeated value would write
+        # its rows twice and count as one point with twice the tracks
+        if self.sweep_values and len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ConfigurationError(
+                f"sweep_values must be distinct, got {list(self.sweep_values)}"
+            )
 
 
 def _point_params(spec: ExperimentSpec, value: float | None):

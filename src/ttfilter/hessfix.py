@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HessianRepairError
 from .model import MeasurementModel, SensorGrid, _pair_offsets
-from .nll import NllReport, PropagatedPrior, combined_nll
+from .nll import NllReport, PropagatedPrior, combined_objective
 from .optimize import BoxConstraints, NewtonOptions, minimize
 
 
@@ -87,11 +87,12 @@ def repair_hessian(
         repaired = np.zeros((n, n))
         if free_idx.size:
             frozen = x.copy()
+            full = combined_objective(frame, grid, meas, prior, keep_sensors)
 
             def reduced(xf: np.ndarray) -> NllReport:
                 xx = frozen.copy()
                 xx[free_idx] = xf
-                rep = combined_nll(xx, frame, grid, meas, prior, keep_sensors)
+                rep = full(xx)
                 return NllReport(
                     rep.value,
                     lambda: rep.grad[free_idx],

@@ -102,10 +102,14 @@ class BpfConfig:
 def systematic_resample(
     weights: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Indices of a systematic resample: one stratified pick per particle."""
+    """Indices of a systematic resample: one stratified pick per particle.
+
+    The cumulative weights can round to just below 1, which leaves the last
+    positions past the end; those pick the last particle.
+    """
     n = weights.size
     positions = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(weights), positions)
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), n - 1)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -82,7 +82,8 @@ def assemble(
     the belief usable as the next step's prior.
     """
     for name, blk in (("cov_xx", cov_xx), ("cov_vv", cov_vv)):
-        if not np.allclose(blk, blk.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(blk).max())):
+        tol = 1e-8 * max(1.0, np.abs(blk).max())
+        if not np.abs(blk - blk.T).max() <= tol:  # NaN fails
             raise NumericalError(f"{name} block is not symmetric")
     joint = np.block([[cov_xx, cov_vx.T], [cov_vx, cov_vv]])
     joint = 0.5 * (joint + joint.T)

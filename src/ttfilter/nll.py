@@ -21,17 +21,23 @@ The measurement Hessian couples targets through the Gauss-Newton term
 sum_s (grad alpha_s)(grad alpha_s)^T / sigma_s^2; the residual-curvature term
 is block diagonal per target.
 
+Each fit builds its objective once: ``measurement_objective`` and
+``combined_objective`` gather and check the sensor positions, frame entries
+and noise variances of the fit's sensor set, and return the function
+``x -> NllReport`` that ``optimize.minimize`` evaluates.  ``measurement_nll``
+and ``combined_nll`` are the same objectives evaluated at one point.
+
 Which curvature drives which Newton iterations: the Gauss-Newton term plus
 the prior precision Sigma_xx^{-1} is positive definite at every point, and
-``combined_nll`` offers it as ``NllReport.gauss_newton``, so the main
+``combined_objective`` offers it as ``NllReport.gauss_newton``, so the main
 (prior-anchored) fit takes its first few directions from it and needs no
 Levenberg shift there (see ``optimize.minimize``).  The exact Hessian is
 built only where it is read: for the later iterations, and at the final
-iterate, whose Hessian shapes the cubature.  ``measurement_nll`` offers no
-such matrix, so the measurement-only fits (recovery and the fixed-center
-initial fit) run exact Newton throughout, as does the Hessian repair's
-refit, whose reduced objective passes only the gradient and Hessian on.
-That split was measured: warming the measurement-only fits up as well made
+iterate, whose Hessian shapes the cubature.  ``measurement_objective``
+offers no such matrix, so the measurement-only fits (recovery and the
+fixed-center initial fit) run exact Newton throughout, as does the Hessian
+repair's refit, whose reduced objective passes only the gradient and Hessian
+on.  That split was measured: warming the measurement-only fits up as well made
 the ``acquire`` benchmark worse (square-hopping calls 11 -> 64 and
 one-by-one calls 165 -> 218 per round, p99 47 -> 104 ms, avg OMAT
 0.518 -> 0.533 m).
@@ -40,14 +46,14 @@ one-by-one calls 165 -> 218 per round, p99 47 -> 104 ms, avg OMAT
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NumericalError
-from .model import MeasurementModel, SensorGrid, _pair_terms
+from .model import MeasurementModel, SensorGrid, _pair_terms, expected_signal
 
 
 class NllReport:
@@ -59,8 +65,8 @@ class NllReport:
     reads only the value, so it never builds a derivative.
 
     ``gauss_newton``, when given, is a positive-definite stand-in for the
-    Hessian that is cheaper to build: only ``combined_nll`` offers one (the
-    Gauss-Newton matrix plus the prior precision).  It is None otherwise.
+    Hessian that is cheaper to build: only ``combined_objective`` offers one
+    (the Gauss-Newton matrix plus the prior precision).  It is None otherwise.
     """
 
     __slots__ = ("value", "_grad", "_hess", "_gauss_newton")
@@ -94,6 +100,9 @@ class NllReport:
         if callable(self._gauss_newton):
             self._gauss_newton = self._gauss_newton()
         return self._gauss_newton
+
+
+Objective = Callable[[np.ndarray], NllReport]
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,7 @@ class FilterNoiseModel:
 def _check_cov(cov: np.ndarray, name: str) -> None:
     n = cov.shape[0]
     scale = max(np.trace(cov) / n, 1e-300)
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * max(scale, 1.0)):
+    if not np.abs(cov - cov.T).max() <= 1e-10 * max(scale, 1.0):  # NaN fails
         raise NumericalError(f"{name} is not symmetric")
     if np.linalg.eigvalsh(cov).min() < -1e-8 * scale:
         raise NumericalError(f"{name} is not positive semidefinite")
@@ -215,23 +224,35 @@ class PropagatedPrior:
         return self.cov[d:, d:]
 
 
+@lru_cache(maxsize=16)
 def stacked_transition(n_targets: int) -> np.ndarray:
-    """Big constant-velocity transition [[I, I], [0, I]] (blocks of 2C)."""
+    """Big constant-velocity transition [[I, I], [0, I]] (blocks of 2C).
+
+    Built once per target count and returned read-only.
+    """
     d = 2 * n_targets
     eye = np.eye(d)
     top = np.hstack([eye, eye])
     bot = np.hstack([np.zeros((d, d)), eye])
-    return np.vstack([top, bot])
+    F = np.vstack([top, bot])
+    F.setflags(write=False)
+    return F
 
 
+@lru_cache(maxsize=16)
 def stacked_filter_noise(n_targets: int, noise: FilterNoiseModel) -> np.ndarray:
-    """Big V' for the stacked layout (scalar blocks times identity)."""
+    """Big V' for the stacked layout (scalar blocks times identity).
+
+    Built once per target count and noise model and returned read-only.
+    """
     d = 2 * n_targets
     eye = np.eye(d)
-    return np.block(
+    V = np.block(
         [[noise.alpha * eye, noise.cross * eye],
          [noise.cross * eye, noise.vel * eye]]
     )
+    V.setflags(write=False)
+    return V
 
 
 def propagate_prior(belief: GaussianBelief, noise: FilterNoiseModel) -> PropagatedPrior:
@@ -258,7 +279,7 @@ def _residual_curvature(
     """Residual-curvature blocks sum_s res_s hess f_cs, one 2x2 per target."""
     beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)  # (C, S)
     blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
-    blocks[:, [0, 1], [0, 1]] += (res * g).sum(axis=1)[:, None]
+    blocks.reshape(-1, 4)[:, ::3] += (res * g).sum(axis=1)[:, None]  # 2x2 diagonals
     return blocks
 
 
@@ -267,54 +288,64 @@ class _MeasurementDerivatives:
 
     ``grad`` and ``gauss_newton`` share the per-pair Jacobian; ``hess`` adds
     the residual-curvature blocks to ``gauss_newton``, so reading either of
-    the first two never builds those blocks.
+    the first two never builds those blocks.  Each is a method that keeps
+    what it built, so it can be handed to ``NllReport`` as it is.
     """
 
+    __slots__ = (
+        "_rel", "_rho", "_rho_p", "_D", "_res", "_sig2", "_p", "_A",
+        "_g", "_jac", "_grad", "_gauss_newton", "_hess",
+    )
+
     def __init__(self, rel, rho, rho_p, D, res, sig2, meas: MeasurementModel):
-        self._pairs = rel, rho, rho_p, D
+        self._rel, self._rho, self._rho_p, self._D = rel, rho, rho_p, D
         self._res, self._sig2 = res, sig2
         self._p, self._A = meas.exponent, meas.amplitude
+        self._g = self._jac = self._grad = self._gauss_newton = self._hess = None
 
-    @cached_property
-    def _g(self) -> np.ndarray:  # p A rho^(p-2) / D^2 per pair, clamped rho
-        _, rho, rho_p, D = self._pairs
-        return -self._p * self._A * rho_p / (rho * rho * D * D)
+    def _jacobian(self) -> np.ndarray:  # (C, S, 2) gradient of f per pair
+        if self._jac is None:
+            # g = -p A rho^(p-2) / D^2 per pair, clamped rho
+            rho, D = self._rho, self._D
+            self._g = -self._p * self._A * self._rho_p / (rho * rho * D * D)
+            self._jac = self._g[:, :, None] * self._rel
+        return self._jac
 
-    @cached_property
-    def _jac(self) -> np.ndarray:  # (C, S, 2) gradient of f per pair
-        return self._g[:, :, None] * self._pairs[0]
-
-    @cached_property
     def grad(self) -> np.ndarray:
-        return np.einsum("s,csi->ci", self._res, self._jac).ravel()
+        if self._grad is None:
+            self._grad = np.einsum("s,csi->ci", self._res, self._jacobian()).ravel()
+        return self._grad
 
-    @cached_property
     def gauss_newton(self) -> np.ndarray:
         """sum_s (grad alpha_s)(grad alpha_s)^T / sigma_s^2, coupling targets."""
-        n = self._jac.shape[0] * 2
-        jflat = self._jac.transpose(1, 0, 2).reshape(-1, n)  # (S, 2C)
-        return jflat.T @ (jflat / self._sig2[:, None])
+        if self._gauss_newton is None:
+            jac = self._jacobian()
+            n = jac.shape[0] * 2
+            jflat = jac.transpose(1, 0, 2).reshape(-1, n)  # (S, 2C)
+            self._gauss_newton = jflat.T @ (jflat / self._sig2[:, None])
+        return self._gauss_newton
 
-    @cached_property
     def hess(self) -> np.ndarray:
-        rel, rho, rho_p, D = self._pairs
-        blocks = _residual_curvature(rel, rho, rho_p, D, self._g, self._res, self._p)
-        c = blocks.shape[0]
-        hess = self.gauss_newton.copy()
-        diag = np.arange(c)
-        hess.reshape(c, 2, c, 2)[diag, :, diag, :] += blocks
-        return 0.5 * (hess + hess.T)
+        if self._hess is None:
+            gauss_newton = self.gauss_newton()  # also sets self._g
+            blocks = _residual_curvature(
+                self._rel, self._rho, self._rho_p, self._D, self._g, self._res, self._p
+            )
+            c = blocks.shape[0]
+            hess = gauss_newton.copy()
+            diag = np.arange(c)
+            hess.reshape(c, 2, c, 2)[diag, :, diag, :] += blocks
+            self._hess = 0.5 * (hess + hess.T)
+        return self._hess
 
 
-def _measurement_terms(
-    x: np.ndarray,
+def _sensor_terms(
     frame: np.ndarray,
     grid: SensorGrid,
     meas: MeasurementModel,
     sensor_indices: np.ndarray | None,
-) -> tuple[float, _MeasurementDerivatives]:
-    """Measurement value, and the derivatives there, built when first read."""
-    pos = np.asarray(x, dtype=float).reshape(-1, 2)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sensor positions, frame entries and noise variances a fit sums over."""
     sens = grid.positions
     a = np.asarray(frame, dtype=float)
     sig2 = meas.noise_variances(grid.count)
@@ -325,12 +356,82 @@ def _measurement_terms(
         sig2 = sig2[sensor_indices]
     if np.any(sig2 <= 0.0):
         raise ConfigurationError("measurement NLL needs positive noise variances")
+    return sens, a, sig2
 
+
+def _measurement_terms(
+    x: np.ndarray,
+    sens: np.ndarray,
+    a: np.ndarray,
+    sig2: np.ndarray,
+    meas: MeasurementModel,
+) -> tuple[float, _MeasurementDerivatives]:
+    """Measurement value, and the derivatives there, built when first read."""
+    pos = np.asarray(x, dtype=float).reshape(-1, 2)
     rel, rho, rho_p, D, f = _pair_terms(pos, sens, meas)  # rel (C, S, 2), rest (C, S)
-    alpha = f.sum(axis=0)
-    res = (alpha - a) / sig2  # (S,)
-    value = 0.5 * float(np.dot(alpha - a, res))
+    resid = f.sum(axis=0) - a  # alpha - a
+    res = resid / sig2  # (S,)
+    value = 0.5 * float(np.dot(resid, res))
     return value, _MeasurementDerivatives(rel, rho, rho_p, D, res, sig2, meas)
+
+
+def measurement_objective(
+    frame: np.ndarray,
+    grid: SensorGrid,
+    meas: MeasurementModel,
+    sensor_indices: np.ndarray | None = None,
+) -> Objective:
+    """The measurement half of the objective, as a function ``x -> NllReport``.
+
+    The sensor positions, frame entries and noise variances are gathered and
+    checked once, here, so one fit builds one objective and every evaluation
+    reuses them.  ``sensor_indices`` restricts the sum to a subset of sensors
+    (recovery and Hessian repair need this); None means all sensors.  The
+    gradient and Hessian are built when first read.  No Gauss-Newton matrix
+    is offered, so fits of this objective run exact Newton from the first
+    iteration (see the module docstring for why).
+    """
+    sens, a, sig2 = _sensor_terms(frame, grid, meas, sensor_indices)
+
+    def evaluate(x: np.ndarray) -> NllReport:
+        value, d = _measurement_terms(x, sens, a, sig2, meas)
+        return NllReport(value, d.grad, d.hess)
+
+    return evaluate
+
+
+def combined_objective(
+    frame: np.ndarray,
+    grid: SensorGrid,
+    meas: MeasurementModel,
+    prior: PropagatedPrior,
+    sensor_indices: np.ndarray | None = None,
+) -> Objective:
+    """Measurement plus prior objective, as a function ``x -> NllReport``.
+
+    Built once per fit like ``measurement_objective``; derivatives are built
+    when first read.  Besides the exact Hessian each report offers
+    ``gauss_newton``: the Gauss-Newton matrix plus the prior precision
+    ``xx_inv``.  That is positive definite wherever the objective is
+    evaluated, so ``optimize.minimize`` can take its first directions from
+    it without a Levenberg shift search.
+    """
+    sens, a, sig2 = _sensor_terms(frame, grid, meas, sensor_indices)
+    mean_x, xx_inv = prior.mean_x, prior.xx_inv
+
+    def evaluate(x: np.ndarray) -> NllReport:
+        x = np.asarray(x, dtype=float).ravel()
+        value, d = _measurement_terms(x, sens, a, sig2, meas)
+        diff = x - mean_x
+        prior_grad = xx_inv @ diff
+        return NllReport(
+            value + 0.5 * float(diff @ prior_grad),
+            lambda: d.grad() + prior_grad,
+            lambda: d.hess() + xx_inv,
+            lambda: d.gauss_newton() + xx_inv,
+        )
+
+    return evaluate
 
 
 def measurement_nll(
@@ -340,16 +441,8 @@ def measurement_nll(
     meas: MeasurementModel,
     sensor_indices: np.ndarray | None = None,
 ) -> NllReport:
-    """Measurement half of the objective with exact derivatives.
-
-    ``sensor_indices`` restricts the sum to a subset of sensors (recovery and
-    Hessian repair need this); None means all sensors.  The gradient and
-    Hessian are built when first read.  No Gauss-Newton matrix is offered,
-    so fits of this objective run exact Newton from the first iteration
-    (see the module docstring for why).
-    """
-    value, d = _measurement_terms(x, frame, grid, meas, sensor_indices)
-    return NllReport(value, lambda: d.grad, lambda: d.hess)
+    """``measurement_objective(frame, grid, meas, sensor_indices)`` at one point."""
+    return measurement_objective(frame, grid, meas, sensor_indices)(x)
 
 
 def combined_nll(
@@ -360,23 +453,8 @@ def combined_nll(
     prior: PropagatedPrior,
     sensor_indices: np.ndarray | None = None,
 ) -> NllReport:
-    """Measurement plus prior objective; derivatives built when first read.
-
-    Besides the exact Hessian it offers ``gauss_newton``: the Gauss-Newton
-    matrix plus the prior precision ``xx_inv``.  That is positive definite
-    wherever the objective is evaluated, so ``optimize.minimize`` can take
-    its first directions from it without a Levenberg shift search.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    value, d = _measurement_terms(x, frame, grid, meas, sensor_indices)
-    diff = x - prior.mean_x
-    prior_grad = prior.xx_inv @ diff
-    return NllReport(
-        value + 0.5 * float(diff @ prior_grad),
-        lambda: d.grad + prior_grad,
-        lambda: d.hess + prior.xx_inv,
-        lambda: d.gauss_newton + prior.xx_inv,
-    )
+    """``combined_objective(frame, grid, meas, prior, sensor_indices)`` at one point."""
+    return combined_objective(frame, grid, meas, prior, sensor_indices)(x)
 
 
 def combined_value_batch(
@@ -386,11 +464,14 @@ def combined_value_batch(
     meas: MeasurementModel,
     prior: PropagatedPrior,
 ) -> np.ndarray:
-    """Objective values only, for a (K, 2C) batch of stacked positions."""
+    """Objective values only, for a (K, 2C) batch of stacked positions.
+
+    The signal is ``model.expected_signal``, which adds the targets one at a
+    time on (K, S) arrays instead of holding (K, C, S, 2) offsets.
+    """
     pts = np.asarray(points, dtype=float)
     k, n = pts.shape
-    f = _pair_terms(pts.reshape(k, n // 2, 2), grid.positions, meas)[-1]
-    alpha = f.sum(axis=1)  # (K, S)
+    alpha = expected_signal(pts.reshape(k, n // 2, 2), grid, meas)  # (K, S)
     sig2 = meas.noise_variances(grid.count)
     if np.any(sig2 <= 0.0):
         raise ConfigurationError("measurement NLL needs positive noise variances")

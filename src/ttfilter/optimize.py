@@ -7,13 +7,14 @@ and the step is backtracked under the Armijo rule after projection onto the
 box.  Convergence is declared on the projected-gradient norm.
 
 Which curvature drives which iteration: when the objective offers a
-Gauss-Newton matrix (``NllReport.gauss_newton``; only ``nll.combined_nll``
-does, as the Gauss-Newton term plus the prior precision), the first
-``WARMUP_ITERATIONS`` directions come from it.  It is positive definite, so
-those directions need no Levenberg shift search, and the residual-curvature
-part of the exact Hessian is not built for them.  Later directions use the
-exact Hessian, and ``OptimizeResult.hess`` is always the exact Hessian at
-the final iterate, also when the fit converges during the warm-up.  An
+Gauss-Newton matrix (``NllReport.gauss_newton``; only
+``nll.combined_objective`` does, as the Gauss-Newton term plus the prior
+precision), the first ``WARMUP_ITERATIONS`` directions come from it.  It is
+positive definite, so those directions need no Levenberg shift search, and
+the residual-curvature part of the exact Hessian is not built for them.
+Later directions use the exact Hessian, and ``OptimizeResult.hess`` is
+always the exact Hessian at the final iterate, also when the fit converges
+during the warm-up.  An
 objective without that matrix (the measurement-only recovery and initial
 fits, the Hessian repair's refit) runs exact Newton from the first
 iteration: warming those up as well raised the square-hopping calls per
@@ -22,28 +23,27 @@ iteration: warming those up as well raised the square-hopping calls per
 ``acceptance`` benchmark round (seed 7) the warm-up cut the main fit from
 38,435 iterations and 60,464 objective evaluations to 27,339 and 38,460.
 
-The loop pays only for work it uses.  Line-search trials read only the
-objective's value, so a rejected trial never builds a gradient or Hessian
-(see ``nll.NllReport``).  Each direction costs one LAPACK ``dpotrf`` factor
-and one ``dpotrs`` solve with it.  The Levenberg shift is searched with
-``dpotrf``'s info code instead of exceptions, and bracketed by the most
-negative eigenvalue so that shifts which must fail are not tried.  The
-accepted shift is that of the plain doubling search.
+The loop pays only for work it uses.  Each caller builds its objective once
+per fit (``nll.measurement_objective`` or ``nll.combined_objective``), so an
+evaluation does not gather or check the fit's sensor set again.  Line-search
+trials read only the objective's value, so a rejected trial never builds a
+gradient or Hessian (see ``nll.NllReport``).  Each direction costs one
+LAPACK ``dpotrf`` factor and one ``dpotrs`` solve with it.  The Levenberg
+shift is searched with ``dpotrf``'s info code instead of exceptions, and
+bracketed by the most negative eigenvalue so that shifts which must fail are
+not tried.  The accepted shift is that of the plain doubling search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, NumericalError
 from .model import SensorGrid
-from .nll import NllReport
-
-Objective = Callable[[np.ndarray], NllReport]
+from .nll import NllReport, Objective
 
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 MIN_STEP = 1e-12  # smallest step length tried before giving up on a direction
@@ -67,7 +67,7 @@ class BoxConstraints:
         object.__setattr__(self, "upper", hi)
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
         return bool(

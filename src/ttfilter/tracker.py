@@ -6,11 +6,15 @@ the fit with the chi-square consistency test (escalating through one-by-one
 sensor re-acquisition and square hopping when it fails), repair the Hessian
 to positive definite, spread sigma points on the combined NLL surface (with
 the polar correction for targets sitting close to a sensor), and read off
-posterior moments.  The Hessian is the one the main fit ends on, evaluated
-again only when a measurement-only recovery fit is adopted; the repair
+posterior moments.  Every fit builds its objective once
+(``nll.combined_objective`` for the main fit, ``nll.measurement_objective``
+for the fixed-center initial fit), and the main fit's objective is the one
+evaluated again when a measurement-only recovery fit is adopted.  The
+Hessian is the one the main fit ends on, or that re-evaluation's; the repair
 factors it once and that factor places the sigma points and gives the polar
 step its covariance blocks.  Any numerical failure downgrades the step to the
-propagated prior so a single bad frame cannot kill the track.
+propagated prior so a single bad frame cannot kill the track; a frame with a
+NaN or infinite reading does so before any fit, naming the sensors.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from .nll import (
     FilterNoiseModel,
     GaussianBelief,
     PropagatedPrior,
-    combined_nll,
+    combined_objective,
     combined_value_batch,
-    measurement_nll,
+    measurement_objective,
     propagate_prior,
 )
 from .optimize import BoxConstraints, NewtonOptions, box_from_grid, minimize
@@ -148,7 +152,7 @@ def init_belief(
                     "fixed_center refinement needs meas and box with the frame"
                 )
             fit = minimize(
-                lambda x: measurement_nll(x, frame, grid, meas),
+                measurement_objective(frame, grid, meas),
                 mean[: 2 * c],
                 box,
                 config.optimizer,
@@ -192,11 +196,13 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
     actions: list[str] = []
 
     prior = propagate_prior(belief, ctx.noise)
-
-    def objective(x):
-        return combined_nll(x, frame, grid, meas, prior)
+    frame = np.asarray(frame, dtype=float)
+    non_finite = np.flatnonzero(~np.isfinite(frame))
 
     try:
+        if non_finite.size:  # no fit can explain a NaN or infinite reading
+            raise NumericalError(f"non-finite frame: sensors {non_finite.tolist()}")
+        objective = combined_objective(frame, grid, meas, prior)
         res = minimize(objective, prior.mean_x, ctx.box, cfg.optimizer)
         x_hat, hess = res.x, res.hess
         ok, stat = is_consistent(x_hat, frame, grid, meas, cfg.consistency)

@@ -143,6 +143,18 @@ def test_sweep_subcommand(tmp_path):
     assert [p["sigma_s2"] for p in summary["points"]] == [0.01, 0.1]
 
 
+def test_sweep_with_a_repeated_value_gives_config_exit(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep", "--axis", "sigma_s2", "--values", "0.1", "0.1",
+         "--out", str(out), "--tracks", "1", "--steps", "1", "--seed", "3",
+         "--variant", "tt-nonlinear"]
+    )
+    assert code == 2
+    assert "sweep_values must be distinct" in capsys.readouterr().err
+    assert not (out / "steps.csv").exists()
+
+
 def test_config_experiment_section_feeds_spec(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

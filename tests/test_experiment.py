@@ -59,6 +59,8 @@ def test_spec_validation():
         small_spec(tracks=0)
     with pytest.raises(ConfigurationError):
         small_spec(sweep_axis="sigma_s2")
+    with pytest.raises(ConfigurationError, match="distinct"):
+        small_spec(sweep_axis="sigma_s2", sweep_values=(0.1, 0.01, 0.1))
 
 
 def test_minimal_run_emits_one_row_per_variant(tmp_path):

@@ -126,6 +126,34 @@ def test_systematic_resample_degenerate_weight(rng):
     np.testing.assert_array_equal(idx, np.full(50, 17))
 
 
+class StubGenerator:
+    """Stands in for ``np.random.Generator`` with a fixed ``random()``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+def test_systematic_resample_stays_in_range_when_weights_sum_below_one():
+    w = np.full(10, 0.1)
+    cum = np.cumsum(w)
+    assert cum[-1] < 1.0  # 0.9999999999999999
+    top = 1.0 - 1e-16
+    plain = np.searchsorted(cum, (top + np.arange(10)) / 10)
+    assert plain[-1] == 10  # the last position lies past the end
+    idx = systematic_resample(w, StubGenerator(top))
+    np.testing.assert_array_equal(idx, np.append(plain[:-1], 9))
+    # draws that do not reach past the end are the plain searchsorted picks
+    for u in (0.0, 0.25, 0.5, 0.999):
+        positions = (u + np.arange(10)) / 10
+        np.testing.assert_array_equal(
+            systematic_resample(w, StubGenerator(u)),
+            np.searchsorted(np.cumsum(w), positions),
+        )
+
+
 def test_bpf_config_validation():
     with pytest.raises(ConfigurationError):
         BpfConfig(n_particles=0)

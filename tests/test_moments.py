@@ -203,6 +203,26 @@ def test_assemble_rejects_asymmetric_block():
         assemble(np.zeros(4), np.zeros(4), bad, np.eye(4), np.zeros((4, 4)))
 
 
+def test_assemble_rejects_nan_block():
+    blk = np.eye(4)
+    blk[2, 2] = np.nan
+    with pytest.raises(NumericalError):
+        assemble(np.zeros(4), np.zeros(4), blk, np.eye(4), np.zeros((4, 4)))
+    with pytest.raises(NumericalError):
+        assemble(np.zeros(4), np.zeros(4), np.eye(4), blk, np.zeros((4, 4)))
+
+
+def test_assemble_symmetry_tolerance_scales_with_the_block():
+    # asymmetry up to 1e-8 * max(1, max |entry|) is rounding, beyond it is not
+    for scale in (1.0, 1e6):
+        blk = scale * np.eye(4)
+        blk[0, 1] = 0.9e-8 * scale
+        assemble(np.zeros(4), np.zeros(4), blk, np.eye(4), np.zeros((4, 4)))
+        blk[0, 1] = 1.1e-8 * scale
+        with pytest.raises(NumericalError):
+            assemble(np.zeros(4), np.zeros(4), blk, np.eye(4), np.zeros((4, 4)))
+
+
 def test_posterior_block_layout(rng):
     joint = random_spd(8, rng)
     post = assemble(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,15 @@ from ttfilter.nll import (
     NllReport,
     PropagatedPrior,
     combined_nll,
+    combined_objective,
     combined_value_batch,
     measurement_nll,
+    measurement_objective,
     propagate_prior,
     stacked_filter_noise,
     stacked_transition,
 )
+from ttfilter.optimize import box_from_grid, minimize
 
 from conftest import fd_gradient, fd_hessian_from_grad, random_spd
 
@@ -287,6 +292,186 @@ def test_lazy_derivatives_equal_eager_ones_bit_for_bit(grid55, meas_default, sen
         assert lazy_m.gauss_newton is None  # measurement-only fits: exact Newton
 
 
+class PerCallDerivatives:
+    """Reference: the derivatives of the per-call kernel that every objective
+    evaluation used to run, memoised with ``cached_property``."""
+
+    def __init__(self, rel, rho, rho_p, D, res, sig2, meas):
+        self._pairs = rel, rho, rho_p, D
+        self._res, self._sig2 = res, sig2
+        self._p, self._A = meas.exponent, meas.amplitude
+
+    @cached_property
+    def _g(self):
+        _, rho, rho_p, D = self._pairs
+        return -self._p * self._A * rho_p / (rho * rho * D * D)
+
+    @cached_property
+    def _jac(self):
+        return self._g[:, :, None] * self._pairs[0]
+
+    @cached_property
+    def grad(self):
+        return np.einsum("s,csi->ci", self._res, self._jac).ravel()
+
+    @cached_property
+    def gauss_newton(self):
+        n = self._jac.shape[0] * 2
+        jflat = self._jac.transpose(1, 0, 2).reshape(-1, n)
+        return jflat.T @ (jflat / self._sig2[:, None])
+
+    @cached_property
+    def hess(self):
+        rel, rho, rho_p, D = self._pairs
+        p, g, res = self._p, self._g, self._res
+        beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)
+        blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
+        blocks[:, [0, 1], [0, 1]] += (res * g).sum(axis=1)[:, None]
+        c = blocks.shape[0]
+        hess = self.gauss_newton.copy()
+        diag = np.arange(c)
+        hess.reshape(c, 2, c, 2)[diag, :, diag, :] += blocks
+        return 0.5 * (hess + hess.T)
+
+
+def per_call_measurement(x, frame, grid, meas, sensor_indices=None):
+    """Reference: the per-call kernel, gathering the sensor set at each call."""
+    pos = np.asarray(x, dtype=float).reshape(-1, 2)
+    sens = grid.positions
+    a = np.asarray(frame, dtype=float)
+    sig2 = meas.noise_variances(grid.count)
+    if sensor_indices is not None:
+        sensor_indices = np.asarray(sensor_indices, dtype=int)
+        sens, a, sig2 = sens[sensor_indices], a[sensor_indices], sig2[sensor_indices]
+    rel, rho, rho_p, D, f = _pair_terms(pos, sens, meas)
+    alpha = f.sum(axis=0)
+    res = (alpha - a) / sig2
+    value = 0.5 * float(np.dot(alpha - a, res))
+    return value, PerCallDerivatives(rel, rho, rho_p, D, res, sig2, meas)
+
+
+def per_call_combined(x, frame, grid, meas, prior, sensor_indices=None):
+    """Reference: value, gradient, Gauss-Newton matrix and Hessian of the
+    per-call combined kernel."""
+    x = np.asarray(x, dtype=float).ravel()
+    value, d = per_call_measurement(x, frame, grid, meas, sensor_indices)
+    diff = x - prior.mean_x
+    prior_grad = prior.xx_inv @ diff
+    return (
+        value + 0.5 * float(diff @ prior_grad),
+        d.grad + prior_grad,
+        d.gauss_newton + prior.xx_inv,
+        d.hess + prior.xx_inv,
+    )
+
+
+@pytest.mark.parametrize(
+    "sensors", [None, np.array([0, 3, 12, 17, 24]), np.array([], dtype=int)],
+    ids=["all", "subset", "empty"],
+)
+def test_per_fit_objectives_equal_the_per_call_kernel_bit_for_bit(
+    grid55, meas_default, sensors
+):
+    rng = np.random.default_rng(17)
+    prior = random_prior(4, rng)
+    frame = rng.uniform(0.5, 4.0, size=25)
+    measurement = measurement_objective(frame, grid55, meas_default, sensors)
+    combined = combined_objective(frame, grid55, meas_default, prior, sensors)
+    # one objective serves many points, read in either order
+    for trial in range(12):
+        x = rng.uniform(2.0, 38.0, size=8)
+        if trial == 0:
+            x[2:4] = grid55.positions[12]  # a target on a sensor: clamped rho
+        m_value, m_ref = per_call_measurement(x, frame, grid55, meas_default, sensors)
+        c_ref = per_call_combined(x, frame, grid55, meas_default, prior, sensors)
+        m, c = measurement(x), combined(x)
+        if trial % 2:
+            _ = (m.hess, c.hess)
+        assert m.value == m_value and c.value == c_ref[0]
+        assert m.gauss_newton is None
+        for got, want in [
+            (m.grad, m_ref.grad),
+            (m.hess, m_ref.hess),
+            (c.grad, c_ref[1]),
+            (c.gauss_newton, c_ref[2]),
+            (c.hess, c_ref[3]),
+        ]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_one_fit_gathers_its_sensors_once(grid55, meas_default, monkeypatch):
+    gathered = []
+    real_variances = MeasurementModel.noise_variances
+    monkeypatch.setattr(
+        MeasurementModel,
+        "noise_variances",
+        lambda self, count: gathered.append(1) or real_variances(self, count),
+    )
+    rng = np.random.default_rng(3)
+    pos = rng.uniform(8.0, 32.0, size=(4, 2))
+    frame = expected_signal(pos, grid55, meas_default)
+    prior = random_prior(4, rng)
+    box = box_from_grid(grid55, 4)
+    start = pos.ravel() + 0.5
+    for build in (
+        lambda: measurement_objective(frame, grid55, meas_default),
+        lambda: measurement_objective(frame, grid55, meas_default, np.arange(0, 25, 2)),
+        lambda: combined_objective(frame, grid55, meas_default, prior),
+    ):
+        gathered.clear()
+        evals = []
+        objective = build()
+
+        def counted(x):
+            evals.append(1)
+            return objective(x)
+
+        minimize(counted, start, box)
+        assert len(evals) > 3
+        assert len(gathered) == 1
+
+
+def reference_value_batch(points, frame, grid, meas, prior):
+    """Reference: batch values from (K, C, S, 2) target-sensor offsets."""
+    pts = np.asarray(points, dtype=float)
+    k, n = pts.shape
+    f = _pair_terms(pts.reshape(k, n // 2, 2), grid.positions, meas)[-1]
+    alpha = f.sum(axis=1)
+    sig2 = meas.noise_variances(grid.count)
+    resid = alpha - np.asarray(frame, dtype=float)
+    meas_val = 0.5 * np.einsum("ks,ks->k", resid, resid / sig2)
+    diff = pts - prior.mean_x
+    prior_val = 0.5 * np.einsum("ki,ij,kj->k", diff, prior.xx_inv, diff)
+    return meas_val + prior_val
+
+
+@pytest.mark.parametrize("c", [1, 4, 9])
+def test_combined_value_batch_equals_offset_formula_bit_for_bit(grid55, c):
+    rng = np.random.default_rng(23 + c)
+    meas = MeasurementModel(exponent=1.5, sigma_s2=rng.uniform(0.01, 0.2, size=25))
+    prior = random_prior(c, rng)
+    frame = rng.uniform(0.5, 4.0, size=25)
+    pts = rng.uniform(-5.0, 45.0, size=(257, 2 * c))
+    pts[0, :2] = grid55.positions[6]  # a target on a sensor: clamped rho
+    got = combined_value_batch(pts, frame, grid55, meas, prior)
+    want = reference_value_batch(pts, frame, grid55, meas, prior)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_step_matrices_are_cached_and_read_only():
+    noise = FilterNoiseModel(alpha=2.0)
+    F, V = stacked_transition(3), stacked_filter_noise(3, noise)
+    assert stacked_transition(3) is F and stacked_filter_noise(3, noise) is V
+    assert stacked_filter_noise(3, FilterNoiseModel()) is not V
+    for mat in (F, V):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 7.0
+    eye = np.eye(6)
+    np.testing.assert_array_equal(F, np.block([[eye, eye], [0 * eye, eye]]))
+    np.testing.assert_array_equal(V, np.block([[2.0 * eye, 0.1 * eye],
+                                               [0.1 * eye, 0.03 * eye]]))
+
+
 def test_grad_and_gauss_newton_build_no_residual_curvature(
     grid55, meas_default, monkeypatch
 ):
@@ -350,3 +535,7 @@ def test_belief_rejects_bad_covariance():
     indef = np.diag([1.0, 1.0, 1.0, -1.0])
     with pytest.raises(NumericalError):
         GaussianBelief(mean=np.zeros(4), cov=indef)
+    nan = np.eye(4)
+    nan[1, 1] = np.nan
+    with pytest.raises(NumericalError, match="not symmetric"):
+        GaussianBelief(mean=np.zeros(4), cov=nan)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ttfilter import hessfix, tracker
+from ttfilter import consistency, hessfix, tracker
 from ttfilter.consistency import chi2_threshold, consistency_statistic
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import (
@@ -26,6 +26,7 @@ from ttfilter.nll import (
     GaussianBelief,
     NllReport,
     combined_nll,
+    combined_objective,
     combined_value_batch,
     propagate_prior,
 )
@@ -197,6 +198,11 @@ def test_step_no_recovery_when_consistent():
     assert not any(a.startswith(("one_by_one", "hopping")) for a in out.actions)
 
 
+def wrap_objectives(build, wrap):
+    """``build`` with each objective it returns passed through ``wrap``."""
+    return lambda *args: wrap(build(*args))
+
+
 def test_step_evaluates_combined_nll_once_per_point(monkeypatch):
     # the main fit's final Hessian feeds the repair, so a step that keeps the
     # fit's estimate never evaluates the combined objective twice at one point
@@ -206,12 +212,17 @@ def test_step_evaluates_combined_nll_once_per_point(monkeypatch):
     frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
     seen = []
 
-    def counted(x, *args):
-        seen.append(np.asarray(x, dtype=float).tobytes())
-        return combined_nll(x, *args)
+    def counted(objective):
+        def evaluate(x):
+            seen.append(np.asarray(x, dtype=float).tobytes())
+            return objective(x)
 
-    monkeypatch.setattr(tracker, "combined_nll", counted)
-    monkeypatch.setattr(hessfix, "combined_nll", counted)
+        return evaluate
+
+    for module in (tracker, hessfix):
+        monkeypatch.setattr(
+            module, "combined_objective", wrap_objectives(combined_objective, counted)
+        )
     out = step(tight_belief(truth), frame, ctx)
     assert out.consistent and not out.exclusions
     assert not any(a.startswith(("one_by_one", "hopping")) for a in out.actions)
@@ -227,13 +238,18 @@ def test_step_nan_hessian_falls_back_to_prior(monkeypatch):
     truth = scn.initial_states
     frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
 
-    def nan_hessian(x, *args):
-        rep = combined_nll(x, *args)
-        hess = rep.hess.copy()
-        hess[0, 1] = hess[1, 0] = np.nan
-        return NllReport(rep.value, rep.grad, hess)
+    def nan_hessian(objective):
+        def evaluate(x):
+            rep = objective(x)
+            hess = rep.hess.copy()
+            hess[0, 1] = hess[1, 0] = np.nan
+            return NllReport(rep.value, rep.grad, hess)
 
-    monkeypatch.setattr(tracker, "combined_nll", nan_hessian)
+        return evaluate
+
+    monkeypatch.setattr(
+        tracker, "combined_objective", wrap_objectives(combined_objective, nan_hessian)
+    )
     belief = tight_belief(truth)
     out = step(belief, frame, ctx)
     assert len(out.actions) == 1
@@ -241,6 +257,68 @@ def test_step_nan_hessian_falls_back_to_prior(monkeypatch):
     prior = propagate_prior(belief, ctx.noise)
     np.testing.assert_array_equal(out.x_ml, prior.mean_x)
     assert not out.consistent
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_non_finite_frame_falls_back_without_fitting(monkeypatch, bad):
+    scn = benchmark_scenario()
+    ctx = make_context(scn, FilterConfig())
+    truth = scn.initial_states
+    frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
+    frame[[3, 17]] = bad
+    fits = []
+    monkeypatch.setattr(tracker, "minimize", lambda *a, **k: fits.append(1))
+    belief = tight_belief(truth)
+    out = step(belief, frame, ctx)
+    assert fits == []
+    assert out.actions == ("fallback:prior(non-finite frame: sensors [3, 17])",)
+    prior = propagate_prior(belief, ctx.noise)
+    np.testing.assert_array_equal(out.x_ml, prior.mean_x)
+    np.testing.assert_array_equal(out.posterior.mean_x, prior.mean_x)
+    assert not out.consistent and np.isnan(out.statistic)
+
+
+def test_every_fit_gathers_its_sensors_before_it_starts(monkeypatch):
+    # each minimize call gets an objective built once for the fit, so no
+    # evaluation inside a fit reads the noise variances again
+    scn = benchmark_scenario()
+    ctx = make_context(scn, FilterConfig(fixed_init=True))
+    gathered = []
+    real_variances = MeasurementModel.noise_variances
+    monkeypatch.setattr(
+        MeasurementModel,
+        "noise_variances",
+        lambda self, count: gathered.append(1) or real_variances(self, count),
+    )
+    fits = []
+
+    def watched(fun, *args, **kwargs):
+        evals = []
+
+        def counted(x):
+            evals.append(1)
+            return fun(x)
+
+        before = len(gathered)
+        res = minimize(counted, *args, **kwargs)
+        fits.append((len(gathered) - before, len(evals)))
+        return res
+
+    for module in (tracker, consistency, hessfix):
+        monkeypatch.setattr(module, "minimize", watched)
+    truth = scn.initial_states
+    frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
+    init_belief(
+        "fixed_center", ctx.config, scn.grid, np.random.default_rng(3),
+        n_targets=truth.shape[0], frame=frame, meas=ctx.meas, box=ctx.box,
+    )
+    wrong = truth.copy()
+    wrong[:, :2] = [[5.0, 35.0], [35.0, 5.0], [5.0, 5.0], [35.0, 35.0]]
+    out = step(tight_belief(wrong), frame, ctx)
+    assert "one_by_one" in out.actions
+    assert len(fits) > 10
+    assert all(gathers == 0 for gathers, _ in fits)
+    assert sum(evals for _, evals in fits) > 2 * len(fits)
 
 
 def test_step_recovery_engages_and_never_worsens_statistic():
