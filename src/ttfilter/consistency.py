@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtri
 
 from .errors import ConfigurationError
 from .model import MeasurementModel, SensorGrid, _pair_offsets, signal_components
@@ -40,12 +40,18 @@ class ConsistencyConfig:
 
 @lru_cache(maxsize=64)
 def chi2_threshold(dof: int, p_value: float) -> float:
-    """Upper-tail chi-square quantile: P(X > threshold) = p_value."""
+    """Upper-tail chi-square quantile: P(X > threshold) = p_value.
+
+    ``scipy.special.chdtri`` is the function ``scipy.stats.chi2.isf``
+    evaluates, so the threshold is the same to the last bit; calling it
+    directly keeps ``scipy.stats``, most of the package's import time, out
+    of every import.
+    """
     if dof < 1:
         raise ConfigurationError("dof must be at least 1")
     if not 0.0 < p_value < 1.0:
         raise ConfigurationError("p_value must lie in (0, 1)")
-    return float(_chi2.isf(p_value, dof))
+    return float(chdtri(dof, p_value))
 
 
 def consistency_statistic(

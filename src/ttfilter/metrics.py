@@ -159,9 +159,11 @@ def bpf_track(
 
     for t in range(t_steps):
         tic = time.perf_counter()
-        particles = particles @ F_SINGLE.T
+        # one flat (N C, 4) product per matrix; stacked (C, 4) ones cost 3-5x
+        moved = particles.reshape(n * c, 4) @ F_SINGLE.T
         if chol_vp is not None:
-            particles += rng.standard_normal((n, c, 4)) @ chol_vp.T
+            moved += rng.standard_normal((n * c, 4)) @ chol_vp.T
+        particles = moved.reshape(n, c, 4)
 
         alpha = expected_signal(particles[:, :, :2], grid, meas)  # (N, S)
         resid = alpha - trajectory.frames[t]

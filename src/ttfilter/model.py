@@ -338,11 +338,17 @@ class Trajectory:
         return self.states.shape[1]
 
 
-# Rejection sampling for bounds="inside" draws candidate paths in fixed-size
-# batches.  The batch size is part of the reproducibility contract: a given
-# seed consumes the generator identically no matter where it runs.
+# Rejection sampling for bounds="inside" draws the noise of candidate paths in
+# fixed-size batches.  The draws are the reproducibility contract: each batch
+# is drawn whole, in candidate order, so a given seed consumes the generator
+# identically no matter how far its candidates are propagated.
 _INSIDE_BATCH = 256
 _INSIDE_MAX_BATCHES = 4000
+# Relative margin (times the larger grid extent) by which the batched screen
+# widens the grid.  Stacked and flat matrix products may differ in the last
+# bits, so the screen keeps near-boundary candidates and the exact per-path
+# replay decides.
+_INSIDE_SLACK = 1e-9
 
 
 def _attach_frames(
@@ -358,15 +364,60 @@ def _attach_frames(
     return Trajectory(states=states, frames=frames)
 
 
+def _first_inside_path(
+    x0: np.ndarray, z: np.ndarray, L: np.ndarray, hi: np.ndarray
+) -> np.ndarray | None:
+    """The lowest-index candidate path in ``[0, hi]`` at every step, or None.
+
+    ``z`` holds one batch of standard-normal draws, ``(B, T, C, 4)``, and
+    candidate ``b`` moves as ``s' = s F^T + z[b, t] L^T``.  Each step moves
+    only the candidates still inside, all targets at once in flat
+    ``(M C, 4)`` products, and the batch stops at the first step with none
+    left.  The survivors are then replayed one path at a time, lowest index
+    first, with the same per-path ``(C, 4)`` products that a stacked
+    ``(B, C, 4)`` propagation evaluates, and the first one inside the exact
+    bounds is returned.
+    """
+    n_cand, n_steps, c, _ = z.shape
+    slack = _INSIDE_SLACK * hi.max()
+    lo_screen, hi_screen = -slack, hi + slack
+    alive = np.arange(n_cand)
+    cur = np.tile(x0, (n_cand, 1))  # (M C, 4), candidate-major
+    for t in range(n_steps):
+        cur = cur @ F_SINGLE.T + z[alive, t].reshape(-1, 4) @ L.T
+        pos = cur[:, :2].reshape(-1, c, 2)
+        keep = ((pos >= lo_screen) & (pos <= hi_screen)).all(axis=(1, 2))
+        alive = alive[keep]
+        if not alive.size:
+            return None
+        cur = cur.reshape(-1, c, 4)[keep].reshape(-1, 4)
+
+    for b in alive:
+        path = np.empty((n_steps + 1, c, 4))
+        path[0] = x0
+        for t in range(n_steps):
+            path[t + 1] = path[t] @ F_SINGLE.T + z[b, t] @ L.T
+        pos = path[1:, :, :2]
+        if ((pos >= 0.0) & (pos <= hi)).all():
+            return path
+    return None
+
+
 def _simulate_inside(
     scenario: Scenario, n_steps: int, rng: np.random.Generator
 ) -> Trajectory:
     """Sample a truth path whose positions never leave the grid.
 
-    Whole candidate paths are drawn and the first fully in-region one is
-    kept, so the accepted path is an exact constant-velocity trajectory
-    conditioned on staying observed.  Measurement noise is drawn only after
-    acceptance: sweeping sigma_s2 at a fixed seed reuses the same truth.
+    Candidate paths are drawn in batches of ``_INSIDE_BATCH`` and the first
+    fully in-region one, in draw order, is kept, so the accepted path is an
+    exact constant-velocity trajectory conditioned on staying observed.
+    What a seed fixes is the draws: every batch is drawn whole with one
+    ``standard_normal((_INSIDE_BATCH, n_steps, C, 4))`` call, however early
+    its candidates leave, and the accepted path is the one those draws give
+    under per-path propagation.  How the candidates are propagated and
+    screened (``_first_inside_path``) is free to change.  Measurement noise
+    is drawn only after acceptance: sweeping sigma_s2 at a fixed seed reuses
+    the same truth.
     """
     grid, motion, meas = scenario.grid, scenario.motion, scenario.meas
     hi = np.asarray(grid.extent)
@@ -389,16 +440,9 @@ def _simulate_inside(
     L = np.linalg.cholesky(motion.V)
     for _ in range(_INSIDE_MAX_BATCHES):
         z = rng.standard_normal((_INSIDE_BATCH, n_steps, c, 4))
-        states = np.empty((_INSIDE_BATCH, n_steps + 1, c, 4))
-        states[:, 0] = x0
-        ok = np.ones(_INSIDE_BATCH, dtype=bool)
-        for t in range(n_steps):
-            states[:, t + 1] = states[:, t] @ F_SINGLE.T + z[:, t] @ L.T
-            pos = states[:, t + 1, :, :2]
-            ok &= ((pos >= 0.0) & (pos <= hi)).all(axis=(1, 2))
-        hit = np.flatnonzero(ok)
-        if hit.size:
-            return _attach_frames(states[hit[0]].copy(), grid, meas, rng)
+        path = _first_inside_path(x0, z, L, hi)
+        if path is not None:
+            return _attach_frames(path, grid, meas, rng)
     raise SimulationError(
         f"no in-region trajectory in {_INSIDE_BATCH * _INSIDE_MAX_BATCHES} "
         "draws; lower gamma, shorten the track, or pick another bounds policy"

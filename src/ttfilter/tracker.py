@@ -122,7 +122,9 @@ def init_belief(
     true launch state; ``fixed_center`` places every target mean uniformly
     within ``init_radius`` of the grid center with zero velocity (no access
     to the truth), then sharpens the spatial means with one measurement fit
-    against the first frame when one is supplied.  Both modes use the same
+    against the first frame when one is supplied.  A first frame with a NaN
+    or infinite entry cannot be fitted, so the blind means stay and ``step``
+    records that frame as a prior fallback.  Both modes use the same
     diagonal covariance.
     """
     if mode == "random_around_truth":
@@ -151,13 +153,14 @@ def init_belief(
                 raise ConfigurationError(
                     "fixed_center refinement needs meas and box with the frame"
                 )
-            fit = minimize(
-                measurement_objective(frame, grid, meas),
-                mean[: 2 * c],
-                box,
-                config.optimizer,
-            )
-            mean[: 2 * c] = fit.x
+            if np.isfinite(frame).all():
+                fit = minimize(
+                    measurement_objective(frame, grid, meas),
+                    mean[: 2 * c],
+                    box,
+                    config.optimizer,
+                )
+                mean[: 2 * c] = fit.x
     else:
         raise ConfigurationError(f"unknown init mode {mode!r}")
     cov = np.diag(

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import ttfilter
 
 from ttfilter.consistency import (
     ConsistencyConfig,
@@ -48,6 +55,27 @@ def test_chi2_threshold_against_tail_oracle():
     q = chi2_threshold(25, 0.0013)
     tail = mpmath.gammainc(12.5, q / 2.0, mpmath.inf, regularized=True)
     assert float(tail) == pytest.approx(0.0013, rel=1e-9)
+
+
+def test_chi2_threshold_is_scipy_stats_isf_bit_for_bit():
+    from scipy.stats import chi2
+
+    for dof in range(1, 201):
+        for p in (1e-6, 1e-4, 0.0013, 0.01, 0.05, 0.3173, 0.5, 0.95, 0.999):
+            assert chi2_threshold(dof, p) == float(chi2.isf(p, dof)), (dof, p)
+
+
+def test_package_imports_leave_scipy_stats_out():
+    # scipy.stats is most of the import time; no module may pull it back in
+    env = dict(os.environ, PYTHONPATH=str(Path(ttfilter.__file__).parents[1]))
+    code = (
+        "import sys, ttfilter.cli, ttfilter.tracker, ttfilter.experiment; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_chi2_threshold_validation():

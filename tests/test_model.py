@@ -20,6 +20,7 @@ from ttfilter.model import (
     write_frames_csv,
     write_truth_csv,
 )
+from ttfilter import model
 
 from conftest import benchmark_scenario
 
@@ -234,6 +235,81 @@ def test_inside_zero_gamma_escaping_truth_raises():
     )
     with pytest.raises(SimulationError):
         simulate(scen, 10, 0)
+
+
+def stacked_inside_sampler(scenario, n_steps, rng):
+    """Reference for bounds="inside": every candidate of a batch propagated
+    through every step with stacked (B, C, 4) products, first survivor kept.
+    Returns the trajectory and the number of batches drawn."""
+    x0 = scenario.initial_states
+    hi = np.asarray(scenario.grid.extent)
+    c = x0.shape[0]
+    L = np.linalg.cholesky(scenario.motion.V)
+    for batch in range(1, model._INSIDE_MAX_BATCHES + 1):
+        z = rng.standard_normal((model._INSIDE_BATCH, n_steps, c, 4))
+        states = np.empty((model._INSIDE_BATCH, n_steps + 1, c, 4))
+        states[:, 0] = x0
+        ok = np.ones(model._INSIDE_BATCH, dtype=bool)
+        for t in range(n_steps):
+            states[:, t + 1] = states[:, t] @ F_SINGLE.T + z[:, t] @ L.T
+            pos = states[:, t + 1, :, :2]
+            ok &= ((pos >= 0.0) & (pos <= hi)).all(axis=(1, 2))
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            path = states[hit[0]].copy()
+            return model._attach_frames(path, scenario.grid, scenario.meas, rng), batch
+    raise SimulationError("reference sampler exhausted")
+
+
+@pytest.mark.parametrize("n_steps", [1, 10, 40])
+@pytest.mark.parametrize(
+    "n_targets, gammas", [(1, (0.05, 2.0)), (4, (0.05, 0.1))]
+)
+def test_inside_sampler_matches_stacked_reference(n_targets, gammas, n_steps):
+    # the screened sampler consumes the same draws and keeps the same path
+    # as propagating every candidate; the larger gamma needs many batches
+    most_batches = 0
+    for gamma in gammas:
+        scen = Scenario(
+            grid=build_grid(5, 5, 10.0),
+            motion=MotionModel(gamma=gamma),
+            meas=MeasurementModel(sigma_s2=0.1),
+            initial_states=DEFAULT_TARGETS[:n_targets],
+        )
+        for seed in range(4):
+            got = simulate(scen, n_steps, seed)
+            want, batches = stacked_inside_sampler(
+                scen, n_steps, np.random.default_rng(seed)
+            )
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.frames, want.frames)
+            most_batches = max(most_batches, batches)
+    if n_steps == 40:
+        assert most_batches >= 5
+
+
+def test_inside_screen_keeps_a_path_on_the_grid_edge():
+    # candidate 0 leaves through x = 40; candidate 1 rides the edge exactly,
+    # which the exact bounds accept, so the screen must not drop it
+    x0 = np.array([[40.0, 20.0, 0.0, 0.0]])
+    L = np.linalg.cholesky(MotionModel(gamma=0.05).V)
+    z = np.zeros((3, 5, 1, 4))
+    z[0, 2, 0, 0] = 3.0
+    path = model._first_inside_path(x0, z, L, np.array([40.0, 40.0]))
+    np.testing.assert_array_equal(path, np.broadcast_to(x0, (6, 1, 4)))
+
+
+def test_inside_noisy_truth_without_in_region_path_raises():
+    # every candidate leaves the grid at the first step, so each of the
+    # batches stops there and the sampler gives up after the last one
+    scen = Scenario(
+        grid=build_grid(5, 5, 10.0),
+        motion=MotionModel(gamma=0.05),
+        meas=MeasurementModel(),
+        initial_states=np.array([[40.0, 40.0, 5.0, 5.0]]),
+    )
+    with pytest.raises(SimulationError, match="no in-region trajectory"):
+        simulate(scen, 3, 0)
 
 
 def test_inside_rejects_out_of_grid_launch():

@@ -278,6 +278,21 @@ def test_step_non_finite_frame_falls_back_without_fitting(monkeypatch, bad):
     assert not out.consistent and np.isnan(out.statistic)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_init_track_survives_non_finite_first_frame(bad):
+    # the blind start skips its refit on a frame it cannot fit; only that
+    # step falls back to the prior and the track goes on
+    scn = benchmark_scenario()
+    ctx = make_context(scn, FilterConfig(fixed_init=True))
+    traj = simulate(scn, 5, np.random.default_rng(11))
+    traj.frames[0, 6] = bad
+    rec = track(traj, ctx, np.random.default_rng(12))
+    assert rec.omat.shape == (5,) and np.isfinite(rec.estimates).all()
+    assert rec.actions[0] == ("fallback:prior(non-finite frame: sensors [6])",)
+    later = [a for actions in rec.actions[1:] for a in actions]
+    assert not any(a.startswith("fallback") for a in later)
+
+
 def test_every_fit_gathers_its_sensors_before_it_starts(monkeypatch):
     # each minimize call gets an objective built once for the fit, so no
     # evaluation inside a fit reads the noise variances again
