@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError
 from .model import (
@@ -26,6 +26,74 @@ class OmatResult:
     assignment: np.ndarray  # assignment[i] = truth index matched to estimate i
 
 
+def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost perfect matching of a square cost matrix, O(C^3).
+
+    The shortest-augmenting-path method of Crouse (2016), step for step as
+    ``scipy.optimize.linear_sum_assignment`` runs it on a square matrix: the
+    same dual updates, the same order of columns and the same tie-breaks,
+    so it returns the same assignment, also when several are optimal.  It
+    spares the package the import of ``scipy.optimize``.  Returns
+    ``(rows, cols)`` with ``rows = arange(C)``; a NaN or -inf cost raises
+    ``ValueError``, and so does a row that cannot be matched at finite cost.
+    """
+    n = cost.shape[0]
+    c = cost.tolist()
+    for row in c:
+        for x in row:
+            if x != x or x == -math.inf:
+                raise ValueError("matrix contains invalid numeric entries")
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # shortest augmenting path from row ``cur`` to an unmatched column;
+        # columns are scanned from the last, as scipy does
+        remaining = list(range(n - 1, -1, -1))
+        shortest = [math.inf] * n
+        seen_rows, seen_cols = [], []  # each row and column is reached once
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            seen_rows.append(i)
+            index, lowest = -1, math.inf
+            ci, ui = c[i], u[i]
+            for it in range(len(remaining)):
+                j = remaining[it]
+                r = min_val + ci[j] - ui - v[j]
+                sj = shortest[j]
+                if r < sj:
+                    path[j] = i
+                    shortest[j] = sj = r
+                # among equal costs, prefer a column that ends the path
+                if sj < lowest or (sj == lowest and row4col[j] == -1):
+                    lowest, index = sj, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then augment along the path
+        u[cur] += min_val
+        for i in seen_rows:
+            if i != cur:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(n), np.array(col4row, dtype=np.intp)
+
+
 def omat(estimates: np.ndarray, truths: np.ndarray, order: float = 1.0) -> OmatResult:
     """OMAT metric of the given order (default 1: mean matched distance)."""
     est = np.asarray(estimates, dtype=float).reshape(-1, 2)
@@ -35,7 +103,7 @@ def omat(estimates: np.ndarray, truths: np.ndarray, order: float = 1.0) -> OmatR
             f"cardinality mismatch: {est.shape[0]} estimates vs {tru.shape[0]} truths"
         )
     dist = np.linalg.norm(est[:, None, :] - tru[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(dist**order)
+    rows, cols = _linear_sum_assignment(dist**order)
     value = float((dist[rows, cols] ** order).mean() ** (1.0 / order))
     return OmatResult(value=value, assignment=cols)
 

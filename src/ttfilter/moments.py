@@ -40,10 +40,21 @@ class PosteriorBelief:
 
     @property
     def cov(self) -> np.ndarray:
-        return np.block([[self.cov_xx, self.cov_vx.T], [self.cov_vx, self.cov_vv]])
+        return _joint(self.cov_xx, self.cov_vv, self.cov_vx)
 
     def belief(self) -> GaussianBelief:
         return GaussianBelief(mean=self.mean, cov=self.cov)
+
+
+def _joint(cov_xx: np.ndarray, cov_vv: np.ndarray, cov_vx: np.ndarray) -> np.ndarray:
+    """The joint covariance [[cov_xx, cov_vx^T], [cov_vx, cov_vv]], filled by slices."""
+    d = cov_xx.shape[0]
+    joint = np.empty((d + cov_vv.shape[0],) * 2)
+    joint[:d, :d] = cov_xx
+    joint[:d, d:] = cov_vx.T
+    joint[d:, :d] = cov_vx
+    joint[d:, d:] = cov_vv
+    return joint
 
 
 def spatial_moments(points: SigmaPointSet) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +96,7 @@ def assemble(
         tol = 1e-8 * max(1.0, np.abs(blk).max())
         if not np.abs(blk - blk.T).max() <= tol:  # NaN fails
             raise NumericalError(f"{name} block is not symmetric")
-    joint = np.block([[cov_xx, cov_vx.T], [cov_vx, cov_vv]])
+    joint = _joint(cov_xx, cov_vv, cov_vx)
     joint = 0.5 * (joint + joint.T)
     vals, vecs = np.linalg.eigh(joint)
     if vals.min() < EIGEN_FLOOR:

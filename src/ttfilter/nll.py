@@ -45,12 +45,13 @@ one-by-one calls 165 -> 218 per round, p99 47 -> 104 ms, avg OMAT
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, NumericalError
 from .model import MeasurementModel, SensorGrid, _pair_terms, expected_signal
@@ -228,7 +229,9 @@ class PropagatedPrior:
 def stacked_transition(n_targets: int) -> np.ndarray:
     """Big constant-velocity transition [[I, I], [0, I]] (blocks of 2C).
 
-    Built once per target count and returned read-only.
+    Built once per target count and returned read-only.  ``propagate_prior``
+    applies it by block additions instead; the dense matrix is the reference
+    those additions must equal.
     """
     d = 2 * n_targets
     eye = np.eye(d)
@@ -256,18 +259,42 @@ def stacked_filter_noise(n_targets: int, noise: FilterNoiseModel) -> np.ndarray:
 
 
 def propagate_prior(belief: GaussianBelief, noise: FilterNoiseModel) -> PropagatedPrior:
-    """Push a posterior through the constant-velocity model and add V'."""
-    c = belief.n_targets
-    F = stacked_transition(c)
-    mean = F @ belief.mean
-    cov = F @ belief.cov @ F.T + stacked_filter_noise(c, noise)
+    """Push a posterior through the constant-velocity model and add V'.
+
+    With F = [[I, I], [0, I]] (blocks of 2C) and the belief's blocks
+    [[A, B], [B^T, D]], F Sigma F^T is [[A + B^T + B + D, B + D],
+    [B^T + D, D]] and F m is [m_x + m_v, m_v].  These are formed here by
+    block additions, in the order the dense products add them: F Sigma's top
+    row is [A + B^T, B + D], and multiplying by F^T on the right adds its
+    two blocks.  Each entry of a dense product with F is the sum of two
+    products by 1, which are exact, and of products by 0, which are exact
+    zeros, so the block form gives the same numbers to the last bit (up to
+    the sign of an exact zero, which the added V' then clears from the
+    covariance).  The spatial block is factored and inverted with LAPACK's
+    ``dpotrf`` and ``dpotrs``; a block that is not positive definite, or
+    holds a NaN or infinity, raises ``NumericalError``.
+    """
+    d = 2 * belief.n_targets
+    m, cov_in = belief.mean, belief.cov
+    a, b = cov_in[:d, :d], cov_in[:d, d:]
+    bt, dd = cov_in[d:, :d], cov_in[d:, d:]
+    top_right = b + dd  # the top-right block of F Sigma, also that of F Sigma F^T
+    cov = np.empty_like(cov_in)
+    cov[:d, :d] = (a + bt) + top_right
+    cov[:d, d:] = top_right
+    cov[d:, :d] = bt + dd
+    cov[d:, d:] = dd
+    cov += stacked_filter_noise(belief.n_targets, noise)
     cov = 0.5 * (cov + cov.T)
-    d = 2 * c
-    try:
-        chol = scipy.linalg.cho_factor(cov[:d, :d], lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"propagated spatial covariance not PD: {exc}") from exc
-    xx_inv = scipy.linalg.cho_solve(chol, np.eye(d))
+    mean = np.concatenate([m[:d] + m[d:], m[d:]])
+    # a NaN can pass dpotrf, but it spreads to the factor's diagonal, as
+    # does an infinity that does not already make a pivot non-positive
+    factor, info = dpotrf(cov[:d, :d], lower=1, clean=0)
+    if info != 0 or not math.isfinite(factor.trace()):
+        raise NumericalError(
+            f"propagated spatial covariance not PD (dpotrf info {info})"
+        )
+    xx_inv = dpotrs(factor, np.eye(d), lower=1)[0]
     xx_inv = 0.5 * (xx_inv + xx_inv.T)
     return PropagatedPrior(mean=mean, cov=cov, xx_inv=xx_inv)
 
@@ -281,6 +308,20 @@ def _residual_curvature(
     blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
     blocks.reshape(-1, 4)[:, ::3] += (res * g).sum(axis=1)[:, None]  # 2x2 diagonals
     return blocks
+
+
+@lru_cache(maxsize=16)
+def _diagonal_blocks(n_targets: int) -> np.ndarray:
+    """Flat indices of the 2x2 diagonal blocks of a (2C, 2C) matrix.
+
+    Entry [c, i, j] is the index of element (2c + i, 2c + j), the layout of
+    the residual-curvature blocks.  Built once per target count, read-only.
+    """
+    n = 2 * n_targets
+    c, i, j = np.ogrid[:n_targets, :2, :2]
+    idx = (2 * c + i) * n + 2 * c + j
+    idx.setflags(write=False)
+    return idx.reshape(-1)
 
 
 class _MeasurementDerivatives:
@@ -331,10 +372,8 @@ class _MeasurementDerivatives:
             blocks = _residual_curvature(
                 self._rel, self._rho, self._rho_p, self._D, self._g, self._res, self._p
             )
-            c = blocks.shape[0]
             hess = gauss_newton.copy()
-            diag = np.arange(c)
-            hess.reshape(c, 2, c, 2)[diag, :, diag, :] += blocks
+            hess.reshape(-1)[_diagonal_blocks(blocks.shape[0])] += blocks.reshape(-1)
             self._hess = 0.5 * (hess + hess.T)
         return self._hess
 

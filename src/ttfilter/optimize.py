@@ -22,6 +22,13 @@ iteration: warming those up as well raised the square-hopping calls per
 104 ms (``nll`` has the full measurement).  In a traced
 ``acceptance`` benchmark round (seed 7) the warm-up cut the main fit from
 38,435 iterations and 60,464 objective evaluations to 27,339 and 38,460.
+The count is fixed.  Adaptive rules were measured on ``acceptance``
+(seed 7) and did not pay: the best fixed count chosen per fit, in
+hindsight, would save at most 16% of main-fit iterations (8,567 -> 7,190
+over 960 fits); "exact Hessian when it factors, else Gauss-Newton" took
+27,339 -> 26,653 iterations and made the main fit slower; and 3
+Gauss-Newton steps followed by that rule took 25,588 iterations with no
+gain in time.
 
 The loop pays only for work it uses.  Each caller builds its objective once
 per fit (``nll.measurement_objective`` or ``nll.combined_objective``), so an
@@ -32,18 +39,30 @@ LAPACK ``dpotrf`` factor and one ``dpotrs`` solve with it.  The Levenberg
 shift is searched with ``dpotrf``'s info code instead of exceptions, and
 bracketed by the most negative eigenvalue so that shifts which must fail are
 not tried.  The accepted shift is that of the plain doubling search.
+
+What an iteration pays for, then: the objective's value at each line-search
+trial (about 1.5 per iteration on ``acceptance``), the gradient and one
+curvature matrix at the accepted point, one factor-and-solve, and a few
+small array operations.  The bounds shrunk by ``bound_eps`` are computed
+once per fit, and an iterate with no coordinate on a bound (almost every
+one) solves on the curvature matrix directly, without building the
+active-set masks.  Every floating-point operation and its order is that of
+the plain projected-Newton loop, so the iterates are the same to the last
+bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, NumericalError
 from .model import SensorGrid
-from .nll import NllReport, Objective
+from .nll import Objective
 
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 MIN_STEP = 1e-12  # smallest step length tried before giving up on a direction
@@ -88,8 +107,23 @@ def box_from_grid(
 
 @dataclass(frozen=True)
 class NewtonOptions:
+    """Stopping rule: a projected-gradient tolerance and an iteration cap.
+
+    A tolerance that is not finite and positive would never be met (every
+    fit would run to the cap), and a cap below 1 would return every start
+    unfitted, so both are rejected.
+    """
+
     grad_tol: float = 1e-6
     max_iter: int = 200
+
+    def __post_init__(self):
+        tol = self.grad_tol
+        if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0.0):
+            raise ConfigurationError(f"grad_tol must be finite and positive, got {tol!r}")
+        cap = self.max_iter
+        if isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1:
+            raise ConfigurationError(f"max_iter must be an integer >= 1, got {cap!r}")
 
 
 @dataclass
@@ -107,13 +141,15 @@ def _factor_solve(shifted: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
     LAPACK's ``dpotrf`` info code answers the PD question without raising,
     and ``dpotrs`` solves with the factor it computed.  Only the lower
-    triangle of ``shifted`` is read.
+    triangle of ``shifted`` is read.  The solution is finite exactly when
+    its dot product with zeros is: every finite entry contributes a signed
+    zero, and an infinite or NaN entry makes the sum NaN.
     """
     factor, info = dpotrf(shifted, lower=1, clean=0)
     if info != 0:
         return None
     d, info = dpotrs(factor, rhs, lower=1)
-    return d if info == 0 and np.all(np.isfinite(d)) else None
+    return d if info == 0 and math.isfinite(d.dot(np.zeros(d.size))) else None
 
 
 def _shifted_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -147,26 +183,30 @@ def _shifted_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _line_search(
     fun: Objective,
-    box: BoxConstraints,
+    lower: np.ndarray,
+    upper: np.ndarray,
     x: np.ndarray,
-    report: NllReport,
+    value: float,
+    grad: np.ndarray,
     direction: np.ndarray,
 ):
     """Backtracking Armijo search along a projected direction.
 
-    Returns ``(x_new, report_new)`` or None if no acceptable step exists.
+    ``value`` and ``grad`` are the objective's at ``x``.  A trial whose
+    value is not finite (NaN or either infinity) halves the step.  Returns
+    ``(x_new, report_new)`` or None if no acceptable step exists.
     """
     t = 1.0
     while t >= MIN_STEP:
-        xt = box.clip(x + t * direction)
+        xt = np.minimum(np.maximum(x + t * direction, lower), upper)
         move = xt - x
-        if not np.any(move):
+        if not move.any():
             return None
         rt = fun(xt)
-        if not np.isfinite(rt.value):
+        if not math.isfinite(rt.value):
             t *= 0.5
             continue
-        if rt.value <= report.value + ARMIJO * float(report.grad @ move):
+        if rt.value <= value + ARMIJO * float(grad @ move):
             return xt, rt
         t *= 0.5
     return None
@@ -180,51 +220,60 @@ def minimize(
 ) -> OptimizeResult:
     """Minimize ``fun`` over the box starting from ``x0`` (clipped inside)."""
     opts = options or NewtonOptions()
+    grad_tol, max_iter = opts.grad_tol, opts.max_iter
+    lower, upper = box.lower, box.upper
     x = box.clip(np.asarray(x0, dtype=float).ravel())
     report = fun(x)
-    if not np.isfinite(report.value):
+    if not math.isfinite(report.value):
         raise NumericalError("objective is not finite at the starting point")
 
-    bound_eps = 1e-10 * (box.upper - box.lower)
+    # a coordinate within bound_eps of a bound counts as sitting on it
+    bound_eps = 1e-10 * (upper - lower)
+    inner_lo = lower + bound_eps
+    inner_hi = upper - bound_eps
     iterations = 0
     converged = False
-    while iterations < opts.max_iter:
+    while iterations < max_iter:
         g = report.grad
-        proj_grad = x - box.clip(x - g)
-        if float(np.abs(proj_grad).max()) <= opts.grad_tol:
+        proj_grad = x - np.minimum(np.maximum(x - g, lower), upper)
+        if float(np.abs(proj_grad).max()) <= grad_tol:
             converged = True
             break
 
-        at_lo = x <= box.lower + bound_eps
-        at_hi = x >= box.upper - bound_eps
-        active = (at_lo & (g > 0.0)) | (at_hi & (g < 0.0))
-        free = ~active
-        direction = np.zeros_like(x)
-        if free.any():
+        at_lo = x <= inner_lo
+        at_hi = x >= inner_hi
+        if (at_lo | at_hi).any():
+            free = ~((at_lo & (g > 0.0)) | (at_hi & (g < 0.0)))
+            free_any = bool(free.any())
+            idx = None if free.all() else np.flatnonzero(free)
+        else:  # interior, as on almost every iteration: nothing is active
+            free_any, idx = True, None
+        if free_any:
             curv = report.gauss_newton if iterations < WARMUP_ITERATIONS else None
             if curv is None:  # past the warm-up, or no Gauss-Newton matrix offered
                 curv = report.hess
-            if free.all():  # nothing active: solve on the matrix itself, no copy
+            if idx is None:  # every coordinate free: solve on the matrix itself
                 direction = _shifted_solve(curv, -g)
             else:
-                idx = np.flatnonzero(free)
+                direction = np.zeros_like(x)
                 direction[idx] = _shifted_solve(curv[np.ix_(idx, idx)], -g[idx])
+        else:
+            direction = np.zeros_like(x)
 
-        step = _line_search(fun, box, x, report, direction)
-        if step is None and free.any():
+        step = _line_search(fun, lower, upper, x, report.value, g, direction)
+        if step is None and free_any:
             # fall back on steepest descent if the Newton direction stalls
-            step = _line_search(fun, box, x, report, -g)
+            step = _line_search(fun, lower, upper, x, report.value, g, -g)
         if step is None:
             break
         x, report = step
         iterations += 1
 
-    on_bound = (x <= box.lower + bound_eps) | (x >= box.upper - bound_eps)
     return OptimizeResult(
         x=x,
         value=report.value,
         hess=report.hess,
         iterations=iterations,
         converged=converged,
-        active_set=np.flatnonzero(on_bound),
+        active_set=np.flatnonzero((x <= inner_lo) | (x >= inner_hi)),
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import ConfigurationError, NumericalError
 from .model import R_MIN, SensorGrid, _pair_offsets
@@ -125,10 +125,14 @@ def build_sigma_points(
     shared additive constant, which cancels in the normalized weights).
     """
     mean = np.asarray(mean, dtype=float).ravel()
-    # H^{-1/2} theta for every direction: solve L^T y = theta
-    spread = scipy.linalg.solve_triangular(
-        chol, dirs.directions.T, lower=True, trans="T"
-    ).T
+    # H^{-1/2} theta for every direction: solve L^T y = theta.  L^T is
+    # handed to LAPACK as the upper factor it is, the call that
+    # scipy.linalg.solve_triangular(chol, ..., lower=True, trans="T") makes
+    # for the C-ordered factor numpy's Cholesky returns.
+    spread, info = dtrtrs(chol.T, dirs.directions.T, lower=0)
+    if info != 0:
+        raise NumericalError(f"sigma-point factor is singular (dtrtrs info {info})")
+    spread = spread.T
     pts = np.vstack(
         [
             mean + math.sqrt(2.0 * rule.z_minus) * spread,

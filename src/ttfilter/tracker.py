@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .consistency import (
     ConsistencyConfig,
@@ -253,9 +253,9 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
         if cfg.nonlinear_correction:
             near = near_sensor_pairs(repair.x, grid, ctx.near_threshold)
             if near:
-                cov_prelim = scipy.linalg.cho_solve(
-                    (repair.chol, True), np.eye(repair.x.size)
-                )
+                # H^{-1} from the repair's factor, as scipy.linalg.cho_solve
+                # computes it
+                cov_prelim = dpotrs(repair.chol, np.eye(repair.x.size), lower=1)[0]
                 for c, s in near:
                     adjusted = polar_sigma_adjust(
                         points,

@@ -83,6 +83,9 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         ("track", '{"experiment": {"steps": true}}'),
         ("simulate", '{"experiment": {"seed": false}}'),
         ("track", '{"experiment": {"variants": "tt-linear"}}'),
+        ("track", '{"filter": {"grad_tol": -1}}'),
+        ("track", '{"filter": {"grad_tol": "nan"}}'),
+        ("track", '{"filter": {"max_iter": 0}}'),
     ]:
         cfg.write_text(text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path)])

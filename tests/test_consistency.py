@@ -65,17 +65,27 @@ def test_chi2_threshold_is_scipy_stats_isf_bit_for_bit():
             assert chi2_threshold(dof, p) == float(chi2.isf(p, dof)), (dof, p)
 
 
-def test_package_imports_leave_scipy_stats_out():
-    # scipy.stats is most of the import time; no module may pull it back in
+def modules_loaded_by_package_import(prefix: str) -> str:
+    """Modules starting with ``prefix`` after a fresh import of the entry points."""
     env = dict(os.environ, PYTHONPATH=str(Path(ttfilter.__file__).parents[1]))
     code = (
         "import sys, ttfilter.cli, ttfilter.tracker, ttfilter.experiment; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_package_imports_leave_scipy_stats_out():
+    # scipy.stats is most of the import time; no module may pull it back in
+    assert modules_loaded_by_package_import("scipy.stats") == "[]"
+
+
+def test_package_imports_leave_scipy_optimize_out():
+    # scipy.optimize costs about 0.2 s and 17 MB; OMAT solves its own assignment
+    assert modules_loaded_by_package_import("scipy.optimize") == "[]"
 
 
 def test_chi2_threshold_validation():

@@ -96,6 +96,35 @@ def test_omat_assignment_reconstructs_value(rng):
     assert sorted(res.assignment) == list(range(5))
 
 
+@pytest.mark.parametrize("order", [1.0, 2.0])
+def test_omat_assignment_and_value_equal_scipy_linear_sum_assignment(order):
+    # omat solves the assignment itself so that the package never imports
+    # scipy.optimize; the test alone imports it as the oracle
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(int(order))
+    for c in range(1, 10):
+        for k in range(60):
+            est = rng.uniform(0.0, 40.0, size=(c, 2))
+            tru = rng.uniform(0.0, 40.0, size=(c, 2))
+            if k % 4 == 1:  # coincident estimates: several optimal assignments
+                est[:] = est[0]
+            elif k % 4 == 2:  # a lattice: many tied distances
+                est, tru = np.round(est / 10.0) * 10.0, np.round(tru / 10.0) * 10.0
+            res = omat(est, tru, order)
+            dist = np.linalg.norm(est[:, None, :] - tru[None, :, :], axis=2)
+            rows, cols = linear_sum_assignment(dist**order)
+            assert np.array_equal(res.assignment, cols), (c, k)
+            value = float((dist[rows, cols] ** order).mean() ** (1.0 / order))
+            assert res.value == value, (c, k)
+
+
+def test_omat_rejects_non_finite_positions():
+    est = np.array([[1.0, 2.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        omat(est, np.zeros((2, 2)))
+
+
 def test_omat_cardinality_mismatch(rng):
     with pytest.raises(ConfigurationError):
         omat(rng.standard_normal((3, 2)), rng.standard_normal((4, 2)))

@@ -236,3 +236,33 @@ def test_posterior_block_layout(rng):
     np.testing.assert_array_equal(post.cov[:4, :4], post.cov_xx)
     np.testing.assert_array_equal(post.cov[4:, :4], post.cov_vx)
     np.testing.assert_array_equal(post.cov[:4, 4:], post.cov_vx.T)
+
+
+@pytest.mark.parametrize("c", [1, 4, 9])
+def test_slice_filled_joint_equals_np_block(c):
+    # assemble and PosteriorBelief.cov fill the joint by slices; np.block
+    # was the reference layout, and the eigen-floored result must not move
+    rng = np.random.default_rng(c)
+    d = 2 * c
+    for k in range(20):
+        joint = random_spd(2 * d, rng, scale=10.0 ** rng.uniform(-3.0, 1.0))
+        if k % 2:  # a matrix the floor has to repair
+            vals, vecs = np.linalg.eigh(joint)
+            vals[: c] = -1e-3 * vals[-1]
+            joint = 0.5 * ((vecs * vals) @ vecs.T + ((vecs * vals) @ vecs.T).T)
+        xx, vv, vx = joint[:d, :d], joint[d:, d:], joint[d:, :d]
+        mean_x, mean_v = rng.standard_normal(d), rng.standard_normal(d)
+        post = assemble(mean_x, mean_v, xx, vv, vx)
+
+        ref = np.block([[xx, vx.T], [vx, vv]])
+        ref = 0.5 * (ref + ref.T)
+        vals, vecs = np.linalg.eigh(ref)
+        if vals.min() < EIGEN_FLOOR:
+            ref = (vecs * np.maximum(vals, EIGEN_FLOOR)) @ vecs.T
+            ref = 0.5 * (ref + ref.T)
+        assert post.cov_xx.tobytes() == ref[:d, :d].tobytes()
+        assert post.cov_vv.tobytes() == ref[d:, d:].tobytes()
+        assert post.cov_vx.tobytes() == ref[d:, :d].tobytes()
+        blocked = np.block([[post.cov_xx, post.cov_vx.T], [post.cov_vx, post.cov_vv]])
+        assert post.cov.tobytes() == blocked.tobytes()
+        assert post.belief().cov.tobytes() == blocked.tobytes()

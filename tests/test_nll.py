@@ -170,6 +170,64 @@ def test_propagate_prior_matches_dense_oracle(rng):
     )
 
 
+def reference_propagate_prior(belief: GaussianBelief, noise: FilterNoiseModel):
+    """Reference: the dense products and scipy's Cholesky factor and solve."""
+    import scipy.linalg
+
+    c = belief.n_targets
+    F = stacked_transition(c)
+    mean = F @ belief.mean
+    cov = F @ belief.cov @ F.T + stacked_filter_noise(c, noise)
+    cov = 0.5 * (cov + cov.T)
+    d = 2 * c
+    xx_inv = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(cov[:d, :d], lower=True), np.eye(d)
+    )
+    return mean, cov, 0.5 * (xx_inv + xx_inv.T)
+
+
+@pytest.mark.parametrize("c", [1, 4, 9])
+def test_propagate_prior_equals_dense_products_bit_for_bit(c):
+    rng = np.random.default_rng(100 + c)
+    for k in range(60):
+        scale = 10.0 ** rng.uniform(-4.0, 2.0)
+        cov = random_spd(4 * c, rng, scale=scale)
+        if k % 3 == 0:  # a posterior-like belief: spatial spread, small velocities
+            sd = np.concatenate([np.full(2 * c, 3.0), np.full(2 * c, 0.02)])
+            cov = cov / scale * np.outer(sd, sd) / (4 * c)
+        mean = rng.uniform(-5.0, 45.0, size=4 * c)
+        mean[2 * c :] *= 0.01
+        noise = FilterNoiseModel(alpha=rng.uniform(0.5, 5.0))
+        prior = propagate_prior(GaussianBelief(mean=mean, cov=cov), noise)
+        ref_mean, ref_cov, ref_inv = reference_propagate_prior(
+            GaussianBelief(mean=mean, cov=cov), noise
+        )
+        assert prior.mean.tobytes() == ref_mean.tobytes(), k
+        assert prior.cov.tobytes() == ref_cov.tobytes(), k
+        assert prior.xx_inv.tobytes() == ref_inv.tobytes(), k
+
+
+def test_propagate_prior_rejects_a_spatial_block_that_is_not_pd_or_finite():
+    from ttfilter.errors import NumericalError
+
+    c = 2
+    # no process noise, and a belief certain of target 0's x and x-velocity
+    no_noise = FilterNoiseModel(alpha=0.0, cross=0.0, vel=0.0)
+    cov = np.eye(4 * c)
+    cov[0, 0] = cov[2 * c, 2 * c] = 0.0
+    with pytest.raises(NumericalError):
+        propagate_prior(GaussianBelief(mean=np.zeros(4 * c), cov=cov), no_noise)
+    # a belief with a NaN or infinity, past GaussianBelief's own check
+    for bad in (np.nan, np.inf):
+        for where in [(0, 0), (1, 0), (2 * c, 1), (3 * c, 3 * c)]:
+            belief = GaussianBelief(mean=np.zeros(4 * c), cov=np.eye(4 * c))
+            cov = np.eye(4 * c)
+            cov[where] = cov[where[::-1]] = bad
+            object.__setattr__(belief, "cov", cov)
+            with pytest.raises(NumericalError):
+                propagate_prior(belief, FilterNoiseModel())
+
+
 def reference_prior_nll(x: np.ndarray, prior: PropagatedPrior) -> NllReport:
     """Reference: the quadratic prior term (x - m)^T Sigma_xx^{-1} (x - m) / 2."""
     diff = x - prior.mean_x

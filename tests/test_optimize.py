@@ -12,7 +12,14 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from ttfilter import config, optimize, tracker
 from ttfilter.errors import ConfigurationError, NumericalError
 from ttfilter.model import MeasurementModel, build_grid, expected_signal, simulate
-from ttfilter.nll import NllReport, combined_nll, measurement_nll, propagate_prior
+from ttfilter.nll import (
+    NllReport,
+    combined_nll,
+    combined_objective,
+    measurement_nll,
+    measurement_objective,
+    propagate_prior,
+)
 from ttfilter.optimize import (
     LEVENBERG_SCALE,
     WARMUP_ITERATIONS,
@@ -387,3 +394,223 @@ def test_measurement_only_fit_runs_exact_newton_from_the_start(monkeypatch):
     warm, _ = evaluation_points(main_fun, x0, box, WARMUP_ITERATIONS, monkeypatch)
     exact, _ = evaluation_points(main_fun, x0, box, 0, monkeypatch)
     assert warm.shape != exact.shape or warm.tobytes() != exact.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grad_tol": -1.0},
+        {"grad_tol": 0.0},
+        {"grad_tol": float("nan")},
+        {"grad_tol": float("inf")},
+        {"grad_tol": "1e-6"},
+        {"max_iter": 0},
+        {"max_iter": -3},
+        {"max_iter": 2.5},
+        {"max_iter": True},
+        {"max_iter": "10"},
+    ],
+)
+def test_newton_options_reject_values_that_break_every_fit(kwargs):
+    with pytest.raises(ConfigurationError):
+        NewtonOptions(**kwargs)
+
+
+def test_newton_options_accept_the_smallest_valid_values():
+    assert NewtonOptions(max_iter=1).max_iter == 1
+    assert NewtonOptions(grad_tol=1e-300, max_iter=np.int64(5)).grad_tol == 1e-300
+
+
+# The minimizer as it stood before its per-iteration bookkeeping was cut:
+# every floating-point operation of ``minimize`` must stay the same, so this
+# reference pins it bit for bit.  ``branches`` counts which paths ran.
+
+
+def reference_line_search(fun, box, x, report, direction):
+    t = 1.0
+    while t >= optimize.MIN_STEP:
+        xt = box.clip(x + t * direction)
+        move = xt - x
+        if not np.any(move):
+            return None
+        rt = fun(xt)
+        if not np.isfinite(rt.value):
+            t *= 0.5
+            continue
+        if rt.value <= report.value + optimize.ARMIJO * float(report.grad @ move):
+            return xt, rt
+        t *= 0.5
+    return None
+
+
+def reference_minimize(fun, x0, box, options=None, branches=None):
+    branches = {} if branches is None else branches
+
+    def hit(name):
+        branches[name] = branches.get(name, 0) + 1
+
+    opts = options or NewtonOptions()
+    x = box.clip(np.asarray(x0, dtype=float).ravel())
+    report = fun(x)
+    if not np.isfinite(report.value):
+        raise NumericalError("objective is not finite at the starting point")
+
+    bound_eps = 1e-10 * (box.upper - box.lower)
+    iterations = 0
+    converged = False
+    while iterations < opts.max_iter:
+        g = report.grad
+        proj_grad = x - box.clip(x - g)
+        if float(np.abs(proj_grad).max()) <= opts.grad_tol:
+            converged = True
+            break
+
+        at_lo = x <= box.lower + bound_eps
+        at_hi = x >= box.upper - bound_eps
+        active = (at_lo & (g > 0.0)) | (at_hi & (g < 0.0))
+        free = ~active
+        direction = np.zeros_like(x)
+        if (at_lo | at_hi).any():
+            hit("on bound")
+        if free.any():
+            curv = report.gauss_newton if iterations < WARMUP_ITERATIONS else None
+            if curv is None:
+                curv = report.hess
+            if free.all():
+                direction = _shifted_solve(curv, -g)
+            else:
+                hit("reduced solve")
+                idx = np.flatnonzero(free)
+                direction[idx] = _shifted_solve(curv[np.ix_(idx, idx)], -g[idx])
+        else:
+            hit("nothing free")
+
+        step = reference_line_search(fun, box, x, report, direction)
+        if step is None and free.any():
+            hit("steepest descent")
+            step = reference_line_search(fun, box, x, report, -g)
+        if step is None:
+            hit("stalled")
+            break
+        x, report = step
+        iterations += 1
+
+    on_bound = (x <= box.lower + bound_eps) | (x >= box.upper - bound_eps)
+    return optimize.OptimizeResult(
+        x=x,
+        value=report.value,
+        hess=report.hess,
+        iterations=iterations,
+        converged=converged,
+        active_set=np.flatnonzero(on_bound),
+    )
+
+
+def assert_same_fit(fun, x0, box, options=None, branches=None):
+    """``minimize`` and the reference evaluate the same points and agree bit for bit."""
+    seen = ([], [])
+
+    def spy(k):
+        def wrapped(x):
+            rep = fun(x)
+            seen[k].append((x.tobytes(), np.float64(rep.value).tobytes()))
+            return rep
+
+        return wrapped
+
+    got = minimize(spy(0), x0, box, options)
+    ref = reference_minimize(spy(1), x0, box, options, branches)
+    assert seen[0] == seen[1]
+    assert got.x.tobytes() == ref.x.tobytes()
+    assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
+    assert np.asarray(got.hess).tobytes() == np.asarray(ref.hess).tobytes()
+    assert got.iterations == ref.iterations
+    assert got.converged == ref.converged
+    assert np.array_equal(got.active_set, ref.active_set)
+    return got
+
+
+def test_minimize_equals_reference_on_acceptance_fits():
+    fits = 0
+    for ctx, prior, frame in acceptance_steps(6):
+        grid, meas, box = ctx.scenario.grid, ctx.meas, ctx.box
+        main = combined_objective(frame, grid, meas, prior)
+        assert_same_fit(main, prior.mean_x, box)
+        # measurement-only fits run exact Newton from a displaced start
+        alone = measurement_objective(frame, grid, meas)
+        assert_same_fit(alone, prior.mean_x + 2.0, box)
+        # a capped fit stops at the same point
+        assert_same_fit(main, prior.mean_x, box, NewtonOptions(max_iter=2))
+        fits += 3
+    assert fits == 18
+
+
+def test_minimize_equals_reference_on_bounds_and_stalls():
+    rng = np.random.default_rng(11)
+    branches = {}
+    box = BoxConstraints(lower=np.zeros(3), upper=np.ones(3))
+    for _ in range(30):
+        # minimizer outside the unit box: the iterates sit on its faces
+        H = random_spd(3, rng)
+        m = rng.uniform(-1.5, 2.5, size=3)
+        assert_same_fit(quadratic(H, m), rng.uniform(0.0, 1.0, size=3), box,
+                        branches=branches)
+        # an indefinite surface takes Levenberg-shifted directions to a corner
+        a = rng.standard_normal((3, 3))
+        assert_same_fit(quadratic(a + a.T, m), rng.uniform(0.0, 1.0, size=3), box,
+                        branches=branches)
+
+    # every coordinate pinned with an outward gradient: nothing is free
+    wide = BoxConstraints(lower=np.zeros(2), upper=np.full(2, 1e5))
+    res = assert_same_fit(quadratic(np.eye(2), np.full(2, -1.0)), np.full(2, 5e-6),
+                          wide, branches=branches)
+    assert not res.converged and res.iterations == 0
+
+    # the Newton direction runs straight into a NaN region (x1 < 10 x0), so
+    # its line search fails and steepest descent (along (1, 100)) takes over
+    def walled(x):
+        rep = quadratic(np.diag([1.0, 100.0]), np.ones(2))(x)
+        if x[1] < 10.0 * x[0]:
+            return NllReport(float("nan"), rep.grad, rep.hess)
+        return rep
+
+    assert_same_fit(walled, np.zeros(2), BoxConstraints(np.full(2, -5.0), np.full(2, 5.0)),
+                    branches=branches)
+    for name in ("on bound", "reduced solve", "nothing free", "steepest descent", "stalled"):
+        assert branches.get(name, 0) > 0, name
+
+
+def test_minimize_equals_reference_with_non_finite_trials():
+    # trials land on NaN, +inf and -inf; each halves the step
+    rng = np.random.default_rng(12)
+    hits = {"nan": 0, "+inf": 0, "-inf": 0}
+
+    def bumpy(H, m):
+        base = quadratic(H, m)
+
+        def fun(x):
+            rep = base(x)
+            key = int(np.floor(7.0 * x.sum())) % 5
+            if key in (1, 2, 3) and 0.2 < x[0] < 0.9:
+                kind = ("nan", "+inf", "-inf")[key - 1]
+                hits[kind] += 1
+                bad = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
+                return NllReport(bad, rep.grad, rep.hess)
+            return rep
+
+        return fun
+
+    box = BoxConstraints(lower=np.full(2, -2.0), upper=np.full(2, 2.0))
+    for _ in range(40):
+        H = random_spd(2, rng)
+        m = rng.uniform(-1.0, 1.5, size=2)
+        x0 = rng.uniform(-1.0, 0.0, size=2)
+        assert_same_fit(bumpy(H, m), x0, box)
+    assert min(hits.values()) > 0, hits
+
+    def bad_start(x):
+        return NllReport(-np.inf, np.zeros(2), np.eye(2))
+
+    for impl in (minimize, reference_minimize):
+        with pytest.raises(NumericalError):
+            impl(bad_start, np.zeros(2), box)

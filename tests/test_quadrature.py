@@ -290,3 +290,34 @@ def test_polar_adjust_skips_when_pushforward_not_pd(rule8, dirs8):
         warnings.simplefilter("error")
         adj = polar_sigma_adjust(pts, 0, sensor, sigma_xx)
     assert adj is pts
+
+
+def test_direct_lapack_solves_equal_the_scipy_wrappers():
+    # build_sigma_points calls dtrtrs and the tracker's polar blocks call
+    # dpotrs; both must give what solve_triangular and cho_solve give for the
+    # C-ordered factor numpy's Cholesky returns
+    import scipy.linalg
+    from scipy.linalg.lapack import dpotrs
+
+    rng = np.random.default_rng(8)
+    for d in (2, 8, 18):
+        rule, dirs = radial_rule(d), simplex_directions(d)
+        for _ in range(10):
+            H = random_spd(d, rng, scale=10.0 ** rng.uniform(-2.0, 3.0))
+            L = np.linalg.cholesky(H)
+            m = rng.uniform(0.0, 40.0, size=d)
+            nll = quadratic_nll(m, H)
+            spread = scipy.linalg.solve_triangular(
+                L, dirs.directions.T, lower=True, trans="T"
+            ).T
+            pts = np.vstack(
+                [
+                    m + math.sqrt(2.0 * rule.z_minus) * spread,
+                    m + math.sqrt(2.0 * rule.z_plus) * spread,
+                ]
+            )
+            got = build_sigma_points(m, L, rule, dirs, nll)
+            assert got.points.tobytes() == pts.tobytes()
+
+            expect = scipy.linalg.cho_solve((L, True), np.eye(d))
+            assert dpotrs(L, np.eye(d), lower=1)[0].tobytes() == expect.tobytes()
