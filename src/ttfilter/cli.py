@@ -81,24 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_int(exp: dict, key: str, default: int | None) -> int:
-    value = exp.get(key, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigurationError(f"experiment.{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"experiment.{key} must be an integer, got {value!r}"
-        ) from exc
-
-
 def _resolve_seed(args, cfg: dict) -> int:
     exp = cfgmod._section(cfg, "experiment")
     if args.seed is not None:
         return args.seed
     if exp.get("seed") is not None:
-        return _experiment_int(exp, "seed", None)
+        return cfgmod.integer(exp, "seed", None, "experiment")
     env = os.environ.get("TT_SEED")
     if env is not None:
         try:
@@ -112,7 +100,7 @@ def _experiment_spec(args, cfg: dict, default_variants: tuple[str, ...]) -> Expe
     exp = cfgmod._section(cfg, "experiment")
     scenario = cfgmod.scenario_from_config(cfg)
     fcfg = cfgmod.filter_config_from_config(cfg)
-    bcfg = cfgmod.bpf_config_from_config(cfg, fcfg)
+    bcfg = cfgmod.bpf_config_from_config(cfg)
     variants = exp.get("variants", list(default_variants))
     if not (isinstance(variants, list) and all(isinstance(v, str) for v in variants)):
         raise ConfigurationError("`variants` must be a list of names")
@@ -129,8 +117,14 @@ def _experiment_spec(args, cfg: dict, default_variants: tuple[str, ...]) -> Expe
         filter_config=fcfg,
         bpf_config=bcfg,
         variants=tuple(variants),
-        tracks=args.tracks if args.tracks is not None else _experiment_int(exp, "tracks", 50),
-        steps=args.steps if args.steps is not None else _experiment_int(exp, "steps", 40),
+        tracks=(
+            args.tracks if args.tracks is not None
+            else cfgmod.integer(exp, "tracks", 50, "experiment")
+        ),
+        steps=(
+            args.steps if args.steps is not None
+            else cfgmod.integer(exp, "steps", 40, "experiment")
+        ),
         seed=_resolve_seed(args, cfg),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,

@@ -14,7 +14,6 @@ from .consistency import ConsistencyConfig
 from .errors import ConfigurationError
 from .metrics import BpfConfig
 from .model import DEFAULT_TARGETS, MeasurementModel, MotionModel, Scenario, build_grid
-from .nll import FilterNoiseModel
 from .optimize import NewtonOptions
 from .tracker import FilterConfig
 
@@ -45,14 +44,28 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
+def integer(sec: dict, key: str, default: int | None, where: str) -> int:
+    """``sec[key]`` (or ``default``) as an int; a bool or a number with a
+    fractional part is rejected, not truncated."""
+    value = sec.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"{where}.{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{where}.{key} must be an integer, got {value!r}"
+        ) from exc
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
     sec = _section(cfg, "scenario")
     grid_sec = _section(sec, "grid")
     targets = sec.get("targets")
     try:
         grid = build_grid(
-            rows=int(grid_sec.get("rows", 5)),
-            cols=int(grid_sec.get("cols", 5)),
+            rows=integer(grid_sec, "rows", 5, "scenario.grid"),
+            cols=integer(grid_sec, "cols", 5, "scenario.grid"),
             spacing=float(grid_sec.get("spacing", 10.0)),
         )
         meas = MeasurementModel(
@@ -89,13 +102,13 @@ def filter_config_from_config(cfg: dict) -> FilterConfig:
     try:
         consistency = ConsistencyConfig(
             p_value=float(sec.get("p_value", 0.0013)),
-            n_bad_tgt=int(sec.get("n_bad_tgt", 2)),
-            n_bad_sq=int(sec.get("n_bad_sq", 12)),
-            max_subsets=int(sec.get("max_subsets", 66)),
+            n_bad_tgt=integer(sec, "n_bad_tgt", 2, "filter"),
+            n_bad_sq=integer(sec, "n_bad_sq", 12, "filter"),
+            max_subsets=integer(sec, "max_subsets", 66, "filter"),
         )
         optimizer = NewtonOptions(
             grad_tol=float(sec.get("grad_tol", 1e-6)),
-            max_iter=int(sec.get("max_iter", 200)),
+            max_iter=integer(sec, "max_iter", 200, "filter"),
         )
         return FilterConfig(
             alpha=float(sec.get("alpha", 3.0)),
@@ -116,16 +129,14 @@ def filter_config_from_config(cfg: dict) -> FilterConfig:
         raise ConfigurationError(f"bad filter config: {exc}") from exc
 
 
-def bpf_config_from_config(cfg: dict, filter_config: FilterConfig) -> BpfConfig:
+def bpf_config_from_config(cfg: dict) -> BpfConfig:
+    """The particle filter's own settings; the rest it reads from the TT
+    filter's context (see ``metrics.bpf_track``)."""
     sec = _section(cfg, "bpf")
     try:
         return BpfConfig(
-            n_particles=int(sec.get("particles", 100_000)),
+            n_particles=integer(sec, "particles", 100_000, "bpf"),
             resample_threshold=float(sec.get("resample_threshold", 0.5)),
-            noise=FilterNoiseModel(alpha=filter_config.alpha),
-            sigma_s2=filter_config.sigma_s2,
-            init_spatial_var=filter_config.init_spatial_var,
-            init_velocity_var=filter_config.init_velocity_var,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigurationError):

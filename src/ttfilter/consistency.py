@@ -219,7 +219,7 @@ def square_hopping_recovery(
     incoming = OptimizeResult(
         x=x_est.copy(),
         value=rep.value,
-        hess=rep.hess,
+        report=rep,
         iterations=0,
         converged=True,
         active_set=np.array([], dtype=int),

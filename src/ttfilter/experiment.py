@@ -31,7 +31,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .metrics import BpfConfig, bpf_track
 from .model import Scenario, simulate
-from .nll import FilterNoiseModel
 from .tracker import FilterConfig, make_context, track
 
 # canonical variants: salt (stable seeding identity) and FilterConfig overrides
@@ -90,18 +89,21 @@ class ExperimentSpec:
 
 
 def _point_params(spec: ExperimentSpec, value: float | None):
-    """Scenario and configs for one sweep point."""
-    scenario, fcfg, bcfg = spec.scenario, spec.filter_config, spec.bpf_config
+    """Scenario and filter config for one sweep point.
+
+    The particle filter reads its assumptions from the TT filter's context,
+    so a swept ``alpha`` reaches it with nothing to re-sync.
+    """
+    scenario, fcfg = spec.scenario, spec.filter_config
     if spec.sweep_axis == "sigma_s2":
         scenario = replace(scenario, meas=replace(scenario.meas, sigma_s2=value))
     elif spec.sweep_axis == "alpha":
         fcfg = replace(fcfg, alpha=value)
-        bcfg = replace(bcfg, noise=FilterNoiseModel(alpha=value))
     elif spec.sweep_axis == "gamma":
         scenario = replace(scenario, motion=replace(scenario.motion, gamma=value))
     elif spec.sweep_axis is not None:
         raise ConfigurationError(f"unknown sweep axis {spec.sweep_axis!r}")
-    return scenario, fcfg, bcfg
+    return scenario, fcfg
 
 
 def _point_key(scenario: Scenario, fcfg: FilterConfig) -> dict:
@@ -124,10 +126,10 @@ def _run_point_track(args) -> dict:
         salt, overrides = VARIANTS[name]
         ss = np.random.SeedSequence([seed, track_idx, 1 + salt])
         try:
+            ctx = make_context(scenario, replace(fcfg, **(overrides or {})))
             if name == "bpf":
-                rec = bpf_track(trajectory, scenario, bcfg, ss)
+                rec = bpf_track(trajectory, ctx, bcfg, ss)
             else:
-                ctx = make_context(scenario, replace(fcfg, **overrides))
                 rec = track(trajectory, ctx, ss, label=name)
             results[name] = {
                 "omat": rec.omat,
@@ -157,12 +159,10 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> ExperimentResult:
 
     point_rows = []  # (key, track, results-per-variant)
     for value in values:
-        scenario, fcfg, bcfg = _point_params(spec, value)
+        scenario, fcfg = _point_params(spec, value)
         key = _point_key(scenario, fcfg)
-        tasks = [
-            (scenario, fcfg, bcfg, spec.variants, spec.steps, spec.seed, i)
-            for i in range(spec.tracks)
-        ]
+        shared = (scenario, fcfg, spec.bpf_config, spec.variants, spec.steps, spec.seed)
+        tasks = [(*shared, i) for i in range(spec.tracks)]
         if spec.jobs > 1:
             with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
                 outcomes = list(pool.map(_run_point_track, tasks))
@@ -202,7 +202,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> ExperimentResult:
         "points": [],
     }
     for value in values:
-        scenario, fcfg, _ = _point_params(spec, value)
+        scenario, fcfg = _point_params(spec, value)
         key = _point_key(scenario, fcfg)
         per_variant = {}
         for name in spec.variants:

@@ -1,21 +1,26 @@
-"""Tracking error metric, per-track records, and the particle filter baseline."""
+"""Tracking error metric, per-track records, and the particle filter baseline.
+
+The particle filter makes the assumptions of the TT filter it is compared
+with, and reads them from that filter's ``tracker.FilterContext``: the
+assumed measurement model (with any ``sigma_s2`` override), the process
+noise V' and the initial variances.  ``BpfConfig`` holds only what is the
+particle filter's own: the particle count and the resampling threshold.
+"""
 
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import (
-    F_SINGLE,
-    Scenario,
-    Trajectory,
-    expected_signal,
-)
-from .nll import FilterNoiseModel
+from .model import F_SINGLE, Trajectory, expected_signal
+
+if TYPE_CHECKING:  # tracker imports this module
+    from .tracker import FilterContext
 
 
 @dataclass(frozen=True)
@@ -148,17 +153,14 @@ class BpfConfig:
     """Bootstrap particle filter configuration.
 
     Particles propagate through the constant-velocity model with the filter
-    noise V' (same assumption the tracker makes) and are weighted by the
-    Gaussian measurement likelihood.  Systematic resampling triggers when the
-    effective sample size drops below ``resample_threshold * n_particles``.
+    noise V' and are weighted by the Gaussian measurement likelihood, both
+    read from the TT filter's context (see ``bpf_track``).  Systematic
+    resampling triggers when the effective sample size drops below
+    ``resample_threshold * n_particles``.
     """
 
     n_particles: int = 100_000
     resample_threshold: float = 0.5
-    noise: FilterNoiseModel = field(default_factory=FilterNoiseModel)
-    sigma_s2: float | np.ndarray | None = None  # None: use the scenario's
-    init_spatial_var: float = 100.0
-    init_velocity_var: float = 5e-4
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -192,16 +194,19 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def bpf_track(
     trajectory: Trajectory,
-    scenario: Scenario,
+    ctx: FilterContext,
     config: BpfConfig,
     rng: np.random.Generator | np.random.SeedSequence | int,
 ) -> TrackRecord:
-    """Run the bootstrap particle filter over one trajectory."""
+    """Run the bootstrap particle filter over one trajectory.
+
+    ``ctx`` is the context of the TT filter this run is compared with: its
+    assumed measurement model ``ctx.meas``, process noise ``ctx.noise`` and
+    initial variances ``ctx.config.init_*`` are the particle filter's too.
+    """
     rng = np.random.default_rng(rng)
-    grid, meas = scenario.grid, scenario.meas
+    grid, meas = ctx.scenario.grid, ctx.meas
     sig2 = meas.noise_variances(grid.count)
-    if config.sigma_s2 is not None:
-        sig2 = np.broadcast_to(np.asarray(config.sigma_s2, dtype=float), (grid.count,))
     if np.any(sig2 <= 0.0):
         raise ConfigurationError("particle weighting needs positive noise variances")
     n, c = config.n_particles, trajectory.n_targets
@@ -209,13 +214,13 @@ def bpf_track(
 
     # initial cloud: per-track mean drawn around the truth, then particle
     # scatter with the same diagonal covariance
-    init_sd = np.sqrt(
-        np.array([config.init_spatial_var] * 2 + [config.init_velocity_var] * 2)
-    )
+    var0 = [ctx.config.init_spatial_var] * 2 + [ctx.config.init_velocity_var] * 2
+    init_sd = np.sqrt(np.array(var0))
     mean0 = trajectory.states[0] + rng.standard_normal((c, 4)) * init_sd
     particles = mean0 + rng.standard_normal((n, c, 4)) * init_sd
 
-    chol_vp = _psd_sqrt(config.noise.V_prime) if np.any(config.noise.V_prime) else None
+    v_prime = ctx.noise.V_prime
+    chol_vp = _psd_sqrt(v_prime) if np.any(v_prime) else None
     log_w = np.zeros(n)
 
     truth = trajectory.states[1:, :, :2].copy()

@@ -9,11 +9,12 @@ Averaging over the sigma-point posterior on x gives closed forms:
     m_v       = q + Q m_x_post
     Sigma_vv  = (Sigma_vv - Q Sigma_xv) + Q Sigma_xx_post Q^T
     Sigma_vx  = Q Sigma_xx_post
+
+``assemble`` joins the spatial and velocity moments into the posterior, an
+``nll.GaussianBelief`` that the next step takes as its belief unchanged.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,45 +25,14 @@ from .quadrature import SigmaPointSet
 EIGEN_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class PosteriorBelief:
-    """Posterior blocks plus the assembled joint Gaussian."""
-
-    mean_x: np.ndarray
-    mean_v: np.ndarray
-    cov_xx: np.ndarray
-    cov_vv: np.ndarray
-    cov_vx: np.ndarray
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.concatenate([self.mean_x, self.mean_v])
-
-    @property
-    def cov(self) -> np.ndarray:
-        return _joint(self.cov_xx, self.cov_vv, self.cov_vx)
-
-    def belief(self) -> GaussianBelief:
-        return GaussianBelief(mean=self.mean, cov=self.cov)
-
-
-def _joint(cov_xx: np.ndarray, cov_vv: np.ndarray, cov_vx: np.ndarray) -> np.ndarray:
-    """The joint covariance [[cov_xx, cov_vx^T], [cov_vx, cov_vv]], filled by slices."""
-    d = cov_xx.shape[0]
-    joint = np.empty((d + cov_vv.shape[0],) * 2)
-    joint[:d, :d] = cov_xx
-    joint[:d, d:] = cov_vx.T
-    joint[d:, :d] = cov_vx
-    joint[d:, d:] = cov_vv
-    return joint
-
-
 def spatial_moments(points: SigmaPointSet) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean and covariance of a sigma-point set."""
     w = points.weights
     mean = w @ points.points
     diff = points.points - mean
-    cov = np.einsum("k,ki,kj->ij", w, diff, diff)
+    # the products (w_k d_ki) d_kj summed over k in the order of the
+    # three-operand form "k,ki,kj->ij", at half its cost
+    cov = np.einsum("ki,kj->ij", w[:, None] * diff, diff)
     return mean, 0.5 * (cov + cov.T)
 
 
@@ -85,28 +55,29 @@ def assemble(
     cov_xx: np.ndarray,
     cov_vv: np.ndarray,
     cov_vx: np.ndarray,
-) -> PosteriorBelief:
-    """Assemble the joint posterior, flooring eigenvalues at ``EIGEN_FLOOR``.
+) -> GaussianBelief:
+    """The joint posterior belief, with eigenvalues floored at ``EIGEN_FLOOR``.
 
     The cubature can return a spatial covariance with a slightly negative
     eigenvalue when the weights concentrate on few points; the floor keeps
-    the belief usable as the next step's prior.
+    the belief usable as the next step's prior.  The joint covariance
+    [[cov_xx, cov_vx^T], [cov_vx, cov_vv]] is exactly symmetric after
+    0.5 (J + J^T), so re-joining the belief's blocks gives it back byte for
+    byte.
     """
     for name, blk in (("cov_xx", cov_xx), ("cov_vv", cov_vv)):
         tol = 1e-8 * max(1.0, np.abs(blk).max())
         if not np.abs(blk - blk.T).max() <= tol:  # NaN fails
             raise NumericalError(f"{name} block is not symmetric")
-    joint = _joint(cov_xx, cov_vv, cov_vx)
+    d = cov_xx.shape[0]
+    joint = np.empty((d + cov_vv.shape[0],) * 2)
+    joint[:d, :d] = cov_xx
+    joint[:d, d:] = cov_vx.T
+    joint[d:, :d] = cov_vx
+    joint[d:, d:] = cov_vv
     joint = 0.5 * (joint + joint.T)
     vals, vecs = np.linalg.eigh(joint)
     if vals.min() < EIGEN_FLOOR:
         joint = (vecs * np.maximum(vals, EIGEN_FLOOR)) @ vecs.T
         joint = 0.5 * (joint + joint.T)
-    d = len(mean_x)
-    return PosteriorBelief(
-        mean_x=np.asarray(mean_x, dtype=float),
-        mean_v=np.asarray(mean_v, dtype=float),
-        cov_xx=joint[:d, :d],
-        cov_vv=joint[d:, d:],
-        cov_vx=joint[d:, :d],
-    )
+    return GaussianBelief(mean=np.concatenate([mean_x, mean_v]), cov=joint)

@@ -21,6 +21,12 @@ The measurement Hessian couples targets through the Gauss-Newton term
 sum_s (grad alpha_s)(grad alpha_s)^T / sigma_s^2; the residual-curvature term
 is block diagonal per target.
 
+The filter's Gaussian model lives here too.  ``GaussianBelief`` is the one
+belief type: a validated mean and covariance over the stacked state [x; v],
+with its blocks as views.  ``propagate_prior`` turns it into a
+``PropagatedPrior``, the same belief plus the inverse of its spatial block,
+and ``moments.assemble`` returns the posterior as a ``GaussianBelief``.
+
 Each fit builds its objective once: ``measurement_objective`` and
 ``combined_objective`` gather and check the sensor positions, frame entries
 and noise variances of the fit's sensor set, and return the function
@@ -145,17 +151,34 @@ class FilterNoiseModel:
 
 
 def _check_cov(cov: np.ndarray, name: str) -> None:
+    """Reject a covariance that is not symmetric or not positive semidefinite.
+
+    Symmetry is checked first, so a NaN or infinity fails there.  A matrix
+    that Cholesky factors has no eigenvalue below -1e-8 times its mean
+    diagonal (rounding moves them by about n * eps times that), so the
+    eigenvalues are computed only for a matrix ``dpotrf`` rejects: a
+    singular or slightly indefinite one.
+    """
     n = cov.shape[0]
     scale = max(np.trace(cov) / n, 1e-300)
     if not np.abs(cov - cov.T).max() <= 1e-10 * max(scale, 1.0):  # NaN fails
         raise NumericalError(f"{name} is not symmetric")
+    if dpotrf(cov, lower=1, clean=0)[1] == 0:
+        return
     if np.linalg.eigvalsh(cov).min() < -1e-8 * scale:
         raise NumericalError(f"{name} is not positive semidefinite")
 
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Joint Gaussian over the stacked state (positions then velocities)."""
+    """Joint Gaussian over the stacked state [x; v], validated on construction.
+
+    ``x`` stacks the C target positions (x1, y1, ..., xC, yC) and ``v`` their
+    velocities in the same order.  The block properties are views into
+    ``mean`` and ``cov``.  The filter's prior (``PropagatedPrior``) and its
+    posterior (``moments.assemble``) are both of this type, and a step's
+    posterior is the next step's belief as it is.
+    """
 
     mean: np.ndarray  # (4C,)
     cov: np.ndarray  # (4C, 4C)
@@ -170,32 +193,6 @@ class GaussianBelief:
         _check_cov(cov, "belief covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-
-    @property
-    def n_targets(self) -> int:
-        return self.mean.size // 4
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.mean[: 2 * self.n_targets]
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return self.mean[2 * self.n_targets :]
-
-
-@dataclass(frozen=True)
-class PropagatedPrior:
-    """One-step-ahead prior with cached spatial blocks.
-
-    ``cov`` is F Sigma F^T + V' for the stacked constant-velocity model;
-    ``xx_inv`` is the inverse of its spatial block, computed once per step
-    because every NLL evaluation needs it.
-    """
-
-    mean: np.ndarray  # (4C,)
-    cov: np.ndarray  # (4C, 4C)
-    xx_inv: np.ndarray  # (2C, 2C)
 
     @property
     def n_targets(self) -> int:
@@ -223,6 +220,20 @@ class PropagatedPrior:
     def cov_vv(self) -> np.ndarray:
         d = 2 * self.n_targets
         return self.cov[d:, d:]
+
+    def belief(self) -> GaussianBelief:
+        """This belief itself: a posterior is the next step's belief as it is."""
+        return self
+
+
+@dataclass(frozen=True)
+class PropagatedPrior(GaussianBelief):
+    """One-step-ahead prior: ``cov`` is F Sigma F^T + V' for the stacked
+    constant-velocity model, and ``xx_inv`` the inverse of its spatial block,
+    computed once per step because every NLL evaluation needs it.
+    """
+
+    xx_inv: np.ndarray  # (2C, 2C)
 
 
 @lru_cache(maxsize=16)

@@ -14,7 +14,7 @@ positive definite, so those directions need no Levenberg shift search, and
 the residual-curvature part of the exact Hessian is not built for them.
 Later directions use the exact Hessian, and ``OptimizeResult.hess`` is
 always the exact Hessian at the final iterate, also when the fit converges
-during the warm-up.  An
+during the warm-up; it is built when first read.  An
 objective without that matrix (the measurement-only recovery and initial
 fits, the Hessian repair's refit) runs exact Newton from the first
 iteration: warming those up as well raised the square-hopping calls per
@@ -62,7 +62,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, NumericalError
 from .model import SensorGrid
-from .nll import Objective
+from .nll import NllReport, Objective
 
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 MIN_STEP = 1e-12  # smallest step length tried before giving up on a direction
@@ -130,10 +130,19 @@ class NewtonOptions:
 class OptimizeResult:
     x: np.ndarray
     value: float
-    hess: np.ndarray  # the objective's exact Hessian at x, from its last evaluation
+    report: NllReport  # the objective's last evaluation, at x
     iterations: int
     converged: bool
     active_set: np.ndarray  # indices of coordinates sitting on a bound
+
+    @property
+    def hess(self) -> np.ndarray:
+        """The objective's exact Hessian at x, built when first read.
+
+        Only the main fit and the Hessian repair's refit read it; the
+        recovery and first-frame fits never build it.
+        """
+        return self.report.hess
 
 
 def _factor_solve(shifted: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -272,7 +281,7 @@ def minimize(
     return OptimizeResult(
         x=x,
         value=report.value,
-        hess=report.hess,
+        report=report,
         iterations=iterations,
         converged=converged,
         active_set=np.flatnonzero((x <= inner_lo) | (x >= inner_hi)),

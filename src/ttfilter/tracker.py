@@ -6,15 +6,17 @@ the fit with the chi-square consistency test (escalating through one-by-one
 sensor re-acquisition and square hopping when it fails), repair the Hessian
 to positive definite, spread sigma points on the combined NLL surface (with
 the polar correction for targets sitting close to a sensor), and read off
-posterior moments.  Every fit builds its objective once
-(``nll.combined_objective`` for the main fit, ``nll.measurement_objective``
-for the fixed-center initial fit), and the main fit's objective is the one
-evaluated again when a measurement-only recovery fit is adopted.  The
-Hessian is the one the main fit ends on, or that re-evaluation's; the repair
-factors it once and that factor places the sigma points and gives the polar
-step its covariance blocks.  Any numerical failure downgrades the step to the
-propagated prior so a single bad frame cannot kill the track; a frame with a
-NaN or infinite reading does so before any fit, naming the sensors.
+posterior moments.  Prior and posterior are ``nll.GaussianBelief`` values,
+and a step's posterior is the next step's belief as it is.  Every fit builds
+its objective once (``nll.combined_objective`` for the main fit,
+``nll.measurement_objective`` for the fixed-center initial fit), and the
+main fit's objective is the one evaluated again when a measurement-only
+recovery fit is adopted.  The Hessian is the one the main fit ends on, or
+that re-evaluation's; the repair factors it once and that factor places the
+sigma points and gives the polar step its covariance blocks.  Any numerical
+failure downgrades the step to the propagated prior so a single bad frame
+cannot kill the track; a frame with a NaN or infinite reading does so before
+any fit, naming the sensors.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from .errors import ConfigurationError, NumericalError
 from .hessfix import repair_hessian
 from .metrics import TrackRecord, omat
 from .model import MeasurementModel, Scenario, SensorGrid, Trajectory, stack_state
-from .moments import PosteriorBelief, assemble, spatial_moments, velocity_moments
+from .moments import assemble, spatial_moments, velocity_moments
 from .nll import (
     FilterNoiseModel,
     GaussianBelief,
-    PropagatedPrior,
     combined_objective,
     combined_value_batch,
     measurement_objective,
@@ -176,19 +177,13 @@ def init_belief(
 
 @dataclass
 class StepOutput:
-    posterior: PosteriorBelief
+    posterior: GaussianBelief  # also the next step's belief
     x_ml: np.ndarray
     statistic: float
     consistent: bool
     actions: tuple[str, ...]
     exclusions: tuple[tuple[int, int], ...]
     wall_time: float
-
-
-def _prior_posterior(prior: PropagatedPrior) -> PosteriorBelief:
-    return assemble(
-        prior.mean_x, prior.mean_v, prior.cov_xx, prior.cov_vv, prior.cov_vx
-    )
 
 
 def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepOutput:
@@ -275,7 +270,9 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
     except NumericalError as exc:
         # a broken step must not kill the track: carry the prior forward
         actions.append(f"fallback:prior({exc})")
-        posterior = _prior_posterior(prior)
+        posterior = assemble(
+            prior.mean_x, prior.mean_v, prior.cov_xx, prior.cov_vv, prior.cov_vx
+        )
         x_ml = prior.mean_x.copy()
         stat = float("nan")
         ok = False
@@ -333,10 +330,10 @@ def track(
 
     for t in range(t_steps):
         out = step(belief, trajectory.frames[t], ctx)
-        belief = out.posterior.belief()
-        estimates[t] = out.posterior.mean_x.reshape(c, 2)
-        velocities[t] = out.posterior.mean_v.reshape(c, 2)
-        covs[t] = out.posterior.cov_xx
+        belief = out.posterior
+        estimates[t] = belief.mean_x.reshape(c, 2)
+        velocities[t] = belief.mean_v.reshape(c, 2)
+        covs[t] = belief.cov_xx
         step_time[t] = out.wall_time
         statistic[t] = out.statistic
         consistent[t] = out.consistent

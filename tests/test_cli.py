@@ -86,6 +86,14 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         ("track", '{"filter": {"grad_tol": -1}}'),
         ("track", '{"filter": {"grad_tol": "nan"}}'),
         ("track", '{"filter": {"max_iter": 0}}'),
+        # integer fields are not truncated: 2.5, 5.9, true and 10.7 are errors
+        ("track", '{"filter": {"max_iter": 2.5}}'),
+        ("track", '{"scenario": {"grid": {"rows": 5.9}}}'),
+        ("track", '{"scenario": {"grid": {"cols": true}}}'),
+        ("track", '{"filter": {"n_bad_sq": true}}'),
+        ("track", '{"filter": {"n_bad_tgt": 1.5}}'),
+        ("track", '{"filter": {"max_subsets": "many"}}'),
+        ("track", '{"bpf": {"particles": 10.7}}'),
     ]:
         cfg.write_text(text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path)])

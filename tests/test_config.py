@@ -16,7 +16,9 @@ from ttfilter.config import (
     scenario_from_config,
 )
 from ttfilter.errors import ConfigurationError
+from ttfilter.metrics import BpfConfig
 from ttfilter.model import DEFAULT_TARGETS
+from ttfilter.tracker import make_context
 
 
 def test_empty_config_gives_benchmark_defaults():
@@ -37,9 +39,9 @@ def test_empty_config_gives_benchmark_defaults():
     assert fcfg.consistency.p_value == 0.0013
     assert fcfg.optimizer.grad_tol == 1e-6
 
-    bcfg = bpf_config_from_config({}, fcfg)
+    bcfg = bpf_config_from_config({})
     assert bcfg.n_particles == 100_000
-    assert bcfg.noise.alpha == 3.0
+    assert bcfg.resample_threshold == 0.5
 
 
 def test_scenario_overrides_apply():
@@ -107,11 +109,13 @@ def test_filter_overrides_apply():
 
 
 def test_bpf_inherits_filter_noise():
-    fcfg = filter_config_from_config({"filter": {"alpha": 1.0, "sigma_s2": 0.3}})
-    bcfg = bpf_config_from_config({"bpf": {"particles": 500}}, fcfg)
-    assert bcfg.n_particles == 500
-    assert bcfg.noise.alpha == 1.0
-    assert bcfg.sigma_s2 == 0.3
+    # the particle filter reads alpha, sigma_s2 and the initial variances
+    # from the TT filter's context; its own section holds only its own
+    cfg = {"filter": {"alpha": 1.0, "sigma_s2": 0.3}, "bpf": {"particles": 500}}
+    assert bpf_config_from_config(cfg) == BpfConfig(n_particles=500)
+    ctx = make_context(scenario_from_config(cfg), filter_config_from_config(cfg))
+    assert ctx.noise.alpha == 1.0
+    assert float(ctx.meas.sigma_s2) == 0.3
 
 
 def test_load_config_round_trip(tmp_path):

@@ -247,6 +247,36 @@ def test_one_by_one_recovers_from_belief_drift(grid55):
     )
 
 
+def test_one_by_one_builds_hessians_only_for_newton_directions(grid55, monkeypatch):
+    # every iteration of a measurement-only fit solves on the exact Hessian;
+    # no caller reads it at a recovery fit's end, so none is built there
+    from ttfilter import consistency, nll
+
+    builds, fits, iterations = [0], [0], [0]
+    build_hess = nll._MeasurementDerivatives.hess
+
+    def counting_hess(self):
+        builds[0] += self._hess is None
+        return build_hess(self)
+
+    def counting_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        fits[0] += 1
+        iterations[0] += res.iterations
+        return res
+
+    minimize = consistency.minimize
+    monkeypatch.setattr(nll._MeasurementDerivatives, "hess", counting_hess)
+    monkeypatch.setattr(consistency, "minimize", counting_minimize)
+    meas = MeasurementModel(sigma_s2=0.01)
+    truth = np.asarray(DEFAULT_TARGETS)[:, :2]
+    frame = expected_signal(truth, grid55, meas)
+    prior = default_prior(np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0))
+    one_by_one_recovery(frame, grid55, meas, prior, box_from_grid(grid55, 4))
+    assert fits[0] > 1
+    assert builds[0] == iterations[0]
+
+
 def test_square_count_and_subset_cap(grid55):
     corners, centers = grid55.squares()
     assert corners.shape[0] == 16

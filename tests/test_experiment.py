@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from ttfilter import experiment
 from ttfilter.errors import ConfigurationError
 from ttfilter.experiment import (
     LABELS,
@@ -15,7 +16,8 @@ from ttfilter.experiment import (
     ExperimentSpec,
     run_experiment,
 )
-from ttfilter.metrics import BpfConfig
+from ttfilter.metrics import BpfConfig, bpf_track
+from ttfilter.nll import FilterNoiseModel
 from ttfilter.tracker import FilterConfig
 
 from conftest import benchmark_scenario
@@ -150,7 +152,20 @@ def test_sweep_reuses_truth_across_sigma_values(tmp_path):
     )
 
 
-def test_alpha_sweep_updates_bpf_noise(tmp_path):
+def spy_bpf_contexts(monkeypatch) -> list:
+    """Record the filter context each particle-filter run is given."""
+    seen = []
+
+    def spy(trajectory, ctx, config, rng):
+        seen.append(ctx)
+        return bpf_track(trajectory, ctx, config, rng)
+
+    monkeypatch.setattr(experiment, "bpf_track", spy)
+    return seen
+
+
+def test_alpha_sweep_updates_bpf_noise(tmp_path, monkeypatch):
+    seen = spy_bpf_contexts(monkeypatch)
     spec = small_spec(
         sweep_axis="alpha",
         sweep_values=(1.0, 3.0),
@@ -158,6 +173,20 @@ def test_alpha_sweep_updates_bpf_noise(tmp_path):
     )
     result = run_experiment(spec, tmp_path / "out")
     assert [p["alpha"] for p in result.summary["points"]] == [1.0, 3.0]
+    assert [ctx.noise.alpha for ctx in seen] == [1.0, 3.0]
+
+
+def test_bpf_makes_the_tt_filters_assumptions(tmp_path, monkeypatch):
+    # a spec built in code, not through the config loader, gives the particle
+    # filter the same alpha, sigma_s2 and initial variance as the TT filter
+    seen = spy_bpf_contexts(monkeypatch)
+    fcfg = FilterConfig(alpha=1.0, sigma_s2=0.05, init_spatial_var=4.0)
+    run_experiment(small_spec(filter_config=fcfg, variants=("bpf",)), tmp_path / "out")
+    (ctx,) = seen
+    assert ctx.noise == FilterNoiseModel(alpha=1.0)
+    assert float(ctx.meas.sigma_s2) == 0.05
+    assert ctx.config.init_spatial_var == 4.0
+    assert ctx.config.init_velocity_var == fcfg.init_velocity_var
 
 
 def test_parallel_jobs_match_serial(tmp_path):

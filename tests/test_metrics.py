@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -11,18 +12,22 @@ from ttfilter.errors import ConfigurationError
 from ttfilter.metrics import (
     BpfConfig,
     OmatResult,
+    _psd_sqrt,
     bpf_track,
     omat,
     systematic_resample,
 )
 from ttfilter.model import (
+    F_SINGLE,
     MeasurementModel,
     MotionModel,
     Scenario,
     build_grid,
+    expected_signal,
     simulate,
 )
 from ttfilter.nll import FilterNoiseModel
+from ttfilter.tracker import FilterConfig, make_context
 
 from conftest import benchmark_scenario
 
@@ -193,13 +198,9 @@ def test_bpf_config_validation():
 def test_bpf_single_particle_dead_reckons():
     scn = benchmark_scenario(gamma=0.0)
     traj = simulate(scn, 8, np.random.default_rng(2))
-    cfg = BpfConfig(
-        n_particles=1,
-        noise=FilterNoiseModel(alpha=0.0, cross=0.0, vel=0.0),
-        init_spatial_var=0.0,
-        init_velocity_var=0.0,
-    )
-    rec = bpf_track(traj, scn, cfg, np.random.default_rng(3))
+    ctx = make_context(scn, FilterConfig(init_spatial_var=0.0, init_velocity_var=0.0))
+    ctx = replace(ctx, noise=FilterNoiseModel(alpha=0.0, cross=0.0, vel=0.0))
+    rec = bpf_track(traj, ctx, BpfConfig(n_particles=1), np.random.default_rng(3))
     np.testing.assert_allclose(rec.estimates, traj.states[1:, :, :2], atol=1e-9)
     np.testing.assert_allclose(rec.omat, 0.0, atol=1e-9)
 
@@ -213,8 +214,8 @@ def test_bpf_sharp_likelihood_locks_onto_truth():
         initial_states=np.array([[17.0, 23.0, 0.05, -0.02]]),
     )
     traj = simulate(scn, 10, np.random.default_rng(5))
-    cfg = BpfConfig(n_particles=5000, init_spatial_var=1.0, init_velocity_var=1e-4)
-    rec = bpf_track(traj, scn, cfg, np.random.default_rng(6))
+    ctx = make_context(scn, FilterConfig(init_spatial_var=1.0, init_velocity_var=1e-4))
+    rec = bpf_track(traj, ctx, BpfConfig(n_particles=5000), np.random.default_rng(6))
     assert rec.omat[-1] < 0.2
     assert rec.omat[3:].mean() < 0.3
 
@@ -222,12 +223,12 @@ def test_bpf_sharp_likelihood_locks_onto_truth():
 def test_bpf_same_seed_reproducible():
     scn = benchmark_scenario(sigma_s2=0.1)
     traj = simulate(scn, 5, np.random.default_rng(9))
-    cfg = BpfConfig(n_particles=2000)
-    a = bpf_track(traj, scn, cfg, np.random.SeedSequence([7, 3, 6]))
-    b = bpf_track(traj, scn, cfg, np.random.SeedSequence([7, 3, 6]))
+    cfg, ctx = BpfConfig(n_particles=2000), make_context(scn, FilterConfig())
+    a = bpf_track(traj, ctx, cfg, np.random.SeedSequence([7, 3, 6]))
+    b = bpf_track(traj, ctx, cfg, np.random.SeedSequence([7, 3, 6]))
     np.testing.assert_array_equal(a.estimates, b.estimates)
     np.testing.assert_array_equal(a.omat, b.omat)
-    c = bpf_track(traj, scn, cfg, np.random.SeedSequence([7, 4, 6]))
+    c = bpf_track(traj, ctx, cfg, np.random.SeedSequence([7, 4, 6]))
     assert not np.array_equal(a.estimates, c.estimates)
 
 
@@ -241,16 +242,85 @@ def test_bpf_rejects_zero_noise_variance():
     )
     traj = simulate(scn, 2, np.random.default_rng(1))
     with pytest.raises(ConfigurationError):
-        bpf_track(traj, scn, BpfConfig(n_particles=10), np.random.default_rng(0))
+        bpf_track(
+            traj,
+            make_context(scn, FilterConfig()),
+            BpfConfig(n_particles=10),
+            np.random.default_rng(0),
+        )
 
 
 def test_track_record_summary_fields():
     scn = benchmark_scenario(sigma_s2=0.1)
     traj = simulate(scn, 4, np.random.default_rng(13))
-    rec = bpf_track(traj, scn, BpfConfig(n_particles=500), np.random.default_rng(14))
+    ctx = make_context(scn, FilterConfig())
+    rec = bpf_track(traj, ctx, BpfConfig(n_particles=500), np.random.default_rng(14))
     s = rec.summary()
     assert s["steps"] == 4
     assert s["label"] == "bpf"
     assert s["avg_omat"] == pytest.approx(float(rec.omat.mean()))
     assert s["final_omat"] == pytest.approx(float(rec.omat[-1]))
     assert s["time_per_step"] > 0.0
+
+
+def reference_bpf_track(trajectory, scenario, n_particles, noise, sigma_s2, init_vars, rng):
+    """The particle filter as it ran when its configuration held its own copy
+    of the TT filter's assumptions: noise model, sigma_s2 override (None: the
+    scenario's) and initial variances.  Same draws, same arithmetic."""
+    rng = np.random.default_rng(rng)
+    grid, meas = scenario.grid, scenario.meas
+    sig2 = meas.noise_variances(grid.count)
+    if sigma_s2 is not None:
+        sig2 = np.broadcast_to(np.asarray(sigma_s2, dtype=float), (grid.count,))
+    n, c, t_steps = n_particles, trajectory.n_targets, trajectory.n_steps
+    init_sd = np.sqrt(np.array([init_vars[0]] * 2 + [init_vars[1]] * 2))
+    mean0 = trajectory.states[0] + rng.standard_normal((c, 4)) * init_sd
+    particles = mean0 + rng.standard_normal((n, c, 4)) * init_sd
+    chol_vp = _psd_sqrt(noise.V_prime) if np.any(noise.V_prime) else None
+    log_w = np.zeros(n)
+    estimates = np.empty((t_steps, c, 2))
+    covs = np.empty((t_steps, 2 * c, 2 * c))
+    omat_vals = np.empty(t_steps)
+    for t in range(t_steps):
+        moved = particles.reshape(n * c, 4) @ F_SINGLE.T
+        if chol_vp is not None:
+            moved += rng.standard_normal((n * c, 4)) @ chol_vp.T
+        particles = moved.reshape(n, c, 4)
+        resid = expected_signal(particles[:, :, :2], grid, meas) - trajectory.frames[t]
+        log_w += -0.5 * np.einsum("ns,ns->n", resid, resid / sig2)
+        shift = log_w.max()
+        if not np.isfinite(shift):
+            log_w[:] = 0.0
+            shift = 0.0
+        w = np.exp(log_w - shift)
+        w /= w.sum()
+        est = np.einsum("n,ncj->cj", w, particles)
+        estimates[t] = est[:, :2]
+        diff = particles[:, :, :2].reshape(n, -1) - est[:, :2].ravel()
+        covs[t] = (w[:, None] * diff).T @ diff
+        if 1.0 / float(w @ w) < 0.5 * n:
+            particles = particles[systematic_resample(w, rng)]
+            log_w[:] = 0.0
+        else:
+            log_w -= shift
+        omat_vals[t] = omat(estimates[t], trajectory.states[t + 1, :, :2]).value
+    return estimates, covs, omat_vals
+
+
+@pytest.mark.parametrize("n_targets", [1, 4])
+@pytest.mark.parametrize("sigma_s2", [None, 0.05])
+def test_bpf_through_context_matches_own_copy_of_assumptions(n_targets, sigma_s2):
+    scn = benchmark_scenario(sigma_s2=0.1)
+    scn = replace(scn, initial_states=scn.initial_states[:n_targets])
+    traj = simulate(scn, 6, np.random.default_rng(20 + n_targets))
+    fcfg = FilterConfig(alpha=1.0, sigma_s2=sigma_s2, init_spatial_var=4.0)
+    ctx = make_context(scn, fcfg)
+    seed = np.random.SeedSequence([7, n_targets, 6])
+    rec = bpf_track(traj, ctx, BpfConfig(n_particles=500), seed)
+    ref = reference_bpf_track(
+        traj, scn, 500, FilterNoiseModel(alpha=1.0), sigma_s2,
+        (4.0, fcfg.init_velocity_var), seed,
+    )
+    assert rec.estimates.tobytes() == ref[0].tobytes()
+    assert rec.covs.tobytes() == ref[1].tobytes()
+    assert rec.omat.tobytes() == ref[2].tobytes()

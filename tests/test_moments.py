@@ -8,7 +8,6 @@ import pytest
 from ttfilter.errors import NumericalError
 from ttfilter.moments import (
     EIGEN_FLOOR,
-    PosteriorBelief,
     assemble,
     spatial_moments,
     velocity_moments,
@@ -78,6 +77,21 @@ def test_spatial_covariance_psd_for_random_sets(rng):
         _, cov = spatial_moments(point_set(pts, w))
         assert np.linalg.eigvalsh(cov).min() >= -1e-12
         np.testing.assert_array_equal(cov, cov.T)
+
+
+def test_spatial_moments_equal_the_three_operand_form(rng):
+    # the two-operand product sums (w_k d_ki) d_kj in the same order
+    for k in (3, 12, 144):
+        for d in (2, 8, 16):
+            for _ in range(20):
+                pts = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 2)
+                w = rng.uniform(0.0, 1.0, size=k)
+                w /= w.sum()
+                mean, cov = spatial_moments(point_set(pts, w))
+                diff = pts - w @ pts
+                ref = np.einsum("k,ki,kj->ij", w, diff, diff)
+                assert mean.tobytes() == (w @ pts).tobytes()
+                assert cov.tobytes() == (0.5 * (ref + ref.T)).tobytes()
 
 
 def test_spatial_moments_affine_equivariance(rng):
@@ -178,8 +192,7 @@ def test_assemble_floors_negative_eigenvalues(rng):
     post = assemble(np.zeros(4), np.zeros(4), cov_xx, np.eye(4), np.zeros((4, 4)))
     vals = np.linalg.eigvalsh(post.cov)
     assert vals.min() >= EIGEN_FLOOR * (1.0 - 1e-12)
-    belief = post.belief()  # must satisfy belief validation
-    assert belief.n_targets == 2
+    assert post.n_targets == 2  # a validated belief
 
 
 def test_assemble_random_blocks_are_psd(rng):
@@ -240,8 +253,9 @@ def test_posterior_block_layout(rng):
 
 @pytest.mark.parametrize("c", [1, 4, 9])
 def test_slice_filled_joint_equals_np_block(c):
-    # assemble and PosteriorBelief.cov fill the joint by slices; np.block
-    # was the reference layout, and the eigen-floored result must not move
+    # assemble fills the joint by slices; np.block was the reference layout,
+    # the eigen-floored result must not move, and the stored joint must be
+    # the one re-joined from its own blocks
     rng = np.random.default_rng(c)
     d = 2 * c
     for k in range(20):
@@ -265,4 +279,4 @@ def test_slice_filled_joint_equals_np_block(c):
         assert post.cov_vx.tobytes() == ref[d:, :d].tobytes()
         blocked = np.block([[post.cov_xx, post.cov_vx.T], [post.cov_vx, post.cov_vv]])
         assert post.cov.tobytes() == blocked.tobytes()
-        assert post.belief().cov.tobytes() == blocked.tobytes()
+        assert post.mean.tobytes() == np.concatenate([mean_x, mean_v]).tobytes()

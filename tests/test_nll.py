@@ -6,6 +6,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from ttfilter import nll as nll_module
 from ttfilter.errors import ConfigurationError
@@ -597,3 +598,47 @@ def test_belief_rejects_bad_covariance():
     nan[1, 1] = np.nan
     with pytest.raises(NumericalError, match="not symmetric"):
         GaussianBelief(mean=np.zeros(4), cov=nan)
+
+
+def eigenvalue_rule_verdict(cov: np.ndarray) -> str | None:
+    """The covariance check as an eigenvalue rule alone: the error it gives."""
+    n = cov.shape[0]
+    scale = max(np.trace(cov) / n, 1e-300)
+    if not np.abs(cov - cov.T).max() <= 1e-10 * max(scale, 1.0):
+        return "not symmetric"
+    if np.linalg.eigvalsh(cov).min() < -1e-8 * scale:
+        return "not positive semidefinite"
+    return None
+
+
+def test_belief_check_gives_the_eigenvalue_rules_verdict():
+    # Cholesky decides the matrices it factors; the eigenvalue rule decides
+    # the rest, so no matrix changes verdict
+    from ttfilter.errors import NumericalError
+
+    rng = np.random.default_rng(8)
+    spd = random_spd(8, rng)
+    vals, vecs = np.linalg.eigh(spd)
+    singular = spd.copy()
+    singular[4:, :] = singular[:, 4:] = 0.0  # a zero velocity block
+    cases = {"pd": (spd, None), "psd-singular": (singular, None)}
+    for rel, verdict in ((1e-9, None), (1e-7, "not positive semidefinite")):
+        shifted = vals.copy()
+        shifted[0] = -rel * vals.sum() / 8  # relative to the mean diagonal
+        indef = (vecs * shifted) @ vecs.T
+        cases[f"indefinite {rel:g}"] = (0.5 * (indef + indef.T), verdict)
+    nan = spd.copy()
+    nan[3, 3] = np.nan
+    cases["nan"] = (nan, "not symmetric")
+    asym = spd.copy()
+    asym[0, 1] += 1e-6
+    cases["asymmetric"] = (asym, "not symmetric")
+    for name, (cov, verdict) in cases.items():
+        assert eigenvalue_rule_verdict(cov) == verdict, name
+        if name.startswith(("psd", "indefinite")):  # decided by the eigenvalues
+            assert dpotrf(cov, lower=1)[1] != 0, name
+        if verdict is None:
+            GaussianBelief(mean=np.zeros(8), cov=cov)
+        else:
+            with pytest.raises(NumericalError, match=verdict):
+                GaussianBelief(mean=np.zeros(8), cov=cov)

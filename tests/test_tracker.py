@@ -82,10 +82,10 @@ def test_init_random_mode_spread(grid55):
 def test_init_fixed_center_within_radius(grid55, rng):
     cfg = FilterConfig(fixed_init=True)
     belief = init_belief("fixed_center", cfg, grid55, rng, n_targets=4)
-    pos = belief.positions.reshape(4, 2)
+    pos = belief.mean_x.reshape(4, 2)
     dist = np.linalg.norm(pos - grid55.center, axis=1)
     assert (dist <= cfg.init_radius + 1e-12).all()
-    np.testing.assert_array_equal(belief.velocities, np.zeros(8))
+    np.testing.assert_array_equal(belief.mean_v, np.zeros(8))
 
 
 def test_init_fixed_center_refines_with_frame(grid55):
@@ -106,11 +106,11 @@ def test_init_fixed_center_refines_with_frame(grid55):
         "fixed_center", cfg, grid55, rng_fit, n_targets=4,
         frame=frame, meas=meas, box=box,
     )
-    before = measurement_nll(blind.positions, frame, grid55, meas).value
-    after = measurement_nll(fitted.positions, frame, grid55, meas).value
+    before = measurement_nll(blind.mean_x, frame, grid55, meas).value
+    after = measurement_nll(fitted.mean_x, frame, grid55, meas).value
     assert after < before
-    assert box.contains(fitted.positions)
-    np.testing.assert_array_equal(fitted.velocities, np.zeros(8))
+    assert box.contains(fitted.mean_x)
+    np.testing.assert_array_equal(fitted.mean_v, np.zeros(8))
 
 
 def test_init_validation_errors(grid55, rng):
@@ -435,6 +435,27 @@ def test_step_posterior_satisfies_belief_invariants(rng):
         assert np.linalg.eigvalsh(post.cov).min() >= EIGEN_FLOOR * (1.0 - 1e-9)
         assert np.isfinite(post.mean).all()
         belief = post.belief()
+
+
+def test_step_posterior_is_its_blocks_rejoined_on_acceptance_tracks():
+    # the posterior is the next belief as it is; its joint is exactly
+    # symmetric, so a belief rebuilt from its blocks would be the same bytes
+    scn = benchmark_scenario(sigma_s2=0.1)
+    ctx = make_context(scn, FilterConfig())
+    for i in range(6):
+        traj = simulate(scn, 40, np.random.SeedSequence([7, i, 0]))
+        belief = init_belief(
+            "random_around_truth", ctx.config, scn.grid,
+            np.random.default_rng(np.random.SeedSequence([7, i, 1])),
+            truth_state=traj.states[0],
+        )
+        for frame in traj.frames:
+            post = step(belief, frame, ctx).posterior
+            mean = np.concatenate([post.mean_x, post.mean_v])
+            cov = np.block([[post.cov_xx, post.cov_vx.T], [post.cov_vx, post.cov_vv]])
+            assert post.mean.tobytes() == mean.tobytes()
+            assert post.cov.tobytes() == cov.tobytes()
+            belief = post
 
 
 def test_track_single_step_and_summary():
