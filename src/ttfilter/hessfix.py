@@ -4,13 +4,22 @@ Near a sensor the residual-curvature term of the measurement Hessian can
 overwhelm the Gauss-Newton term and leave the full Hessian indefinite, which
 would break the Cholesky-based sigma-point construction.  The repair takes
 the Hessian the fit ended on and returns its lower Cholesky factor, which
-the cubature and the polar step reuse.  When the factorization fails it
+places the cubature's sigma points.  When the factorization fails it
 iteratively excludes the closest target-sensor pair, re-optimizes the
 remaining targets without the excluded sensors (excluded targets stay frozen
 but keep contributing signal), and stops once the repaired matrix admits a
 Cholesky factorization.  Excluded targets re-enter the full-size matrix as
 independent 2x2 blocks with diagonal d0^{-2}, the curvature scale of the
 signal peak they are sitting on.
+
+At a converged interior minimum of the combined NLL the Hessian is positive
+semidefinite, and an adopted recovery fit's Hessian adds the prior
+precision to a measurement-only minimum's, so in the filter the repair
+fires only after a fit that ends with a bound active or at its iteration
+cap, as when a target drifts out of the search box.  There one exclusion
+often leads to the next until every target has one, and then every
+target's sigma points are spread by the d0^{-2} blocks, about 0.1 m,
+whatever the frame says.
 """
 
 from __future__ import annotations

@@ -12,18 +12,22 @@ isotropic.  The resulting 2 d(d+1) weighted points reproduce the mean and
 covariance of a Gaussian exactly and correct them for non-Gaussian shape
 otherwise.
 
-Near a sensor the surface is banana-shaped around the signal peak; the polar
-adjustment rebuilds one target's two coordinates in local (range, arc-length)
-coordinates where the surface is close to Gaussian, maps the points back, and
-keeps the weights (the transform has unit Jacobian determinant).  Its 2x2
-input covariance is a block of H^{-1}, read from the same factor.
+Near a sensor the surface is banana-shaped around the signal peak.  For a
+target within the near-sensor threshold the points are placed in a chart
+about that sensor instead: (range, arc length) with the angle measured from
+the target's bearing.  The Cartesian offsets the factor gives are read in
+the frame of that bearing, which is the chart's Jacobian at the mean, and
+mapped back through the chart before any point is weighted.  The map has
+unit Jacobian everywhere, so the rule and its weights carry over unchanged,
+and they are exact through cubics for a surface that is Gaussian in chart
+coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -98,7 +102,7 @@ def simplex_directions(dim: int) -> DirectionSet:
 
 @dataclass(frozen=True)
 class SigmaPointSet:
-    """Weighted sigma points plus the ingredients needed to rebuild them.
+    """Weighted sigma points.
 
     Point ``k < J`` uses the inner radial node with direction ``k``; point
     ``J + k`` uses the outer node with the same direction.
@@ -106,9 +110,6 @@ class SigmaPointSet:
 
     points: np.ndarray  # (2J, d)
     weights: np.ndarray  # (2J,), non-negative, sums to 1
-    mean: np.ndarray  # (d,) center the points were built around
-    rule: RadialRule
-    dirs: DirectionSet
 
 
 def build_sigma_points(
@@ -117,12 +118,16 @@ def build_sigma_points(
     rule: RadialRule,
     dirs: DirectionSet,
     nll_values: Callable[[np.ndarray], np.ndarray],
+    near: Sequence[tuple[int, np.ndarray]] = (),
 ) -> SigmaPointSet:
     """Place and weight sigma points for the surface with Hessian ``chol chol^T``.
 
     ``chol`` is the lower Cholesky factor of the Hessian at ``mean``.
     ``nll_values`` maps a (K, d) batch of points to their NLL values (up to a
     shared additive constant, which cancels in the normalized weights).
+    ``near`` lists (target, sensor position) pairs whose two coordinates are
+    placed in the polar chart about that sensor (see the module docstring);
+    the other coordinates stay Cartesian.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     # H^{-1/2} theta for every direction: solve L^T y = theta.  L^T is
@@ -139,6 +144,19 @@ def build_sigma_points(
             mean + math.sqrt(2.0 * rule.z_plus) * spread,
         ]
     )
+    for c, sensor in near:
+        center = mean[2 * c : 2 * c + 2]
+        rel = center - sensor
+        r0 = math.hypot(rel[0], rel[1])
+        e_r = rel / r0
+        d = pts[:, 2 * c : 2 * c + 2] - center
+        # the offsets in the (e_r, e_t) frame, e_t = e_r turned by +90 degrees,
+        # are the chart offsets; the range stays clamped like every distance
+        u = np.maximum(r0 + d @ e_r, R_MIN)
+        v = d[:, 1] * e_r[0] - d[:, 0] * e_r[1]
+        pts[:, 2 * c : 2 * c + 2] = inverse_polar(
+            np.column_stack([u, v]), sensor, math.atan2(rel[1], rel[0])
+        )
     nll = np.asarray(nll_values(pts), dtype=float)
     if nll.shape != (pts.shape[0],) or not np.all(np.isfinite(nll)):
         raise NumericalError("sigma-point NLL evaluation returned bad values")
@@ -154,41 +172,34 @@ def build_sigma_points(
     total = raw.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise NumericalError("sigma-point weights degenerated to zero")
-    return SigmaPointSet(
-        points=pts,
-        weights=raw / total,
-        mean=mean,
-        rule=rule,
-        dirs=dirs,
-    )
+    return SigmaPointSet(points=pts, weights=raw / total)
 
 
-def polar_transform(point: np.ndarray, sensor: np.ndarray) -> np.ndarray:
-    """Map a plane point to (range, arc-length) coordinates about a sensor."""
-    rel = np.asarray(point, dtype=float) - np.asarray(sensor, dtype=float)
-    u = math.hypot(rel[0], rel[1])
-    return np.array([u, u * math.atan2(rel[1], rel[0])])
+def polar_transform(
+    point: np.ndarray, sensor: np.ndarray, bearing: float = 0.0
+) -> np.ndarray:
+    """Map plane points (..., 2) to (range, arc length) about a sensor.
 
-
-def inverse_polar(uv: np.ndarray, sensor: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`polar_transform` for u > 0."""
-    u, v = float(uv[0]), float(uv[1])
-    ang = v / u
-    return np.asarray(sensor, dtype=float) + u * np.array([math.cos(ang), math.sin(ang)])
-
-
-def polar_jacobian(rel: np.ndarray) -> np.ndarray:
-    """Jacobian of the (range, arc-length) map at offset ``rel`` from the sensor.
-
-    Unit determinant everywhere: the map preserves area, which is why the
-    adjusted sigma points keep their weights.
+    The angle is measured from ``bearing`` and lies in [-pi, pi], so the
+    chart is smooth everywhere but across the ray opposite ``bearing``.
     """
-    x, y = float(rel[0]), float(rel[1])
-    r = max(math.hypot(x, y), R_MIN)
-    theta = math.atan2(y, x)
-    return np.array(
-        [[x / r, y / r],
-         [(x * theta - y) / r, (y * theta + x) / r]]
+    rel = np.asarray(point, dtype=float) - np.asarray(sensor, dtype=float)
+    cos_b, sin_b = math.cos(bearing), math.sin(bearing)
+    along = rel[..., 0] * cos_b + rel[..., 1] * sin_b
+    across = rel[..., 1] * cos_b - rel[..., 0] * sin_b
+    u = np.hypot(rel[..., 0], rel[..., 1])
+    return np.stack([u, u * np.arctan2(across, along)], axis=-1)
+
+
+def inverse_polar(
+    uv: np.ndarray, sensor: np.ndarray, bearing: float = 0.0
+) -> np.ndarray:
+    """Inverse of :func:`polar_transform` for u > 0."""
+    uv = np.asarray(uv, dtype=float)
+    u = uv[..., 0]
+    ang = bearing + uv[..., 1] / u
+    return np.asarray(sensor, dtype=float) + np.stack(
+        [u * np.cos(ang), u * np.sin(ang)], axis=-1
     )
 
 
@@ -204,48 +215,3 @@ def near_sensor_pairs(
         for c, s in enumerate(nearest)
         if d[c, s] < threshold
     ]
-
-
-def polar_sigma_adjust(
-    points: SigmaPointSet,
-    target: int,
-    sensor: np.ndarray,
-    sigma_xx: np.ndarray,
-) -> SigmaPointSet:
-    """Rebuild one target's coordinates of every sigma point in polar space.
-
-    ``sigma_xx`` is the preliminary 2x2 spatial covariance of the target
-    (the matching block of the inverse Hessian).  The covariance is pushed
-    through the polar map linearized at the mean, points are redrawn along
-    each direction's 2-component sub-block, and mapped back.  Weights are
-    untouched.  If the pushed-forward covariance is not positive definite
-    the adjustment is skipped: ``points`` itself is returned, which the
-    caller records as a skip.
-    """
-    c0 = 2 * target
-    mean_xy = points.mean[c0 : c0 + 2]
-    sensor = np.asarray(sensor, dtype=float)
-    rel = mean_xy - sensor
-    jac = polar_jacobian(rel)
-    sigma_uu = jac @ sigma_xx @ np.linalg.inv(jac)
-    sigma_uu = 0.5 * (sigma_uu + sigma_uu.T)
-    try:
-        L = np.linalg.cholesky(sigma_uu)
-    except np.linalg.LinAlgError:
-        return points
-
-    mean_u = polar_transform(mean_xy, sensor)
-    theta2 = points.dirs.directions[:, c0 : c0 + 2]  # (J, 2)
-    spread = theta2 @ L.T
-    u = np.vstack(
-        [
-            mean_u + math.sqrt(2.0 * points.rule.z_minus) * spread,
-            mean_u + math.sqrt(2.0 * points.rule.z_plus) * spread,
-        ]
-    )
-    u[:, 0] = np.maximum(u[:, 0], R_MIN)
-    ang = u[:, 1] / u[:, 0]
-    new_pts = points.points.copy()
-    new_pts[:, c0] = sensor[0] + u[:, 0] * np.cos(ang)
-    new_pts[:, c0 + 1] = sensor[1] + u[:, 0] * np.sin(ang)
-    return replace(points, points=new_pts)

@@ -4,16 +4,16 @@ Each step: propagate the posterior through the constant-velocity model with
 inflated noise, maximize the spatial likelihood inside the search box, gate
 the fit with the chi-square consistency test (escalating through one-by-one
 sensor re-acquisition and square hopping when it fails), repair the Hessian
-to positive definite, spread sigma points on the combined NLL surface (with
-the polar correction for targets sitting close to a sensor), and read off
-posterior moments.  Prior and posterior are ``nll.GaussianBelief`` values,
-and a step's posterior is the next step's belief as it is.  Every fit builds
-its objective once (``nll.combined_objective`` for the main fit,
-``nll.measurement_objective`` for the fixed-center initial fit), and the
-main fit's objective is the one evaluated again when a measurement-only
-recovery fit is adopted.  The Hessian is the one the main fit ends on, or
-that re-evaluation's; the repair factors it once and that factor places the
-sigma points and gives the polar step its covariance blocks.  Any numerical
+to positive definite, spread sigma points on the combined NLL surface (in
+the polar chart about the sensor for each target sitting close to one, the
+nonlinear correction), and read off posterior moments.  Prior and posterior
+are ``nll.GaussianBelief`` values, and a step's posterior is the next step's
+belief as it is.  Every fit builds its objective once
+(``nll.combined_objective`` for the main fit, ``nll.measurement_objective``
+for the fixed-center initial fit), and the main fit's objective is the one
+evaluated again when a measurement-only recovery fit is adopted.  The
+Hessian is the one the main fit ends on, or that re-evaluation's; the repair
+factors it once and that factor places the sigma points.  Any numerical
 failure downgrades the step to the propagated prior so a single bad frame
 cannot kill the track; a frame with a NaN or infinite reading does so before
 any fit, naming the sensors.
@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .consistency import (
     ConsistencyConfig,
@@ -50,7 +49,6 @@ from .optimize import BoxConstraints, NewtonOptions, box_from_grid, minimize
 from .quadrature import (
     build_sigma_points,
     near_sensor_pairs,
-    polar_sigma_adjust,
     radial_rule,
     simplex_directions,
 )
@@ -238,29 +236,20 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
                 "hessfix:" + ",".join(f"{c}@{s}" for c, s in repair.exclusions)
             )
 
+        near = (
+            near_sensor_pairs(repair.x, grid, ctx.near_threshold)
+            if cfg.nonlinear_correction
+            else []
+        )
         points = build_sigma_points(
             repair.x,
             repair.chol,
             ctx.rule,
             ctx.dirs,
             lambda pts: combined_value_batch(pts, frame, grid, meas, prior),
+            near=[(c, grid.positions[s]) for c, s in near],
         )
-        if cfg.nonlinear_correction:
-            near = near_sensor_pairs(repair.x, grid, ctx.near_threshold)
-            if near:
-                # H^{-1} from the repair's factor, as scipy.linalg.cho_solve
-                # computes it
-                cov_prelim = dpotrs(repair.chol, np.eye(repair.x.size), lower=1)[0]
-                for c, s in near:
-                    adjusted = polar_sigma_adjust(
-                        points,
-                        c,
-                        grid.positions[s],
-                        cov_prelim[2 * c : 2 * c + 2, 2 * c : 2 * c + 2],
-                    )
-                    tag = "polar-skip" if adjusted is points else "polar"
-                    actions.append(f"{tag}:{c}@{s}")
-                    points = adjusted
+        actions.extend(f"polar:{c}@{s}" for c, s in near)
 
         mean_x, cov_xx = spatial_moments(points)
         mean_v, cov_vv, cov_vx = velocity_moments(prior, mean_x, cov_xx)

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per shipped guarantee, numbered as in the
 README.  Criteria 1, 2, and 9 share a 25-track benchmark run that takes
-several minutes because the reference particle filter uses 1e5 particles.
+minutes because the reference particle filter uses 1e5 particles; they are
+marked ``slow``, so ``pytest -m "not slow"`` skips that run.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ def bpf500_point(tmp_path_factory):
     return res.summary["points"][0]["variants"]["bpf"]
 
 
+@pytest.mark.slow
 def test_criterion_1_baseline_accuracy(benchmark_point):
     tt = benchmark_point["tt-nonlinear"]
     assert not tt["failures"]
@@ -88,6 +90,7 @@ def test_criterion_1_baseline_accuracy(benchmark_point):
     assert tt["avg_omat"] <= 2.0, f"average OMAT {tt['avg_omat']:.4f} m > 2.0 m"
 
 
+@pytest.mark.slow
 def test_criterion_2_variant_ordering(benchmark_point):
     assert not benchmark_point["tt-linear"]["failures"]
     assert not benchmark_point["bpf"]["failures"]
@@ -230,25 +233,29 @@ def test_criterion_7_omat_equals_brute_force_minimum():
 
 
 def test_criterion_8_polar_round_trip_and_unit_jacobian():
+    # the chart measured from bearing pi is smooth across the sensor's -x ray
     rng = np.random.default_rng(7)
     sensor = np.array([20.0, 20.0])
     fd_h = 1e-5
-    for _ in range(1000):
-        r = rng.uniform(0.5, 50.0)
-        phi = rng.uniform(-0.9 * np.pi, 0.9 * np.pi)
-        point = sensor + r * np.array([np.cos(phi), np.sin(phi)])
-        u = polar_transform(point, sensor)
-        assert np.max(np.abs(inverse_polar(u, sensor) - point)) < 1e-12
-        jac = np.empty((2, 2))
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = fd_h
-            jac[:, j] = (
-                polar_transform(point + e, sensor) - polar_transform(point - e, sensor)
-            ) / (2.0 * fd_h)
-        assert abs(np.linalg.det(jac) - 1.0) < 1e-7
+    for bearing in (0.0, np.pi):
+        for _ in range(1000):
+            r = rng.uniform(0.5, 50.0)
+            phi = bearing + rng.uniform(-0.9 * np.pi, 0.9 * np.pi)
+            point = sensor + r * np.array([np.cos(phi), np.sin(phi)])
+            u = polar_transform(point, sensor, bearing)
+            assert np.max(np.abs(inverse_polar(u, sensor, bearing) - point)) < 1e-12
+            jac = np.empty((2, 2))
+            for j in range(2):
+                e = np.zeros(2)
+                e[j] = fd_h
+                jac[:, j] = (
+                    polar_transform(point + e, sensor, bearing)
+                    - polar_transform(point - e, sensor, bearing)
+                ) / (2.0 * fd_h)
+            assert abs(np.linalg.det(jac) - 1.0) < 1e-7
 
 
+@pytest.mark.slow
 def test_criterion_9_per_step_cost_within_10x_of_small_bpf(
     benchmark_point, bpf500_point
 ):

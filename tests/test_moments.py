@@ -24,16 +24,7 @@ from conftest import random_spd
 
 
 def point_set(points: np.ndarray, weights: np.ndarray) -> SigmaPointSet:
-    """Minimal hand-built set; rule and dirs are irrelevant to the moments."""
-    rule = radial_rule(points.shape[1] if points.shape[1] % 2 == 0 else 2)
-    dirs = simplex_directions(2)
-    return SigmaPointSet(
-        points=points,
-        weights=weights,
-        mean=points[0],
-        rule=rule,
-        dirs=dirs,
-    )
+    return SigmaPointSet(points=points, weights=weights)
 
 
 def random_prior(c: int, rng: np.random.Generator):

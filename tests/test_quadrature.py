@@ -1,9 +1,8 @@
-"""Cubature construction: radial rule, direction lattice, sigma points, polar map."""
+"""Cubature construction: radial rule, direction lattice, sigma points, polar chart."""
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from ttfilter.quadrature import (
     build_sigma_points,
     inverse_polar,
     near_sensor_pairs,
-    polar_jacobian,
-    polar_sigma_adjust,
     polar_transform,
     radial_rule,
     simplex_directions,
@@ -227,20 +224,6 @@ def test_polar_round_trip_off_branch_cut(rng):
         np.testing.assert_allclose(back, p, atol=1e-12 * max(1.0, r))
 
 
-def test_polar_jacobian_has_unit_determinant(rng):
-    for _ in range(1000):
-        rel = rng.uniform(-20.0, 20.0, size=2)
-        if np.linalg.norm(rel) < 1e-3:
-            continue
-        assert np.linalg.det(polar_jacobian(rel)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_polar_jacobian_identity_on_positive_x_axis():
-    np.testing.assert_allclose(
-        polar_jacobian(np.array([4.0, 0.0])), np.eye(2), atol=1e-15
-    )
-
-
 def test_near_sensor_pairs_gating():
     grid = build_grid(5, 5, 10.0)
     positions = np.array([[20.5, 20.0], [5.0, 5.0]])
@@ -249,53 +232,59 @@ def test_near_sensor_pairs_gating():
     assert near_sensor_pairs(positions[1:], grid, threshold=2.0) == []
 
 
-def test_polar_adjust_on_axis_isotropic_preserves_radii(rule8, dirs8):
-    # target 0 east of the sensor: the local Jacobian is the identity, so
-    # sigma_uu equals sigma_xx and the redrawn radii follow the same spread
-    m = np.array([23.0, 20.0, 8.0, 31.0, 12.0, 5.0, 30.0, 11.0])
-    H = np.eye(8) * 4.0
-    pts = build_sigma_points(
-        m, np.linalg.cholesky(H), rule8, dirs8, quadratic_nll(m, H)
-    )
+@pytest.mark.parametrize(
+    "bearing", [0.0, math.pi / 2.0, math.pi - 1e-9, -math.pi + 1e-9]
+)
+def test_sigma_points_exact_on_surface_gaussian_in_polar_chart(rule8, dirs8, bearing):
+    # target 0 sits 1.5 m from the sensor at the given bearing; the surface
+    # is quadratic in that target's (range, arc length) chart, with the
+    # angle measured from the bearing, and in the other six coordinates.
+    # Near +-pi the bent points straddle the sensor's -x ray.
+    rng = np.random.default_rng(5)
     sensor = np.array([20.0, 20.0])
-    sigma_xx = 0.09 * np.eye(2)
-    adj = polar_sigma_adjust(pts, 0, sensor, sigma_xx)
-
-    np.testing.assert_array_equal(adj.weights, pts.weights)
-    np.testing.assert_array_equal(adj.points[:, 2:], pts.points[:, 2:])
-
-    L = np.linalg.cholesky(sigma_xx)
-    mean_u = polar_transform(m[:2], sensor)
-    spread = dirs8.directions[:, :2] @ L.T
-    z = np.concatenate(
-        [
-            np.full(dirs8.count, pts.rule.z_minus),
-            np.full(dirs8.count, pts.rule.z_plus),
-        ]
+    m = np.concatenate(
+        [sensor + 1.5 * np.array([math.cos(bearing), math.sin(bearing)]),
+         rng.uniform(5.0, 35.0, size=6)]
     )
-    u = mean_u + np.sqrt(2.0 * z)[:, None] * np.vstack([spread, spread])
-    radii = np.linalg.norm(adj.points[:, :2] - sensor, axis=1)
-    np.testing.assert_allclose(radii, np.maximum(u[:, 0], 1e-6), atol=1e-10)
 
+    def chart(points: np.ndarray) -> np.ndarray:
+        out = np.array(points, dtype=float)
+        out[..., :2] = polar_transform(out[..., :2], sensor, bearing)
+        return out
 
-def test_polar_adjust_skips_when_pushforward_not_pd(rule8, dirs8):
-    m = np.array([19.777, 20.279, 8.0, 31.0, 12.0, 5.0, 30.0, 11.0])
-    H = np.eye(8) * 4.0
-    pts = build_sigma_points(
-        m, np.linalg.cholesky(H), rule8, dirs8, quadratic_nll(m, H)
-    )
-    sensor = np.array([20.0, 20.0])
-    sigma_xx = np.array([[2.0985, 0.9097], [0.9097, 0.4063]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        adj = polar_sigma_adjust(pts, 0, sensor, sigma_xx)
-    assert adj is pts
+    y0 = chart(m)
+    h_chart = random_spd(8, rng, scale=15.0)  # chart sd below 0.1 m
+
+    def nll(points: np.ndarray) -> np.ndarray:
+        d = chart(points) - y0
+        return 0.5 * np.einsum("ki,ij,kj->k", d, h_chart, d)
+
+    # the chart's Jacobian at m: rows e_r and e_t for target 0, identity after
+    jac = np.eye(8)
+    jac[:2, :2] = [[math.cos(bearing), math.sin(bearing)],
+                   [-math.sin(bearing), math.cos(bearing)]]
+    chol = np.linalg.cholesky(jac.T @ h_chart @ jac)
+    pts = build_sigma_points(m, chol, rule8, dirs8, nll, near=[(0, sensor)])
+
+    j = dirs8.count
+    np.testing.assert_allclose(pts.weights[:j], pts.weights[0], rtol=1e-10)
+    np.testing.assert_allclose(pts.weights[j:], pts.weights[j], rtol=1e-10)
+    y = chart(pts.points)
+    mean = pts.weights @ y
+    d = y - mean
+    cov = np.einsum("k,ki,kj->ij", pts.weights, d, d)
+    assert np.linalg.norm(mean - y0) / np.linalg.norm(y0) < 1e-10
+    target = np.linalg.inv(h_chart)
+    assert np.linalg.norm(cov - target) / np.linalg.norm(target) < 1e-10
+    # the other targets' coordinates are placed exactly as without the chart
+    plain = build_sigma_points(m, chol, rule8, dirs8, nll)
+    np.testing.assert_array_equal(pts.points[:, 2:], plain.points[:, 2:])
 
 
 def test_direct_lapack_solves_equal_the_scipy_wrappers():
-    # build_sigma_points calls dtrtrs and the tracker's polar blocks call
-    # dpotrs; both must give what solve_triangular and cho_solve give for the
-    # C-ordered factor numpy's Cholesky returns
+    # build_sigma_points calls dtrtrs and nll.propagate_prior inverts the
+    # spatial block with dpotrs; both must give what solve_triangular and
+    # cho_solve give for the C-ordered factor numpy's Cholesky returns
     import scipy.linalg
     from scipy.linalg.lapack import dpotrs
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -31,7 +29,6 @@ from ttfilter.nll import (
     propagate_prior,
 )
 from ttfilter.optimize import minimize
-from ttfilter.quadrature import polar_sigma_adjust
 from ttfilter.tracker import FilterConfig, init_belief, make_context, step, track
 
 from conftest import benchmark_scenario
@@ -388,33 +385,47 @@ def test_step_polar_action_fires_near_sensor():
     assert not any(a.startswith("polar") for a in off.actions)
 
 
-def test_step_logs_skipped_polar_adjustment(monkeypatch):
-    # north of the center sensor the pushed-forward covariance is not PD, so
-    # the adjustment returns its input and the step matches the linear path
-    scn = one_target_scenario(20.0, 20.4)
-    truth = scn.initial_states
-    frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
-    returned_input = []
-
-    def spy(points, *args):
-        adjusted = polar_sigma_adjust(points, *args)
-        returned_input.append(adjusted is points)
-        return adjusted
-
-    monkeypatch.setattr(tracker, "polar_sigma_adjust", spy)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = step(tight_belief(truth), frame, make_context(scn, FilterConfig()))
-    assert returned_input == [True]
-    assert "polar-skip:0@12" in out.actions
-    assert "polar:0@12" not in out.actions
-    off = step(
-        tight_belief(truth),
-        frame,
-        make_context(scn, FilterConfig(nonlinear_correction=False)),
+def test_step_repairs_hessian_after_main_fit_ends_on_a_bound(monkeypatch):
+    # the repair's reachable case: with bounds="none" target 0 drifts out of
+    # the grid, and at step 11 of this track the main fit leaves it on the
+    # box's lower x bound with a Hessian that is not positive definite.  The
+    # step must repair (here by excluding a pair of every target) rather
+    # than fall back.
+    scn = Scenario(
+        grid=build_grid(5, 5, 10.0),
+        meas=MeasurementModel(sigma_s2=0.1),
+        motion=MotionModel(gamma=0.05),
+        initial_states=np.array(
+            [[1.0, 1.0, -0.3, -0.2], [32.0, 32.0, 0.3, 0.2],
+             [20.0, 13.0, -0.1, 0.01], [15.0, 35.0, 0.002, 0.3]]
+        ),
+        bounds="none",
     )
-    np.testing.assert_array_equal(out.posterior.mean, off.posterior.mean)
-    np.testing.assert_array_equal(out.posterior.cov, off.posterior.cov)
+    ctx = make_context(scn, FilterConfig())
+    traj = simulate(scn, 40, np.random.default_rng(np.random.SeedSequence([3, 18, 0])))
+    belief = init_belief(
+        "random_around_truth", ctx.config, scn.grid,
+        np.random.default_rng(np.random.SeedSequence([3, 18, 1])),
+        truth_state=traj.states[0],
+    )
+    for frame in traj.frames[:11]:
+        belief = step(belief, frame, ctx).posterior
+
+    fits = []
+
+    def spy(*args, **kwargs):
+        fits.append(minimize(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(tracker, "minimize", spy)
+    out = step(belief, traj.frames[11], ctx)
+    assert fits[0].converged and 0 in fits[0].active_set
+    assert any(a.startswith("hessfix:") for a in out.actions)
+    assert not any(a.startswith("fallback:") for a in out.actions)
+    assert {c for c, _ in out.exclusions} == {0, 1, 2, 3}
+    post = out.posterior
+    assert np.isfinite(post.mean).all() and np.isfinite(post.cov).all()
+    assert np.linalg.eigvalsh(post.cov).min() > 0.0
 
 
 def test_step_posterior_satisfies_belief_invariants(rng):
