@@ -119,21 +119,19 @@ def excess_deficit(
     return ExcessDeficit(excess=excess, deficit=deficit, removed=tuple(int(c) for c in removed))
 
 
-def maximin_order(
-    positions: np.ndarray, grid: SensorGrid, used: np.ndarray
-) -> np.ndarray:
-    """Remaining sensors ordered by descending min-distance to the targets.
+def maximin_pick(
+    positions: np.ndarray, grid: SensorGrid, taken: np.ndarray
+) -> int:
+    """The sensor not yet ``taken`` farthest from its nearest target.
 
-    Ties break toward the lower sensor index.  The ordering is computed once
-    against fixed target positions; callers re-estimate between additions.
+    ``taken`` is a (S,) boolean mask.  Ties go to the lower sensor index
+    (``argmax`` returns the first maximum).  One-by-one recovery calls this
+    once per added sensor, re-estimating the targets in between.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    remaining = np.setdiff1d(np.arange(grid.count), used)
-    if remaining.size == 0:
-        return remaining
-    d = _pair_offsets(pos, grid.positions[remaining])[1].min(axis=0)
-    order = np.lexsort((remaining, -d))
-    return remaining[order]
+    d = _pair_offsets(pos, grid.positions)[1].min(axis=0)
+    d[taken] = -np.inf
+    return int(d.argmax())
 
 
 def _center_ring(grid: SensorGrid, n_targets: int) -> np.ndarray:
@@ -152,9 +150,13 @@ def _grow_sensor_set(
     options: NewtonOptions | None,
 ) -> OptimizeResult:
     used = grid.boundary_indices()
+    taken = np.zeros(grid.count, dtype=bool)
+    taken[used] = True
     res = minimize(measurement_objective(frame, grid, meas, used), start, box, options)
     while used.size < grid.count:
-        used = np.append(used, maximin_order(res.x, grid, used)[0])
+        pick = maximin_pick(res.x, grid, taken)
+        taken[pick] = True
+        used = np.append(used, pick)
         res = minimize(
             measurement_objective(frame, grid, meas, used), res.x, box, options
         )

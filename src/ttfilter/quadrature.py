@@ -21,6 +21,14 @@ mapped back through the chart before any point is weighted.  The map has
 unit Jacobian everywhere, so the rule and its weights carry over unchanged,
 and they are exact through cubics for a surface that is Gaussian in chart
 coordinates.
+
+The chart is used twice, through the same two helpers: ``chart_frame``
+(range, unit bearing vector and bearing) and ``bend`` (Cartesian offsets
+read in that frame and mapped back with ``inverse_polar``).  Here ``bend``
+places the sigma points, once per near target and step (2 d(d+1) points at
+a time).  The main fit's Newton steps use the same frame for their chart
+system and ``bend`` for their line-search trials, one point at a time
+(see ``optimize``).
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import ConfigurationError, NumericalError
-from .model import R_MIN, SensorGrid, _pair_offsets
+from .model import R_MIN, SensorGrid
 
 
 @dataclass(frozen=True)
@@ -145,18 +153,8 @@ def build_sigma_points(
         ]
     )
     for c, sensor in near:
-        center = mean[2 * c : 2 * c + 2]
-        rel = center - sensor
-        r0 = math.hypot(rel[0], rel[1])
-        e_r = rel / r0
-        d = pts[:, 2 * c : 2 * c + 2] - center
-        # the offsets in the (e_r, e_t) frame, e_t = e_r turned by +90 degrees,
-        # are the chart offsets; the range stays clamped like every distance
-        u = np.maximum(r0 + d @ e_r, R_MIN)
-        v = d[:, 1] * e_r[0] - d[:, 0] * e_r[1]
-        pts[:, 2 * c : 2 * c + 2] = inverse_polar(
-            np.column_stack([u, v]), sensor, math.atan2(rel[1], rel[0])
-        )
+        block = pts[:, 2 * c : 2 * c + 2]
+        block[:] = bend(block, mean[2 * c : 2 * c + 2], sensor)
     nll = np.asarray(nll_values(pts), dtype=float)
     if nll.shape != (pts.shape[0],) or not np.all(np.isfinite(nll)):
         raise NumericalError("sigma-point NLL evaluation returned bad values")
@@ -173,6 +171,38 @@ def build_sigma_points(
     if not np.isfinite(total) or total <= 0.0:
         raise NumericalError("sigma-point weights degenerated to zero")
     return SigmaPointSet(points=pts, weights=raw / total)
+
+
+def chart_frame(
+    center: np.ndarray, sensor: np.ndarray
+) -> tuple[float, np.ndarray, float]:
+    """Range ``r0``, unit bearing vector ``e_r`` and bearing of ``center``
+    about ``sensor``.
+
+    The chart about ``sensor`` with the angle measured from this bearing
+    has Jacobian [e_r, e_t] at ``center``, where e_t is e_r turned by +90
+    degrees: a rotation.
+    """
+    rel = center - sensor
+    r0 = math.hypot(rel[0], rel[1])
+    return r0, rel / r0, math.atan2(rel[1], rel[0])
+
+
+def bend(points: np.ndarray, center: np.ndarray, sensor: np.ndarray) -> np.ndarray:
+    """Carry plane points (..., 2) near ``center`` onto the chart about ``sensor``.
+
+    Each offset from ``center`` is read in the (e_r, e_t) frame of
+    :func:`chart_frame` as a (range, arc length) offset from the chart
+    point of ``center``, and mapped back with :func:`inverse_polar`; the
+    range stays clamped at ``R_MIN`` like every distance.  A straight line
+    of offsets becomes the curve that is straight in the chart.
+    """
+    r0, e_r, bearing = chart_frame(center, sensor)
+    d = points - center
+    uv = np.empty(d.shape)
+    uv[..., 0] = np.maximum(r0 + d @ e_r, R_MIN)
+    uv[..., 1] = d[..., 1] * e_r[0] - d[..., 0] * e_r[1]
+    return inverse_polar(uv, sensor, bearing)
 
 
 def polar_transform(
@@ -198,20 +228,33 @@ def inverse_polar(
     uv = np.asarray(uv, dtype=float)
     u = uv[..., 0]
     ang = bearing + uv[..., 1] / u
-    return np.asarray(sensor, dtype=float) + np.stack(
-        [u * np.cos(ang), u * np.sin(ang)], axis=-1
-    )
+    out = np.empty(uv.shape)
+    out[..., 0] = u * np.cos(ang)
+    out[..., 1] = u * np.sin(ang)
+    out += sensor
+    return out
 
 
 def near_sensor_pairs(
     positions: np.ndarray, grid: SensorGrid, threshold: float
 ) -> list[tuple[int, int]]:
-    """(target, nearest sensor) pairs closer than ``threshold`` meters."""
-    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    d = _pair_offsets(pos, grid.positions)[1]
-    nearest = d.argmin(axis=1)
-    return [
-        (c, int(s))
-        for c, s in enumerate(nearest)
-        if d[c, s] < threshold
-    ]
+    """(target, nearest sensor) pairs closer than ``threshold`` meters.
+
+    The grid is a rectangular lattice, so a target's nearest sensor is its
+    rounded, clamped column and row; no (C, S) distance table is built,
+    because the main fit asks this at every exact-Newton iteration.  A
+    target within ``R_MIN`` of its sensor, where the chart is singular, and
+    a non-finite position are left out.
+    """
+    h, cols, rows = grid.spacing, grid.cols, grid.rows
+    xy = np.asarray(positions, dtype=float).ravel().tolist()
+    pairs = []
+    for c in range(len(xy) // 2):
+        x, y = xy[2 * c], xy[2 * c + 1]
+        if not (math.isfinite(x) and math.isfinite(y)):
+            continue
+        col = min(max(round(x / h), 0), cols - 1)
+        row = min(max(round(y / h), 0), rows - 1)
+        if R_MIN < math.hypot(x - col * h, y - row * h) < threshold:
+            pairs.append((c, row * cols + col))
+    return pairs

@@ -1,7 +1,10 @@
 """The per-step tracking filter and whole-track driver.
 
 Each step: propagate the posterior through the constant-velocity model with
-inflated noise, maximize the spatial likelihood inside the search box, gate
+inflated noise, maximize the spatial likelihood inside the search box (with
+the nonlinear correction, the fit's Newton steps take each target near a
+sensor in the same polar chart the cubature uses; a fit that stops short of
+convergence is recorded as ``unconverged:main[iterations]``), gate
 the fit with the chi-square consistency test (escalating through one-by-one
 sensor re-acquisition and square hopping when it fails), repair the Hessian
 to positive definite, spread sigma points on the combined NLL surface (in
@@ -85,6 +88,14 @@ class FilterContext:
     rule: object
     dirs: object
     near_threshold: float
+
+    def near_sensors(self, x: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """(target, sensor position) for each target of ``x`` within
+        ``near_threshold`` of its nearest sensor: the targets the
+        near-sensor chart takes at ``x``."""
+        grid = self.scenario.grid
+        pairs = near_sensor_pairs(x, grid, self.near_threshold)
+        return [(c, grid.positions[s]) for c, s in pairs]
 
 
 def make_context(scenario: Scenario, config: FilterConfig) -> FilterContext:
@@ -199,7 +210,12 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
         if non_finite.size:  # no fit can explain a NaN or infinite reading
             raise NumericalError(f"non-finite frame: sensors {non_finite.tolist()}")
         objective = combined_objective(frame, grid, meas, prior)
-        res = minimize(objective, prior.mean_x, ctx.box, cfg.optimizer)
+        res = minimize(
+            objective, prior.mean_x, ctx.box, cfg.optimizer,
+            chart=ctx.near_sensors if cfg.nonlinear_correction else None,
+        )
+        if not res.converged:
+            actions.append(f"unconverged:main[{res.iterations}]")
         x_hat, hess = res.x, res.hess
         ok, stat = is_consistent(x_hat, frame, grid, meas, cfg.consistency)
 

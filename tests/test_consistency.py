@@ -18,13 +18,14 @@ from ttfilter.consistency import (
     consistency_statistic,
     excess_deficit,
     is_consistent,
-    maximin_order,
+    maximin_pick,
     one_by_one_recovery,
     square_hopping_recovery,
 )
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import (
     DEFAULT_TARGETS,
+    _pair_offsets,
     MeasurementModel,
     build_grid,
     expected_signal,
@@ -157,18 +158,38 @@ def test_boundary_count(grid55):
     assert grid55.boundary_indices().size == 16
 
 
+def maximin_order(positions, grid, used):
+    """Remaining sensors by descending min-distance to the targets, ties to
+    the lower index: the full ordering one-by-one recovery read only the
+    first element of, kept as the oracle for ``maximin_pick``."""
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+    remaining = np.setdiff1d(np.arange(grid.count), used)
+    d = _pair_offsets(pos, grid.positions[remaining])[1].min(axis=0)
+    return remaining[np.lexsort((remaining, -d))]
+
+
+def picks(positions, grid, used):
+    """``maximin_pick`` repeated against fixed targets until every sensor is taken."""
+    taken = np.zeros(grid.count, dtype=bool)
+    taken[used] = True
+    out = []
+    while not taken.all():
+        out.append(maximin_pick(positions, grid, taken))
+        taken[out[-1]] = True
+    return out
+
+
 def test_maximin_prefers_farther_sensor(grid55):
     target = np.array([[5.0, 5.0]])
     used = np.setdiff1d(np.arange(25), [0, 24])  # leave corners (0,0) and (40,40)
-    order = maximin_order(target, grid55, used)
-    assert order.tolist() == [24, 0]
+    assert picks(target, grid55, used) == [24, 0]
 
 
 def test_maximin_matches_enumeration_on_3x3(rng):
     grid = build_grid(3, 3, 10.0)
     targets = rng.uniform(0.0, 20.0, size=(2, 2))
     used = grid.boundary_indices()
-    got = maximin_order(targets, grid, used)
+    got = picks(targets, grid, used)
 
     remaining = sorted(set(range(grid.count)) - set(used.tolist()))
     dists = {
@@ -176,7 +197,32 @@ def test_maximin_matches_enumeration_on_3x3(rng):
         for s in remaining
     }
     expect = sorted(remaining, key=lambda s: (-dists[s], s))
-    assert got.tolist() == expect
+    assert got == expect
+
+
+def test_maximin_pick_is_first_of_the_full_order_ties_included(grid55, rng):
+    cases = [
+        # one target at the grid center: the four corners tie at 28.3 m
+        (np.array([[20.0, 20.0]]), np.array([], dtype=int)),
+        # mirror-symmetric pair: sensors tie in mirrored pairs
+        (np.array([[15.0, 20.0], [25.0, 20.0]]), grid55.boundary_indices()),
+        # a target on a sensor, the boundary ring taken
+        (np.array([[10.0, 10.0], [30.0, 25.0]]), grid55.boundary_indices()),
+    ]
+    for _ in range(200):
+        targets = rng.uniform(-10.0, 50.0, size=(4, 2))
+        used = np.flatnonzero(rng.random(25) < rng.uniform(0.0, 0.95))
+        if used.size < 25:
+            cases.append((targets, used))
+    ties = 0
+    for targets, used in cases:
+        taken = np.zeros(25, dtype=bool)
+        taken[used] = True
+        order = maximin_order(targets, grid55, used)
+        d = _pair_offsets(targets, grid55.positions[order[:2]])[1].min(axis=0)
+        ties += order.size > 1 and d[0] == d[1]
+        assert maximin_pick(targets, grid55, taken) == order[0]
+    assert ties >= 2  # the two symmetric cases
 
 
 def test_signal_excess_zero_when_no_surplus(grid55, meas_default, rng):

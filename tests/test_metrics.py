@@ -10,8 +10,10 @@ import pytest
 
 from ttfilter.errors import ConfigurationError
 from ttfilter.metrics import (
+    PARTICLE_BLOCK,
     BpfConfig,
     OmatResult,
+    _misfit,
     _psd_sqrt,
     bpf_track,
     omat,
@@ -320,6 +322,45 @@ def test_bpf_through_context_matches_own_copy_of_assumptions(n_targets, sigma_s2
     ref = reference_bpf_track(
         traj, scn, 500, FilterNoiseModel(alpha=1.0), sigma_s2,
         (4.0, fcfg.init_velocity_var), seed,
+    )
+    assert rec.estimates.tobytes() == ref[0].tobytes()
+    assert rec.covs.tobytes() == ref[1].tobytes()
+    assert rec.omat.tobytes() == ref[2].tobytes()
+
+
+def test_blocked_cloud_misfit_equals_the_whole_cloud_pass_bit_for_bit():
+    # the particle filter weights its cloud in blocks of PARTICLE_BLOCK
+    # target sets; every row must come out as one whole-cloud pass gives it
+    scn = benchmark_scenario(sigma_s2=0.1)
+    grid, meas = scn.grid, scn.meas
+    sig2 = meas.noise_variances(grid.count)
+    rng = np.random.default_rng(31)
+    frame = rng.uniform(0.0, 5.0, size=grid.count)
+    for n in (1, PARTICLE_BLOCK, 2 * PARTICLE_BLOCK + 17):
+        cloud = rng.uniform(-10.0, 50.0, size=(n, 4, 4))
+        cloud[0, 0, :2] = grid.positions[7]  # a target on a sensor
+        positions = cloud[:, :, :2]  # the strided view bpf_track passes
+        whole_signal = expected_signal(positions, grid, meas)
+        resid = whole_signal - frame
+        whole = np.einsum("ns,ns->n", resid, resid / sig2)
+        assert _misfit(positions, frame, grid, meas, sig2).tobytes() == whole.tobytes()
+        blocks = [
+            expected_signal(positions[lo : lo + PARTICLE_BLOCK], grid, meas)
+            for lo in range(0, n, PARTICLE_BLOCK)
+        ]
+        assert np.concatenate(blocks).tobytes() == whole_signal.tobytes()
+
+
+def test_bpf_with_several_blocks_matches_the_whole_cloud_reference():
+    scn = benchmark_scenario(sigma_s2=0.1)
+    traj = simulate(scn, 3, np.random.default_rng(22))
+    ctx = make_context(scn, FilterConfig())
+    seed = np.random.SeedSequence([7, 4, 7])
+    n = 2 * PARTICLE_BLOCK + 5
+    rec = bpf_track(traj, ctx, BpfConfig(n_particles=n), seed)
+    ref = reference_bpf_track(
+        traj, scn, n, FilterNoiseModel(), None,
+        (ctx.config.init_spatial_var, ctx.config.init_velocity_var), seed,
     )
     assert rec.estimates.tobytes() == ref[0].tobytes()
     assert rec.covs.tobytes() == ref[1].tobytes()

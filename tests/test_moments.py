@@ -271,3 +271,64 @@ def test_slice_filled_joint_equals_np_block(c):
         blocked = np.block([[post.cov_xx, post.cov_vx.T], [post.cov_vx, post.cov_vv]])
         assert post.cov.tobytes() == blocked.tobytes()
         assert post.mean.tobytes() == np.concatenate([mean_x, mean_v]).tobytes()
+
+
+def reference_assemble(mean_x, mean_v, cov_xx, cov_vv, cov_vx):
+    """``assemble`` as it was before the Cholesky pre-check: one ``eigh``
+    of every joint, floored when its least eigenvalue is below the floor."""
+    d = cov_xx.shape[0]
+    joint = np.empty((d + cov_vv.shape[0],) * 2)
+    joint[:d, :d] = cov_xx
+    joint[:d, d:] = cov_vx.T
+    joint[d:, :d] = cov_vx
+    joint[d:, d:] = cov_vv
+    joint = 0.5 * (joint + joint.T)
+    vals, vecs = np.linalg.eigh(joint)
+    if vals.min() < EIGEN_FLOOR:
+        joint = (vecs * np.maximum(vals, EIGEN_FLOOR)) @ vecs.T
+        joint = 0.5 * (joint + joint.T)
+    return joint
+
+
+def test_assemble_equals_the_eigh_path_on_benchmark_posteriors(monkeypatch):
+    from ttfilter import config, moments, tracker
+    from ttfilter.model import simulate
+
+    seen = []
+
+    def recording(*blocks):
+        seen.append(blocks)
+        return assemble(*blocks)
+
+    monkeypatch.setattr(tracker, "assemble", recording)
+    cfg = {"scenario": {"sigma_s2": 0.1}}
+    scenario = config.scenario_from_config(cfg)
+    ctx = tracker.make_context(scenario, config.filter_config_from_config(cfg))
+    for i in range(3):
+        traj = simulate(scenario, 40, np.random.SeedSequence([7, i, 0]))
+        tracker.track(traj, ctx, np.random.SeedSequence([7, i, 1]))
+    assert len(seen) == 120
+    fast = 0
+    for blocks in seen:
+        joint = assemble(*blocks).cov
+        assert joint.tobytes() == reference_assemble(*blocks).tobytes()
+        fast += moments._clears_floor(joint)
+    assert fast == len(seen)  # no benchmark posterior needed the eigh path
+
+
+def test_assemble_still_floors_a_near_singular_joint(rng):
+    from ttfilter import moments
+
+    for least in (-1e-9, 0.0, 5e-11, 1e-10, 1.5e-10, 1e-9):
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        vals = np.linspace(1.0, 2.0, 8)
+        vals[3] = least
+        joint = (q * vals) @ q.T
+        joint = 0.5 * (joint + joint.T)
+        blocks = (joint[:4, :4], joint[4:, 4:], joint[4:, :4])
+        got = assemble(np.zeros(4), np.zeros(4), *blocks).cov
+        assert got.tobytes() == reference_assemble(None, None, *blocks).tobytes()
+        # at or below the floor, the Cholesky check passes the joint to eigh
+        assert moments._clears_floor(joint) == (least > EIGEN_FLOOR)
+        # floored, up to the rounding of rebuilding a joint of norm 2
+        assert np.linalg.eigvalsh(got).min() >= EIGEN_FLOOR - 1e-13

@@ -20,6 +20,7 @@ from ttfilter.nll import (
     measurement_objective,
     propagate_prior,
 )
+from ttfilter.quadrature import inverse_polar
 from ttfilter.optimize import (
     LEVENBERG_SCALE,
     WARMUP_ITERATIONS,
@@ -54,6 +55,9 @@ def test_box_validation_and_clip():
     assert not box.contains(np.array([1.5, 0.5]))
     with pytest.raises(ConfigurationError):
         BoxConstraints(lower=np.array([1.0]), upper=np.array([1.0]))
+    # the bounds a fit treats as "on the bound" are shrunk once, per box
+    np.testing.assert_array_equal(box.inner_lower, 1e-10 * (box.upper - box.lower))
+    np.testing.assert_array_equal(box.inner_upper, box.upper - 1e-10 * (box.upper - box.lower))
 
 
 def test_box_from_grid_pads_by_one_spacing(grid55):
@@ -618,3 +622,129 @@ def test_minimize_equals_reference_with_non_finite_trials():
     for impl in (minimize, reference_minimize):
         with pytest.raises(NumericalError):
             impl(bad_start, np.zeros(2), box)
+
+
+# The near-sensor chart (``minimize(..., chart=...)``): the main fit takes
+# its exact-Newton steps with each target near a sensor in (range, arc
+# length) about that sensor.
+
+
+def fd_chart_derivatives(fun, x, c, sensor, bearing, h):
+    """Central differences of fun(x with target c at inverse_polar(u, v)) at
+    (u, v) = (range of target c, 0): gradient, and Hessian from values."""
+    r0 = float(np.hypot(*(x[2 * c : 2 * c + 2] - sensor)))
+
+    def composed(y):
+        z = y.copy()
+        z[2 * c : 2 * c + 2] = inverse_polar(y[2 * c : 2 * c + 2], sensor, bearing)
+        return fun(z).value
+
+    y0 = x.copy()
+    y0[2 * c : 2 * c + 2] = (r0, 0.0)
+    n = x.size
+    steps = h * np.eye(n)
+    grad = np.array(
+        [(composed(y0 + e) - composed(y0 - e)) / (2.0 * h) for e in steps]
+    )
+    hess = np.empty((n, n))
+    for i, j in itertools.product(range(n), repeat=2):
+        ei, ej = steps[i], steps[j]
+        hess[i, j] = (
+            composed(y0 + ei + ej) - composed(y0 + ei - ej)
+            - composed(y0 - ei + ej) + composed(y0 - ei - ej)
+        ) / (4.0 * h * h)
+    return grad, hess
+
+
+@pytest.mark.parametrize(
+    "bearing", [0.3, 2.0, -1.2, np.pi - 1e-9, -np.pi + 1e-9]
+)
+def test_chart_gradient_and_hessian_match_finite_differences(bearing):
+    # target 1 sits 0.6 m from the sensor at (30, 20); near +-pi the
+    # differences step across the sensor's -x ray, which the chart measured
+    # from the bearing does not see
+    ctx, prior, frame = next(acceptance_steps(1))
+    fun = combined_objective(frame, ctx.scenario.grid, ctx.meas, prior)
+    sensor = np.array([30.0, 20.0])
+    x = prior.mean_x.copy()
+    x[2:4] = sensor + 0.6 * np.array([np.cos(bearing), np.sin(bearing)])
+    rep = fun(x)
+    rot, hess_c, grad_c = optimize._chart_system(rep.hess, rep.grad, x, [(1, sensor)])
+
+    grad_fd, hess_fd = fd_chart_derivatives(fun, x, 1, sensor, bearing, 1e-4)
+    grad_fd_fine, _ = fd_chart_derivatives(fun, x, 1, sensor, bearing, 1e-6)
+    np.testing.assert_allclose(grad_c, grad_fd_fine, rtol=0.0, atol=1e-6 * np.abs(grad_c).max())
+    np.testing.assert_allclose(grad_c, grad_fd, rtol=0.0, atol=1e-5 * np.abs(grad_c).max())
+    np.testing.assert_allclose(hess_c, hess_fd, rtol=0.0, atol=1e-5 * np.abs(hess_c).max())
+    # the arc-arc entry carries the map's curvature, -(g . e_r) / r
+    plain = rot.T @ rep.hess @ rot
+    assert abs(hess_c[3, 3] - plain[3, 3] + grad_c[2] / 0.6) < 1e-9 * abs(hess_c[3, 3])
+    assert abs(grad_c[2] / 0.6) > 1e-3 * abs(hess_c[3, 3])  # and it matters
+    # the frame is a rotation for target 1 and the identity elsewhere
+    np.testing.assert_allclose(rot.T @ rot, np.eye(8), atol=1e-15)
+    np.testing.assert_array_equal(np.delete(np.delete(rot, [2, 3], 0), [2, 3], 1), np.eye(6))
+
+
+def crawl_fit():
+    """Track 0 of ``acceptance`` seed 7 at step 27: the main fit ends with a
+    target 0.13 m from a sensor, where the Cartesian loop crawls."""
+    cfg = {"scenario": {"sigma_s2": 0.1}}
+    scenario = config.scenario_from_config(cfg)
+    ctx = tracker.make_context(scenario, config.filter_config_from_config(cfg))
+    traj = simulate(scenario, 40, np.random.SeedSequence([7, 0, 0]))
+    belief = tracker.init_belief(
+        "random_around_truth", ctx.config, scenario.grid,
+        np.random.default_rng(np.random.SeedSequence([7, 0, 1])),
+        truth_state=traj.states[0],
+    )
+    for frame in traj.frames[:27]:
+        belief = tracker.step(belief, frame, ctx).posterior
+    prior = propagate_prior(belief, ctx.noise)
+    return ctx, combined_objective(traj.frames[27], scenario.grid, ctx.meas, prior), prior
+
+
+def test_chart_fit_stops_crawling_around_a_sensor():
+    # the Cartesian loop takes 113 iterations along the ring-shaped valley
+    # around the sensor's peak, the chart 10, to the same optimum
+    ctx, fun, prior = crawl_fit()
+    cartesian = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer)
+    charted = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer,
+                       chart=ctx.near_sensors)
+    dist = np.hypot(*(charted.x.reshape(-1, 2)[:, None] - ctx.scenario.grid.positions).T)
+    assert 0.1 < dist.min() < 0.16
+    assert cartesian.converged and cartesian.iterations > 100
+    assert charted.converged and charted.iterations <= 30
+    assert abs(charted.value - cartesian.value) <= 1e-9 * abs(cartesian.value)
+    np.testing.assert_allclose(charted.x, cartesian.x, rtol=0.0, atol=1e-6)
+
+
+def test_chart_with_no_target_near_a_sensor_is_the_cartesian_loop_bit_for_bit():
+    fits = 0
+    for ctx, prior, frame in acceptance_steps(8):
+        fun = combined_objective(frame, ctx.scenario.grid, ctx.meas, prior)
+        asked = []
+
+        def chart(x):
+            asked.append(ctx.near_sensors(x))
+            return asked[-1]
+
+        seen = ([], [])
+
+        def spy(k):
+            def wrapped(x):
+                rep = fun(x)
+                seen[k].append((x.tobytes(), np.float64(rep.value).tobytes()))
+                return rep
+
+            return wrapped
+
+        got = minimize(spy(0), prior.mean_x, ctx.box, chart=chart)
+        if not asked or any(asked):
+            continue  # an exact-Newton iterate came near a sensor
+        ref = minimize(spy(1), prior.mean_x, ctx.box)
+        assert seen[0] == seen[1]
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.hess.tobytes() == ref.hess.tobytes()
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+        fits += 1
+    assert fits >= 3

@@ -230,6 +230,26 @@ def test_near_sensor_pairs_gating():
     pairs = near_sensor_pairs(positions, grid, threshold=2.0)
     assert pairs == [(0, 12)]
     assert near_sensor_pairs(positions[1:], grid, threshold=2.0) == []
+    # on the sensor the chart is singular: the target stays Cartesian
+    on = np.array([[20.0, 20.0], [30.0 + 1e-7, 10.0], [30.0 + 2e-6, 10.0]])
+    assert near_sensor_pairs(on, grid, threshold=2.0) == [(2, 8)]
+    assert near_sensor_pairs(np.array([[np.nan, 20.0], [np.inf, 1.0]]), grid, 2.0) == []
+
+
+def test_near_sensor_pairs_match_the_distance_table():
+    # the lattice rounding finds what a full (C, S) distance table finds,
+    # also outside the grid and across the clamped edges
+    grid = build_grid(4, 6, 7.5)
+    rng = np.random.default_rng(9)
+    found = 0
+    for _ in range(3000):
+        pos = rng.uniform(-12.0, 50.0, size=(4, 2))
+        pos[0] = grid.positions[rng.integers(grid.count)] + rng.normal(0.0, 1.5, 2)
+        d = np.linalg.norm(pos[:, None, :] - grid.positions, axis=2)
+        expect = [(c, int(d[c].argmin())) for c in range(4) if d[c].min() < 2.0]
+        assert near_sensor_pairs(pos, grid, threshold=2.0) == expect
+        found += len(expect)
+    assert found > 1000
 
 
 @pytest.mark.parametrize(

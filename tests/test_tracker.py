@@ -28,7 +28,7 @@ from ttfilter.nll import (
     combined_value_batch,
     propagate_prior,
 )
-from ttfilter.optimize import minimize
+from ttfilter.optimize import NewtonOptions, minimize
 from ttfilter.tracker import FilterConfig, init_belief, make_context, step, track
 
 from conftest import benchmark_scenario
@@ -331,6 +331,24 @@ def test_every_fit_gathers_its_sensors_before_it_starts(monkeypatch):
     assert len(fits) > 10
     assert all(gathers == 0 for gathers, _ in fits)
     assert sum(evals for _, evals in fits) > 2 * len(fits)
+
+
+def test_step_records_an_unconverged_main_fit():
+    # a main fit stopped by the iteration cap is tagged, and the tag does not
+    # read as a fallback to the prior
+    scn = benchmark_scenario()
+    truth = scn.initial_states
+    frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
+    off = truth.copy()
+    off[:, :2] += 1.5
+    ctx = make_context(scn, FilterConfig(optimizer=NewtonOptions(max_iter=2)))
+    out = step(tight_belief(off, spatial=4.0), frame, ctx)
+    assert out.actions[0] == "unconverged:main[2]"
+    assert not any(a.startswith("fallback:") for a in out.actions)
+    assert np.isfinite(out.posterior.mean).all()
+
+    done = step(tight_belief(off, spatial=4.0), frame, make_context(scn, FilterConfig()))
+    assert not any(a.startswith("unconverged") for a in done.actions)
 
 
 def test_step_recovery_engages_and_never_worsens_statistic():
