@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import chdtri
 
 from .errors import ConfigurationError
-from .model import MeasurementModel, SensorGrid, _pair_offsets, signal_components
+from .model import MeasurementModel, SensorGrid, _pair_distances, signal_components
 from .nll import PropagatedPrior, measurement_nll, measurement_objective
 from .optimize import BoxConstraints, NewtonOptions, OptimizeResult, minimize
 
@@ -129,7 +129,7 @@ def maximin_pick(
     once per added sensor, re-estimating the targets in between.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    d = _pair_offsets(pos, grid.positions)[1].min(axis=0)
+    d = _pair_distances(pos, grid.positions_t)[1].min(axis=0)
     d[taken] = -np.inf
     return int(d.argmax())
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HessianRepairError
-from .model import MeasurementModel, SensorGrid, _pair_offsets
+from .model import MeasurementModel, SensorGrid, _pair_distances
 from .nll import NllReport, PropagatedPrior, combined_objective
 from .optimize import BoxConstraints, NewtonOptions, minimize
 
@@ -45,7 +45,7 @@ class HessianRepair:
 def _closest_new_pair(
     x: np.ndarray, grid: SensorGrid, excluded: list[tuple[int, int]]
 ) -> tuple[int, int]:
-    d = _pair_offsets(x.reshape(-1, 2), grid.positions)[1]
+    d = _pair_distances(x.reshape(-1, 2), grid.positions_t)[1]
     for flat in np.argsort(d, axis=None, kind="stable"):
         c, s = np.unravel_index(flat, d.shape)
         pair = (int(c), int(s))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,12 @@ class SensorGrid:
     @property
     def count(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def positions_t(self) -> np.ndarray:
+        """The sensor coordinates as a contiguous (2, S) array, the layout
+        ``_pair_distances`` reads (``.take(indices, axis=1)`` keeps it)."""
+        return np.ascontiguousarray(self.positions.T)
 
     @property
     def extent(self) -> tuple[float, float]:
@@ -197,26 +204,22 @@ def _distance_terms(rho: np.ndarray, meas: MeasurementModel):
     return rho_p, D, meas.amplitude / D
 
 
-def _pair_offsets(
-    positions: np.ndarray, sensors: np.ndarray
+def _pair_distances(
+    positions: np.ndarray, sensors_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Target-sensor offsets ``r`` (..., C, S, 2) and distances ``rho``
-    (..., C, S) clamped at ``R_MIN``, for positions (..., C, 2) and sensors
-    (S, 2)."""
-    r = positions[..., :, None, :] - sensors
-    return r, _clamped_distance(r[..., 0], r[..., 1])
+    """Target-sensor offsets ``r`` (C, 2, S) and distances ``rho`` (C, S)
+    clamped at ``R_MIN``, for positions (C, 2) and the sensor coordinates
+    ``sensors_t`` (2, S), ``SensorGrid.positions_t`` or some of its columns.
 
-
-def _pair_terms(positions: np.ndarray, sensors: np.ndarray, meas: MeasurementModel):
-    """The signal model per target-sensor pair: ``(r, rho, rho_p, D, f)``.
-
-    ``rho_p = rho**p``, ``D = rho_p + d0`` and ``f = A / D``, each
-    (..., C, S).  Every likelihood and derivative in the package is
-    assembled from these terms; ``expected_signal`` uses the same two
-    helpers one target at a time.
+    This is the one distance kernel: the likelihood and its derivatives
+    (``nll``), the recovery's sensor order and signal split
+    (``consistency``) and the Hessian repair's pair choice (``hessfix``)
+    all read it.  With the coordinate axis ahead of the sensor axis, the
+    (C, 2, S) offsets reshape to the (2C, S) layout of the stacked vector
+    without a copy.
     """
-    r, rho = _pair_offsets(positions, sensors)
-    return (r, rho, *_distance_terms(rho, meas))
+    r = positions[:, :, None] - sensors_t
+    return r, _clamped_distance(r[:, 0], r[:, 1])
 
 
 def signal_components(
@@ -224,7 +227,7 @@ def signal_components(
 ) -> np.ndarray:
     """Per-target, per-sensor contributions ``f[c, s]`` for one target set."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    return _pair_terms(pos, grid.positions, meas)[-1]
+    return _distance_terms(_pair_distances(pos, grid.positions_t)[1], meas)[-1]
 
 
 def expected_signal(

@@ -21,6 +21,16 @@ The measurement Hessian couples targets through the Gauss-Newton term
 sum_s (grad alpha_s)(grad alpha_s)^T / sigma_s^2; the residual-curvature term
 is block diagonal per target.
 
+The kernel.  The target-sensor offsets come from ``model._pair_distances``
+as a (C, 2, S) array, so the Jacobian of the S signals is a (2C, S) matrix J
+by a reshape, with no copy.  The gradient is J res, the Gauss-Newton matrix
+Js Js^T with Js = J / sigma_s (1 / sigma_s is computed once per objective),
+and the residual-curvature blocks are one batched (C, 2, S) @ (C, S, 2)
+product of the weighted offsets.  Both matrices, and so the exact Hessian,
+are exactly symmetric.  On one core, with 4 targets and 25 sensors, a
+value costs about 8 us and a value with gradient and exact Hessian about
+20 us, mostly per-call numpy overhead on such small arrays.
+
 The filter's Gaussian model lives here too.  ``GaussianBelief`` is the one
 belief type: a validated mean and covariance over the stacked state [x; v],
 with its blocks as views.  ``propagate_prior`` turns it into a
@@ -60,7 +70,9 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, NumericalError
-from .model import MeasurementModel, SensorGrid, _pair_terms, expected_signal
+from .model import (
+    MeasurementModel, SensorGrid, _distance_terms, _pair_distances, expected_signal,
+)
 
 
 class NllReport:
@@ -311,13 +323,22 @@ def propagate_prior(belief: GaussianBelief, noise: FilterNoiseModel) -> Propagat
 
 
 def _residual_curvature(
-    rel: np.ndarray, rho: np.ndarray, rho_p: np.ndarray, D: np.ndarray,
+    r: np.ndarray, rho: np.ndarray, rho_p: np.ndarray, D: np.ndarray,
     g: np.ndarray, res: np.ndarray, p: float,
 ) -> np.ndarray:
-    """Residual-curvature blocks sum_s res_s hess f_cs, one 2x2 per target."""
+    """Residual-curvature blocks sum_s res_s hess f_cs, one 2x2 per target.
+
+    ``r`` holds the (C, 2, S) target-sensor offsets.  The beta r r^T part
+    is one batched (C, 2, S) @ (C, S, 2) product of the weighted offsets;
+    its off-diagonal entry is then copied across, so each block is exactly
+    symmetric.
+    """
     beta = g / (rho * rho) * ((p - 2.0) - 2.0 * p * rho_p / D)  # (C, S)
-    blocks = np.einsum("cs,csi,csj->cij", res * beta, rel, rel)
-    blocks.reshape(-1, 4)[:, ::3] += (res * g).sum(axis=1)[:, None]  # 2x2 diagonals
+    blocks = (r * (res * beta)[:, None, :]) @ r.transpose(0, 2, 1)
+    blocks[:, 1, 0] = blocks[:, 0, 1]
+    diagonal = g @ res  # the g I part, sum_s res_s g_cs per target
+    blocks[:, 0, 0] += diagonal
+    blocks[:, 1, 1] += diagonal
     return blocks
 
 
@@ -338,54 +359,57 @@ def _diagonal_blocks(n_targets: int) -> np.ndarray:
 class _MeasurementDerivatives:
     """Derivatives of the measurement term at one point, each built on first use.
 
-    ``grad`` and ``gauss_newton`` share the per-pair Jacobian; ``hess`` adds
-    the residual-curvature blocks to ``gauss_newton``, so reading either of
-    the first two never builds those blocks.  Each is a method that keeps
-    what it built, so it can be handed to ``NllReport`` as it is.
+    ``grad`` and ``gauss_newton`` share the (2C, S) Jacobian J of the
+    per-sensor signal, the (C, 2, S) offsets scaled per pair and reshaped
+    without a copy: the gradient is J res and the Gauss-Newton matrix
+    Js Js^T with Js = J / sigma_s, a product that is exactly symmetric.
+    ``hess`` adds the residual-curvature blocks to ``gauss_newton``, so
+    reading either of the first two never builds those blocks.  Each is a
+    method that keeps what it built, so it can be handed to ``NllReport``
+    as it is.
     """
 
     __slots__ = (
-        "_rel", "_rho", "_rho_p", "_D", "_res", "_sig2", "_p", "_A",
+        "_r", "_rho", "_rho_p", "_D", "_res", "_inv_sd", "_p", "_A",
         "_g", "_jac", "_grad", "_gauss_newton", "_hess",
     )
 
-    def __init__(self, rel, rho, rho_p, D, res, sig2, meas: MeasurementModel):
-        self._rel, self._rho, self._rho_p, self._D = rel, rho, rho_p, D
-        self._res, self._sig2 = res, sig2
+    def __init__(self, r, rho, rho_p, D, res, inv_sd, meas: MeasurementModel):
+        self._r, self._rho, self._rho_p, self._D = r, rho, rho_p, D
+        self._res, self._inv_sd = res, inv_sd
         self._p, self._A = meas.exponent, meas.amplitude
         self._g = self._jac = self._grad = self._gauss_newton = self._hess = None
 
-    def _jacobian(self) -> np.ndarray:  # (C, S, 2) gradient of f per pair
+    def _jacobian(self) -> np.ndarray:  # (2C, S): row 2c + i is d f_cs / d x_ci
         if self._jac is None:
             # g = -p A rho^(p-2) / D^2 per pair, clamped rho
             rho, D = self._rho, self._D
             self._g = -self._p * self._A * self._rho_p / (rho * rho * D * D)
-            self._jac = self._g[:, :, None] * self._rel
+            c, _, s = self._r.shape
+            self._jac = (self._g[:, None, :] * self._r).reshape(2 * c, s)
         return self._jac
 
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.einsum("s,csi->ci", self._res, self._jacobian()).ravel()
+            self._grad = self._jacobian() @ self._res
         return self._grad
 
     def gauss_newton(self) -> np.ndarray:
         """sum_s (grad alpha_s)(grad alpha_s)^T / sigma_s^2, coupling targets."""
         if self._gauss_newton is None:
-            jac = self._jacobian()
-            n = jac.shape[0] * 2
-            jflat = jac.transpose(1, 0, 2).reshape(-1, n)  # (S, 2C)
-            self._gauss_newton = jflat.T @ (jflat / self._sig2[:, None])
+            js = self._jacobian() * self._inv_sd
+            self._gauss_newton = js @ js.T
         return self._gauss_newton
 
     def hess(self) -> np.ndarray:
         if self._hess is None:
             gauss_newton = self.gauss_newton()  # also sets self._g
             blocks = _residual_curvature(
-                self._rel, self._rho, self._rho_p, self._D, self._g, self._res, self._p
+                self._r, self._rho, self._rho_p, self._D, self._g, self._res, self._p
             )
             hess = gauss_newton.copy()
             hess.reshape(-1)[_diagonal_blocks(blocks.shape[0])] += blocks.reshape(-1)
-            self._hess = 0.5 * (hess + hess.T)
+            self._hess = hess
         return self._hess
 
 
@@ -394,35 +418,38 @@ def _sensor_terms(
     grid: SensorGrid,
     meas: MeasurementModel,
     sensor_indices: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sensor positions, frame entries and noise variances a fit sums over."""
-    sens = grid.positions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What a fit sums over: the sensor coordinates (2, S), the frame
+    entries, the noise variances and their inverse square roots."""
+    sens_t = grid.positions_t
     a = np.asarray(frame, dtype=float)
     sig2 = meas.noise_variances(grid.count)
     if sensor_indices is not None:
         sensor_indices = np.asarray(sensor_indices, dtype=int)
-        sens = sens[sensor_indices]
+        sens_t = sens_t.take(sensor_indices, axis=1)
         a = a[sensor_indices]
         sig2 = sig2[sensor_indices]
     if np.any(sig2 <= 0.0):
         raise ConfigurationError("measurement NLL needs positive noise variances")
-    return sens, a, sig2
+    return sens_t, a, sig2, 1.0 / np.sqrt(sig2)
 
 
 def _measurement_terms(
     x: np.ndarray,
-    sens: np.ndarray,
+    sens_t: np.ndarray,
     a: np.ndarray,
     sig2: np.ndarray,
+    inv_sd: np.ndarray,
     meas: MeasurementModel,
 ) -> tuple[float, _MeasurementDerivatives]:
     """Measurement value, and the derivatives there, built when first read."""
     pos = np.asarray(x, dtype=float).reshape(-1, 2)
-    rel, rho, rho_p, D, f = _pair_terms(pos, sens, meas)  # rel (C, S, 2), rest (C, S)
+    r, rho = _pair_distances(pos, sens_t)  # r (C, 2, S), rho (C, S)
+    rho_p, D, f = _distance_terms(rho, meas)
     resid = f.sum(axis=0) - a  # alpha - a
     res = resid / sig2  # (S,)
     value = 0.5 * float(np.dot(resid, res))
-    return value, _MeasurementDerivatives(rel, rho, rho_p, D, res, sig2, meas)
+    return value, _MeasurementDerivatives(r, rho, rho_p, D, res, inv_sd, meas)
 
 
 def measurement_objective(
@@ -441,10 +468,10 @@ def measurement_objective(
     is offered, so fits of this objective run exact Newton from the first
     iteration (see the module docstring for why).
     """
-    sens, a, sig2 = _sensor_terms(frame, grid, meas, sensor_indices)
+    terms = _sensor_terms(frame, grid, meas, sensor_indices)
 
     def evaluate(x: np.ndarray) -> NllReport:
-        value, d = _measurement_terms(x, sens, a, sig2, meas)
+        value, d = _measurement_terms(x, *terms, meas)
         return NllReport(value, d.grad, d.hess)
 
     return evaluate
@@ -466,12 +493,12 @@ def combined_objective(
     evaluated, so ``optimize.minimize`` can take its first directions from
     it without a Levenberg shift search.
     """
-    sens, a, sig2 = _sensor_terms(frame, grid, meas, sensor_indices)
+    terms = _sensor_terms(frame, grid, meas, sensor_indices)
     mean_x, xx_inv = prior.mean_x, prior.xx_inv
 
     def evaluate(x: np.ndarray) -> NllReport:
         x = np.asarray(x, dtype=float).ravel()
-        value, d = _measurement_terms(x, sens, a, sig2, meas)
+        value, d = _measurement_terms(x, *terms, meas)
         diff = x - mean_x
         prior_grad = xx_inv @ diff
         return NllReport(
@@ -528,5 +555,5 @@ def combined_value_batch(
     resid = alpha - np.asarray(frame, dtype=float)
     meas_val = 0.5 * np.einsum("ks,ks->k", resid, resid / sig2)
     diff = pts - prior.mean_x
-    prior_val = 0.5 * np.einsum("ki,ij,kj->k", diff, prior.xx_inv, diff)
+    prior_val = 0.5 * np.einsum("ki,ki->k", diff @ prior.xx_inv, diff)
     return meas_val + prior_val

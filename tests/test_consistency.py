@@ -25,14 +25,14 @@ from ttfilter.consistency import (
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import (
     DEFAULT_TARGETS,
-    _pair_offsets,
+    _pair_distances,
     MeasurementModel,
     build_grid,
     expected_signal,
     signal_components,
 )
 from ttfilter.nll import FilterNoiseModel, GaussianBelief, propagate_prior
-from ttfilter.optimize import box_from_grid
+from ttfilter.optimize import NewtonOptions, box_from_grid
 
 
 def default_prior(positions: np.ndarray) -> "PropagatedPrior":
@@ -164,7 +164,7 @@ def maximin_order(positions, grid, used):
     first element of, kept as the oracle for ``maximin_pick``."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
     remaining = np.setdiff1d(np.arange(grid.count), used)
-    d = _pair_offsets(pos, grid.positions[remaining])[1].min(axis=0)
+    d = _pair_distances(pos, grid.positions_t[:, remaining])[1].min(axis=0)
     return remaining[np.lexsort((remaining, -d))]
 
 
@@ -219,7 +219,7 @@ def test_maximin_pick_is_first_of_the_full_order_ties_included(grid55, rng):
         taken = np.zeros(25, dtype=bool)
         taken[used] = True
         order = maximin_order(targets, grid55, used)
-        d = _pair_offsets(targets, grid55.positions[order[:2]])[1].min(axis=0)
+        d = _pair_distances(targets, grid55.positions_t[:, order[:2]])[1].min(axis=0)
         ties += order.size > 1 and d[0] == d[1]
         assert maximin_pick(targets, grid55, taken) == order[0]
     assert ties >= 2  # the two symmetric cases
@@ -296,19 +296,26 @@ def test_one_by_one_recovers_from_belief_drift(grid55):
 def test_one_by_one_builds_hessians_only_for_newton_directions(grid55, monkeypatch):
     # every iteration of a measurement-only fit solves on the exact Hessian;
     # no caller reads it at a recovery fit's end, so none is built there
+    # unless the fit's last direction, the one whose decrement stopped it,
+    # needed it
     from ttfilter import consistency, nll
 
-    builds, fits, iterations = [0], [0], [0]
+    builds, fits, iterations, decrement_stops = [0], [0], [0], [0]
     build_hess = nll._MeasurementDerivatives.hess
 
     def counting_hess(self):
         builds[0] += self._hess is None
         return build_hess(self)
 
-    def counting_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
+    def counting_minimize(fun, x0, box, options=None, **kwargs):
+        res = minimize(fun, x0, box, options, **kwargs)
         fits[0] += 1
         iterations[0] += res.iterations
+        # a fit that stopped on the Newton decrement built the Hessian of its
+        # last iterate for the direction that showed nothing left to gain
+        proj_grad = res.x - box.clip(res.x - res.report.grad)
+        tol = (options or NewtonOptions()).grad_tol
+        decrement_stops[0] += res.converged and np.abs(proj_grad).max() > tol
         return res
 
     minimize = consistency.minimize
@@ -319,8 +326,8 @@ def test_one_by_one_builds_hessians_only_for_newton_directions(grid55, monkeypat
     frame = expected_signal(truth, grid55, meas)
     prior = default_prior(np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0))
     one_by_one_recovery(frame, grid55, meas, prior, box_from_grid(grid55, 4))
-    assert fits[0] > 1
-    assert builds[0] == iterations[0]
+    assert fits[0] > 1 and decrement_stops[0] > 0
+    assert builds[0] == iterations[0] + decrement_stops[0]
 
 
 def test_square_count_and_subset_cap(grid55):

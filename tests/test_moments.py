@@ -308,12 +308,21 @@ def test_assemble_equals_the_eigh_path_on_benchmark_posteriors(monkeypatch):
         traj = simulate(scenario, 40, np.random.SeedSequence([7, i, 0]))
         tracker.track(traj, ctx, np.random.SeedSequence([7, i, 1]))
     assert len(seen) == 120
-    fast = 0
+    fast, floored = 0, []
     for blocks in seen:
         joint = assemble(*blocks).cov
         assert joint.tobytes() == reference_assemble(*blocks).tobytes()
-        fast += moments._clears_floor(joint)
-    assert fast == len(seen)  # no benchmark posterior needed the eigh path
+        if moments._clears_floor(joint):
+            fast += 1
+        else:
+            floored.append(blocks)
+    # all but one benchmark posterior took the Cholesky path; the one that
+    # did not (track 0, step 32) has a least eigenvalue below the floor, so
+    # the eigh path had to floor it
+    assert fast == len(seen) - 1
+    for mean_x, mean_v, cov_xx, cov_vv, cov_vx in floored:
+        joint = np.block([[cov_xx, cov_vx.T], [cov_vx, cov_vv]])
+        assert np.linalg.eigvalsh(0.5 * (joint + joint.T))[0] < EIGEN_FLOOR
 
 
 def test_assemble_still_floors_a_near_singular_joint(rng):

@@ -10,7 +10,13 @@ from scipy.linalg.lapack import dpotrf
 
 from ttfilter import nll as nll_module
 from ttfilter.errors import ConfigurationError
-from ttfilter.model import MeasurementModel, _pair_terms, build_grid, expected_signal
+from ttfilter.model import (
+    MeasurementModel,
+    _clamped_distance,
+    _distance_terms,
+    build_grid,
+    expected_signal,
+)
 from ttfilter.nll import (
     FilterNoiseModel,
     GaussianBelief,
@@ -46,28 +52,35 @@ def test_perfect_frame_zero_value_and_grad(grid55, meas_default, rng):
     np.testing.assert_allclose(rep.grad, 0.0, atol=1e-12)
 
 
+def fd_models(meas_default):
+    """The default model (p = 1, one sigma^2) and one with p = 1.5 and a
+    noise variance per sensor, which the kernel scales its Jacobian by."""
+    sig2 = np.random.default_rng(31).uniform(0.01, 0.2, size=25)
+    return [meas_default, MeasurementModel(exponent=1.5, sigma_s2=sig2)]
+
+
 def test_measurement_gradient_matches_fd(grid55, meas_default):
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = rng.uniform(2.0, 38.0, size=8)
-        frame = rng.uniform(0.5, 4.0, size=25)
-        rep = measurement_nll(x, frame, grid55, meas_default)
-        fd = fd_gradient(
-            lambda z: measurement_nll(z, frame, grid55, meas_default).value, x
-        )
-        np.testing.assert_allclose(rep.grad, fd, rtol=1e-5, atol=1e-8)
+    for meas in fd_models(meas_default):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = rng.uniform(2.0, 38.0, size=8)
+            frame = rng.uniform(0.5, 4.0, size=25)
+            rep = measurement_nll(x, frame, grid55, meas)
+            fd = fd_gradient(lambda z: measurement_nll(z, frame, grid55, meas).value, x)
+            np.testing.assert_allclose(rep.grad, fd, rtol=1e-5, atol=1e-8)
 
 
 def test_measurement_hessian_matches_fd(grid55, meas_default):
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        x = rng.uniform(2.0, 38.0, size=8)
-        frame = rng.uniform(0.5, 4.0, size=25)
-        rep = measurement_nll(x, frame, grid55, meas_default)
-        fd = fd_hessian_from_grad(
-            lambda z: measurement_nll(z, frame, grid55, meas_default).grad, x
-        )
-        np.testing.assert_allclose(rep.hess, fd, rtol=1e-4, atol=1e-6)
+    for meas in fd_models(meas_default):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            x = rng.uniform(2.0, 38.0, size=8)
+            frame = rng.uniform(0.5, 4.0, size=25)
+            rep = measurement_nll(x, frame, grid55, meas)
+            fd = fd_hessian_from_grad(
+                lambda z: measurement_nll(z, frame, grid55, meas).grad, x
+            )
+            np.testing.assert_allclose(rep.hess, fd, rtol=1e-4, atol=1e-6)
 
 
 def test_hessian_symmetric_and_relabeling_consistent(grid55, meas_default, rng):
@@ -290,6 +303,29 @@ def test_combined_empty_sensor_set_is_prior_only(grid55, meas_default, rng):
     np.testing.assert_array_equal(rep.grad, p.grad)
 
 
+def offset_pair_terms(positions, sensors, meas):
+    """Reference: the signal model per pair in the former offset layout,
+    ``(r, rho, rho_p, D, f)`` with offsets r (..., C, S, 2) and the rest
+    (..., C, S), for positions (..., C, 2) and sensors (S, 2)."""
+    r = positions[..., :, None, :] - sensors
+    rho = _clamped_distance(r[..., 0], r[..., 1])
+    return (r, rho, *_distance_terms(rho, meas))
+
+
+# The kernel now forms its offsets as (C, 2, S) and its products as
+# matrix products, so its gradients and Hessians differ from the offset-layout
+# references below in the last bits (the values do not).  They are compared
+# at this fraction of the largest entry: rounding in sums of 25 to 50 terms
+# stays within about 1e-14 of it.
+DERIVATIVE_RTOL = 1e-12
+
+
+def assert_close_to_reference(got, want):
+    assert got.shape == want.shape
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= DERIVATIVE_RTOL * scale
+
+
 def eager_measurement_nll(x, frame, grid, meas, sensor_indices=None) -> NllReport:
     """Reference: value, gradient and Hessian built together, eagerly."""
     pos = np.asarray(x, dtype=float).reshape(-1, 2)
@@ -301,7 +337,7 @@ def eager_measurement_nll(x, frame, grid, meas, sensor_indices=None) -> NllRepor
     if sens.shape[0] == 0:
         return NllReport(0.0, np.zeros(n), np.zeros((n, n)), np.zeros((n, n)))
     p, A = meas.exponent, meas.amplitude
-    rel, rho, rho_p, D, f = _pair_terms(pos, sens, meas)
+    rel, rho, rho_p, D, f = offset_pair_terms(pos, sens, meas)
     alpha = f.sum(axis=0)
     res = (alpha - a) / sig2
     value = 0.5 * float(np.dot(alpha - a, res))
@@ -336,17 +372,23 @@ def test_lazy_derivatives_equal_eager_ones_bit_for_bit(grid55, meas_default, sen
         lazy_c = combined_nll(x, frame, grid55, meas_default, prior, sensors)
         assert lazy_m.value == meas.value
         assert lazy_c.value == meas.value + pri.value
-        # the derivatives do not depend on which of them is read first
+        # the derivatives do not depend on which of them is read first: a
+        # second report read in the other order gives the same bytes
         if trial % 2:
             _ = (lazy_m.hess, lazy_c.hess)
-        for lazy, eager in [
-            (lazy_m.grad, meas.grad),
-            (lazy_m.hess, meas.hess),
-            (lazy_c.grad, meas.grad + pri.grad),
-            (lazy_c.hess, meas.hess + pri.hess),
-            (lazy_c.gauss_newton, meas.gauss_newton + pri.hess),
+        other_m = measurement_nll(x, frame, grid55, meas_default, sensors)
+        other_c = combined_nll(x, frame, grid55, meas_default, prior, sensors)
+        if not trial % 2:
+            _ = (other_m.hess, other_c.hess)
+        for lazy, other, eager in [
+            (lazy_m.grad, other_m.grad, meas.grad),
+            (lazy_m.hess, other_m.hess, meas.hess),
+            (lazy_c.grad, other_c.grad, meas.grad + pri.grad),
+            (lazy_c.hess, other_c.hess, meas.hess + pri.hess),
+            (lazy_c.gauss_newton, other_c.gauss_newton, meas.gauss_newton + pri.hess),
         ]:
-            assert lazy.shape == eager.shape and lazy.tobytes() == eager.tobytes()
+            assert lazy.shape == other.shape and lazy.tobytes() == other.tobytes()
+            assert_close_to_reference(lazy, eager)
         assert lazy_c.grad is lazy_c.grad  # built once, then kept
         assert lazy_m.gauss_newton is None  # measurement-only fits: exact Newton
 
@@ -402,7 +444,7 @@ def per_call_measurement(x, frame, grid, meas, sensor_indices=None):
     if sensor_indices is not None:
         sensor_indices = np.asarray(sensor_indices, dtype=int)
         sens, a, sig2 = sens[sensor_indices], a[sensor_indices], sig2[sensor_indices]
-    rel, rho, rho_p, D, f = _pair_terms(pos, sens, meas)
+    rel, rho, rho_p, D, f = offset_pair_terms(pos, sens, meas)
     alpha = f.sum(axis=0)
     res = (alpha - a) / sig2
     value = 0.5 * float(np.dot(alpha - a, res))
@@ -455,7 +497,13 @@ def test_per_fit_objectives_equal_the_per_call_kernel_bit_for_bit(
             (c.gauss_newton, c_ref[2]),
             (c.hess, c_ref[3]),
         ]:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert_close_to_reference(got, want)
+        # the per-call objectives give the per-fit ones' bytes
+        for got, want in [
+            (m.grad, measurement_nll(x, frame, grid55, meas_default, sensors).grad),
+            (c.hess, combined_nll(x, frame, grid55, meas_default, prior, sensors).hess),
+        ]:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_one_fit_gathers_its_sensors_once(grid55, meas_default, monkeypatch):
@@ -494,7 +542,7 @@ def reference_value_batch(points, frame, grid, meas, prior):
     """Reference: batch values from (K, C, S, 2) target-sensor offsets."""
     pts = np.asarray(points, dtype=float)
     k, n = pts.shape
-    f = _pair_terms(pts.reshape(k, n // 2, 2), grid.positions, meas)[-1]
+    f = offset_pair_terms(pts.reshape(k, n // 2, 2), grid.positions, meas)[-1]
     alpha = f.sum(axis=1)
     sig2 = meas.noise_variances(grid.count)
     resid = alpha - np.asarray(frame, dtype=float)
@@ -514,7 +562,14 @@ def test_combined_value_batch_equals_offset_formula_bit_for_bit(grid55, c):
     pts[0, :2] = grid55.positions[6]  # a target on a sensor: clamped rho
     got = combined_value_batch(pts, frame, grid55, meas, prior)
     want = reference_value_batch(pts, frame, grid55, meas, prior)
-    assert got.tobytes() == want.tobytes()
+    # the measurement term keeps its bytes; the prior's quadratic form is now
+    # summed as (diff Sigma^-1) . diff, which moves it by rounding only:
+    # within 2 n eps of the sum of its terms' magnitudes, plus the rounding
+    # of the total
+    diff = np.abs(pts - prior.mean_x)
+    magnitude = 0.5 * np.einsum("ki,ij,kj->k", diff, np.abs(prior.xx_inv), diff)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 2 * (2 * c) * eps * magnitude + eps * want)
 
 
 def test_step_matrices_are_cached_and_read_only():
@@ -550,20 +605,21 @@ def test_grad_and_gauss_newton_build_no_residual_curvature(
 
 
 def test_combined_derivatives_match_fd(grid55, meas_default):
-    rng = np.random.default_rng(9)
-    prior = random_prior(4, rng)
-    for _ in range(10):
-        x = rng.uniform(2.0, 38.0, size=8)
-        frame = rng.uniform(0.5, 4.0, size=25)
-        rep = combined_nll(x, frame, grid55, meas_default, prior)
-        fd_g = fd_gradient(
-            lambda z: combined_nll(z, frame, grid55, meas_default, prior).value, x
-        )
-        fd_h = fd_hessian_from_grad(
-            lambda z: combined_nll(z, frame, grid55, meas_default, prior).grad, x
-        )
-        np.testing.assert_allclose(rep.grad, fd_g, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(rep.hess, fd_h, rtol=1e-4, atol=1e-5)
+    for meas in fd_models(meas_default):
+        rng = np.random.default_rng(9)
+        prior = random_prior(4, rng)
+        for _ in range(10):
+            x = rng.uniform(2.0, 38.0, size=8)
+            frame = rng.uniform(0.5, 4.0, size=25)
+            rep = combined_nll(x, frame, grid55, meas, prior)
+            fd_g = fd_gradient(
+                lambda z: combined_nll(z, frame, grid55, meas, prior).value, x
+            )
+            fd_h = fd_hessian_from_grad(
+                lambda z: combined_nll(z, frame, grid55, meas, prior).grad, x
+            )
+            np.testing.assert_allclose(rep.grad, fd_g, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(rep.hess, fd_h, rtol=1e-4, atol=1e-5)
 
 
 def test_combined_value_batch_agrees(grid55, meas_default, rng):

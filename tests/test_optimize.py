@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -220,8 +221,13 @@ def test_rejected_line_search_trials_build_no_derivatives(grid55, meas_default):
     assert evals[0] > res.iterations + 1, "the fit must backtrack at least once"
     assert grads[0] == res.iterations + 1
     assert grads[0] < evals[0]
-    # one Hessian per Newton direction; the final one is built when read
-    assert hessians[0] == res.iterations
+    # one Hessian per Newton direction; the final iterate's is built when
+    # read, unless the fit stopped on the Newton decrement, whose direction
+    # at the final iterate already read it
+    proj_grad = res.x - box.clip(res.x - res.report.grad)
+    on_decrement = float(np.abs(proj_grad).max()) > NewtonOptions().grad_tol
+    assert res.converged and on_decrement
+    assert hessians[0] == res.iterations + on_decrement
     res.hess
     assert hessians[0] == res.iterations + 1
 
@@ -273,10 +279,15 @@ def test_shifted_solve_matches_plain_doubling_loop():
             rhs = rng.standard_normal(n)
             for kind, hess in cases.items():
                 before = hess.copy()
-                d = _shifted_solve(hess, rhs)
+                d, shift = _shifted_solve(hess, rhs)
                 np.testing.assert_array_equal(hess, before)  # input untouched
                 ref, shifted = reference_shifted_solve(hess, rhs)
                 assert np.array_equal(d, ref), (n, kind)
+                # the shift reported is the one the accepted system carries
+                assert (shift == 0.0) == (shifted is hess), (n, kind)
+                again = hess.copy()
+                again.flat[:: n + 1] += shift
+                assert np.array_equal(again, shifted), (n, kind)
                 # the direction solves the accepted system as well as numpy's
                 # LU solve does: both forward errors are within
                 # 10 n eps cond, so they differ by at most twice that
@@ -299,7 +310,7 @@ def test_shifted_solve_gives_up_after_eighty_tries():
     # here only the last shift, 1e-12 * 2**78 = 3.0e11, is large enough
     hess = np.diag([2e11, -2e11])
     ref, _ = reference_shifted_solve(hess, rhs)
-    assert np.array_equal(_shifted_solve(hess, rhs), ref)
+    assert np.array_equal(_shifted_solve(hess, rhs)[0], ref)
 
 
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
@@ -345,9 +356,9 @@ def test_gauss_newton_plus_prior_factors_unshifted_on_acceptance_geometry():
         for x in np.concatenate(points):
             rep = combined_nll(x, frame, grid, ctx.meas, prior)
             assert dpotrf(rep.gauss_newton, lower=1, clean=0)[1] == 0
-            d = _shifted_solve(rep.gauss_newton, -rep.grad)
+            d, shift = _shifted_solve(rep.gauss_newton, -rep.grad)
             ref, shifted = reference_shifted_solve(rep.gauss_newton, -rep.grad)
-            assert shifted is rep.gauss_newton and np.array_equal(d, ref)
+            assert shifted is rep.gauss_newton and shift == 0.0 and np.array_equal(d, ref)
             tried += 1
     assert tried == 8 * 60
 
@@ -360,7 +371,12 @@ def test_main_fit_returns_exact_hessian_also_inside_warm_up():
         return combined_nll(x, frame, grid, meas, prior)
 
     far = minimize(fun, prior.mean_x, ctx.box)
-    near = minimize(fun, far.x + 1e-6, ctx.box)
+    # a start 1e-6 from a point fitted to a much tighter tolerance, from
+    # which the Gauss-Newton warm-up meets the default gradient tolerance;
+    # ``far`` may stop on the decrement a Newton step of H-norm up to 1e-3
+    # short of that point
+    tight = minimize(fun, far.x, ctx.box, NewtonOptions(grad_tol=1e-11))
+    near = minimize(fun, tight.x + 1e-6, ctx.box)
     assert far.iterations >= WARMUP_ITERATIONS and far.converged
     assert 0 < near.iterations < WARMUP_ITERATIONS and near.converged
     for res in (far, near):
@@ -429,9 +445,10 @@ def test_newton_options_accept_the_smallest_valid_values():
     assert NewtonOptions(grad_tol=1e-300, max_iter=np.int64(5)).grad_tol == 1e-300
 
 
-# The minimizer as it stood before its per-iteration bookkeeping was cut:
-# every floating-point operation of ``minimize`` must stay the same, so this
-# reference pins it bit for bit.  ``branches`` counts which paths ran.
+# The minimizer as it stood before its per-iteration bookkeeping was cut,
+# with the Newton-decrement stop: every floating-point operation of
+# ``minimize`` must stay the same, so this reference pins it bit for bit.
+# ``branches`` counts which paths ran.
 
 
 def reference_line_search(fun, box, x, report, direction):
@@ -482,14 +499,22 @@ def reference_minimize(fun, x0, box, options=None, branches=None):
             hit("on bound")
         if free.any():
             curv = report.gauss_newton if iterations < WARMUP_ITERATIONS else None
-            if curv is None:
+            exact = curv is None
+            if exact:
                 curv = report.hess
             if free.all():
-                direction = _shifted_solve(curv, -g)
+                direction, shift = _shifted_solve(curv, -g)
             else:
                 hit("reduced solve")
                 idx = np.flatnonzero(free)
-                direction[idx] = _shifted_solve(curv[np.ix_(idx, idx)], -g[idx])
+                direction[idx], shift = _shifted_solve(curv[np.ix_(idx, idx)], -g[idx])
+            # the Newton decrement, read only off an unshifted exact-Newton factor
+            if exact and shift == 0.0 and -float(g @ direction) <= opts.grad_tol:
+                hit("decrement stop")
+                converged = True
+                break
+            if exact and shift > 0.0 and -float(g @ direction) <= opts.grad_tol:
+                hit("small shifted decrement")
         else:
             hit("nothing free")
 
@@ -540,17 +565,19 @@ def assert_same_fit(fun, x0, box, options=None, branches=None):
 
 def test_minimize_equals_reference_on_acceptance_fits():
     fits = 0
+    branches = {}
     for ctx, prior, frame in acceptance_steps(6):
         grid, meas, box = ctx.scenario.grid, ctx.meas, ctx.box
         main = combined_objective(frame, grid, meas, prior)
-        assert_same_fit(main, prior.mean_x, box)
+        assert_same_fit(main, prior.mean_x, box, branches=branches)
         # measurement-only fits run exact Newton from a displaced start
         alone = measurement_objective(frame, grid, meas)
-        assert_same_fit(alone, prior.mean_x + 2.0, box)
+        assert_same_fit(alone, prior.mean_x + 2.0, box, branches=branches)
         # a capped fit stops at the same point
         assert_same_fit(main, prior.mean_x, box, NewtonOptions(max_iter=2))
         fits += 3
     assert fits == 18
+    assert branches.get("decrement stop", 0) > 0
 
 
 def test_minimize_equals_reference_on_bounds_and_stalls():
@@ -685,26 +712,34 @@ def test_chart_gradient_and_hessian_match_finite_differences(bearing):
     np.testing.assert_array_equal(np.delete(np.delete(rot, [2, 3], 0), [2, 3], 1), np.eye(6))
 
 
-def crawl_fit():
-    """Track 0 of ``acceptance`` seed 7 at step 27: the main fit ends with a
-    target 0.13 m from a sensor, where the Cartesian loop crawls."""
+def acceptance_track_at(track: int, step: int):
+    """Track ``track`` of ``acceptance`` seed 7 (5x5 grid, 4 targets,
+    sigma^2 = 0.1, filtered by ``tt-nonlinear``), run up to ``step``:
+    the context, the belief before that step, and its frame."""
     cfg = {"scenario": {"sigma_s2": 0.1}}
     scenario = config.scenario_from_config(cfg)
     ctx = tracker.make_context(scenario, config.filter_config_from_config(cfg))
-    traj = simulate(scenario, 40, np.random.SeedSequence([7, 0, 0]))
+    traj = simulate(scenario, 40, np.random.SeedSequence([7, track, 0]))
     belief = tracker.init_belief(
         "random_around_truth", ctx.config, scenario.grid,
-        np.random.default_rng(np.random.SeedSequence([7, 0, 1])),
+        np.random.default_rng(np.random.SeedSequence([7, track, 1])),
         truth_state=traj.states[0],
     )
-    for frame in traj.frames[:27]:
+    for frame in traj.frames[:step]:
         belief = tracker.step(belief, frame, ctx).posterior
+    return ctx, belief, traj.frames[step]
+
+
+def crawl_fit():
+    """Track 0 of ``acceptance`` seed 7 at step 27: the main fit ends with a
+    target 0.13 m from a sensor, where the Cartesian loop crawls."""
+    ctx, belief, frame = acceptance_track_at(0, 27)
     prior = propagate_prior(belief, ctx.noise)
-    return ctx, combined_objective(traj.frames[27], scenario.grid, ctx.meas, prior), prior
+    return ctx, combined_objective(frame, ctx.scenario.grid, ctx.meas, prior), prior
 
 
 def test_chart_fit_stops_crawling_around_a_sensor():
-    # the Cartesian loop takes 113 iterations along the ring-shaped valley
+    # the Cartesian loop takes 104 iterations along the ring-shaped valley
     # around the sensor's peak, the chart 10, to the same optimum
     ctx, fun, prior = crawl_fit()
     cartesian = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer)
@@ -714,8 +749,17 @@ def test_chart_fit_stops_crawling_around_a_sensor():
     assert 0.1 < dist.min() < 0.16
     assert cartesian.converged and cartesian.iterations > 100
     assert charted.converged and charted.iterations <= 30
-    assert abs(charted.value - cartesian.value) <= 1e-9 * abs(cartesian.value)
-    np.testing.assert_allclose(charted.x, cartesian.x, rtol=0.0, atol=1e-6)
+    # run to a tolerance whose decrement stop leaves nothing measurable,
+    # both loops reach the same point (9e-9 m apart)
+    tight = dataclasses.replace(ctx.config.optimizer, grad_tol=1e-11)
+    cartesian_tight = minimize(fun, prior.mean_x, ctx.box, tight)
+    charted_tight = minimize(fun, prior.mean_x, ctx.box, tight, chart=ctx.near_sensors)
+    assert cartesian_tight.converged and cartesian_tight.iterations > 100
+    assert charted_tight.converged and charted_tight.iterations <= 30
+    np.testing.assert_allclose(charted_tight.x, cartesian_tight.x, rtol=0.0, atol=1e-6)
+    # the chart's default stop, a Newton step of H-norm at most 1e-3 short
+    # of that point (5e-6 m here), has its value to 1e-9 relative
+    assert abs(charted.value - charted_tight.value) <= 1e-9 * abs(charted_tight.value)
 
 
 def test_chart_with_no_target_near_a_sensor_is_the_cartesian_loop_bit_for_bit():
@@ -748,3 +792,44 @@ def test_chart_with_no_target_near_a_sensor_is_the_cartesian_loop_bit_for_bit():
         assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
         fits += 1
     assert fits >= 3
+
+
+# The Newton-decrement stop: a fit whose unshifted exact-Newton step would
+# gain at most grad_tol / 2 stops where it is.
+
+
+def test_main_fit_that_stalled_below_the_armijo_resolution_now_converges():
+    # track 31, step 28: the full Newton step would lower the value by about
+    # 2e-15, below its last bit, so the line search and steepest descent both
+    # failed and the step was tagged unconverged:main[8]; the decrement stop
+    # ends the fit one iteration earlier, where that step is still measurable
+    ctx, belief, frame = acceptance_track_at(31, 28)
+    prior = propagate_prior(belief, ctx.noise)
+    fun = combined_objective(frame, ctx.scenario.grid, ctx.meas, prior)
+    res = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer,
+                   chart=ctx.near_sensors)
+    proj_grad = res.x - ctx.box.clip(res.x - res.report.grad)
+    assert res.converged and res.active_set.size == 0
+    assert np.abs(proj_grad).max() > ctx.config.optimizer.grad_tol  # the decrement stopped it
+    out = tracker.step(belief, frame, ctx)
+    assert not any(a.startswith(("unconverged:main", "fallback:")) for a in out.actions)
+
+
+def test_decrement_stop_never_fires_on_a_shifted_direction():
+    # a saddle, curvature 1 along x0 and -1000 along x1, at a point with
+    # gradient 1e-2 along x0: the Levenberg shift (1048) makes -g . d about
+    # 1e-7, under the default grad_tol, while the projected gradient is 1e-2
+    fun = quadratic(np.diag([1.0, -1000.0]), np.zeros(2))
+    x0 = np.array([1e-2, 0.0])
+    box = wide_box(2)
+    rep = fun(x0)
+    d, shift = _shifted_solve(rep.hess, -rep.grad)
+    assert shift > 1000.0
+    assert 0.0 < -float(rep.grad @ d) <= NewtonOptions().grad_tol
+    assert np.abs(x0 - box.clip(x0 - rep.grad)).max() == pytest.approx(1e-2)
+
+    branches = {}
+    first = assert_same_fit(fun, x0, box, NewtonOptions(max_iter=1), branches=branches)
+    assert not first.converged and first.iterations == 1
+    assert branches.get("small shifted decrement") == 1 and "decrement stop" not in branches
+    assert not minimize(fun, x0, box).converged
