@@ -7,7 +7,9 @@ Subcommands:
 - ``benchmark``  track + the particle filter baseline, side by side
 - ``sweep``      repeat a benchmark across a noise/inflation sweep axis
 
-Exit codes: 0 success, 2 configuration problem, 3 I/O problem.
+Exit codes: 0 success, 2 configuration problem (also a scenario whose truth
+cannot be simulated, such as ``bounds="inside"`` with no in-region path),
+3 I/O problem.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SimulationError
 from .experiment import VARIANTS, ExperimentSpec, run_experiment
 from .model import simulate, write_frames_csv, write_truth_csv
 
@@ -193,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         raise ConfigurationError(f"unknown command {args.command!r}")
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except SimulationError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ See the README for the full schema.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -58,6 +59,20 @@ def integer(sec: dict, key: str, default: int | None, where: str) -> int:
         ) from exc
 
 
+def number(sec: dict, key: str, default: float | None, where: str) -> float:
+    """``sec[key]`` (or ``default``) as a finite float; a bool, NaN or an
+    infinity is rejected, not read as 1.0 or passed on to fail later."""
+    value = sec.get(key, default)
+    if not isinstance(value, bool):
+        try:
+            out = float(value)
+        except (TypeError, ValueError):
+            out = math.nan
+        if math.isfinite(out):
+            return out
+    raise ConfigurationError(f"{where}.{key} must be a finite number, got {value!r}")
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
     sec = _section(cfg, "scenario")
     grid_sec = _section(sec, "grid")
@@ -66,19 +81,19 @@ def scenario_from_config(cfg: dict) -> Scenario:
         grid = build_grid(
             rows=integer(grid_sec, "rows", 5, "scenario.grid"),
             cols=integer(grid_sec, "cols", 5, "scenario.grid"),
-            spacing=float(grid_sec.get("spacing", 10.0)),
+            spacing=number(grid_sec, "spacing", 10.0, "scenario.grid"),
         )
         meas = MeasurementModel(
-            amplitude=float(sec.get("amplitude", 10.0)),
-            offset=float(sec.get("offset", 0.1)),
-            exponent=float(sec.get("exponent", 1.0)),
+            amplitude=number(sec, "amplitude", 10.0, "scenario"),
+            offset=number(sec, "offset", 0.1, "scenario"),
+            exponent=number(sec, "exponent", 1.0, "scenario"),
             sigma_s2=(
                 np.asarray(sec["sigma_s2"], dtype=float)
                 if isinstance(sec.get("sigma_s2"), list)
-                else float(sec.get("sigma_s2", 0.01))
+                else number(sec, "sigma_s2", 0.01, "scenario")
             ),
         )
-        motion = MotionModel(gamma=float(sec.get("gamma", 0.05)))
+        motion = MotionModel(gamma=number(sec, "gamma", 0.05, "scenario"))
         init = (
             DEFAULT_TARGETS.copy()
             if targets is None
@@ -101,25 +116,27 @@ def filter_config_from_config(cfg: dict) -> FilterConfig:
     sec = _section(cfg, "filter")
     try:
         consistency = ConsistencyConfig(
-            p_value=float(sec.get("p_value", 0.0013)),
+            p_value=number(sec, "p_value", 0.0013, "filter"),
             n_bad_tgt=integer(sec, "n_bad_tgt", 2, "filter"),
             n_bad_sq=integer(sec, "n_bad_sq", 12, "filter"),
             max_subsets=integer(sec, "max_subsets", 66, "filter"),
         )
         optimizer = NewtonOptions(
-            grad_tol=float(sec.get("grad_tol", 1e-6)),
+            grad_tol=number(sec, "grad_tol", 1e-6, "filter"),
             max_iter=integer(sec, "max_iter", 200, "filter"),
         )
         return FilterConfig(
-            alpha=float(sec.get("alpha", 3.0)),
+            alpha=number(sec, "alpha", 3.0, "filter"),
             sigma_s2=(
-                float(sec["sigma_s2"]) if sec.get("sigma_s2") is not None else None
+                number(sec, "sigma_s2", None, "filter")
+                if sec.get("sigma_s2") is not None
+                else None
             ),
-            near_sensor_fraction=float(sec.get("near_sensor_fraction", 0.2)),
-            box_margin=float(sec.get("box_margin", 1.0)),
-            init_spatial_var=float(sec.get("init_spatial_var", 100.0)),
-            init_velocity_var=float(sec.get("init_velocity_var", 5e-4)),
-            init_radius=float(sec.get("init_radius", 5.0)),
+            near_sensor_fraction=number(sec, "near_sensor_fraction", 0.2, "filter"),
+            box_margin=number(sec, "box_margin", 1.0, "filter"),
+            init_spatial_var=number(sec, "init_spatial_var", 100.0, "filter"),
+            init_velocity_var=number(sec, "init_velocity_var", 5e-4, "filter"),
+            init_radius=number(sec, "init_radius", 5.0, "filter"),
             consistency=consistency,
             optimizer=optimizer,
         )
@@ -136,7 +153,7 @@ def bpf_config_from_config(cfg: dict) -> BpfConfig:
     try:
         return BpfConfig(
             n_particles=integer(sec, "particles", 100_000, "bpf"),
-            resample_threshold=float(sec.get("resample_threshold", 0.5)),
+            resample_threshold=number(sec, "resample_threshold", 0.5, "bpf"),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigurationError):

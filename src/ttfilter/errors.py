@@ -11,7 +11,3 @@ class NumericalError(RuntimeError):
 
 class SimulationError(RuntimeError):
     """Truth generation failed, e.g. no in-region path within the draw budget."""
-
-
-class HessianRepairError(NumericalError):
-    """Hessian repair exhausted every target-sensor exclusion pair."""

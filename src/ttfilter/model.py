@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,8 +120,10 @@ def build_grid(rows: int, cols: int, spacing: float) -> SensorGrid:
     """Build a rows x cols sensor grid with the given spacing in meters."""
     if rows < 2 or cols < 2:
         raise ConfigurationError(f"grid needs at least 2x2 sensors, got {rows}x{cols}")
-    if not spacing > 0.0:
-        raise ConfigurationError(f"grid spacing must be positive, got {spacing}")
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ConfigurationError(
+            f"grid spacing must be finite and positive, got {spacing}"
+        )
     r, c = np.divmod(np.arange(rows * cols), cols)
     positions = np.stack([c * spacing, r * spacing], axis=1).astype(float)
     return SensorGrid(positions=positions, rows=rows, cols=cols, spacing=spacing)
@@ -144,16 +147,15 @@ class MeasurementModel:
     sigma_s2: float | np.ndarray = 0.01
 
     def __post_init__(self):
-        if not self.amplitude > 0.0:
-            raise ConfigurationError("amplitude must be positive")
-        if not self.offset > 0.0:
-            raise ConfigurationError("offset must be positive")
-        if not self.exponent > 0.0:
-            raise ConfigurationError("exponent must be positive")
+        for name in ("amplitude", "offset", "exponent"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be finite and positive")
         # zero variance is allowed (noise-free simulation); likelihoods that
         # would divide by it raise at the point of use
-        if np.any(np.asarray(self.sigma_s2) < 0.0):
-            raise ConfigurationError("sigma_s2 must be non-negative")
+        sig = np.asarray(self.sigma_s2, dtype=float)
+        if not (np.isfinite(sig).all() and (sig >= 0.0).all()):
+            raise ConfigurationError("sigma_s2 must be finite and non-negative")
 
     def noise_variances(self, count: int) -> np.ndarray:
         """Per-sensor noise variance vector of length ``count``."""
@@ -174,8 +176,8 @@ class MotionModel:
     gamma: float = 0.05
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ConfigurationError("gamma must be non-negative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ConfigurationError("gamma must be finite and non-negative")
 
     @property
     def V(self) -> np.ndarray:
@@ -212,11 +214,10 @@ def _pair_distances(
     ``sensors_t`` (2, S), ``SensorGrid.positions_t`` or some of its columns.
 
     This is the one distance kernel: the likelihood and its derivatives
-    (``nll``), the recovery's sensor order and signal split
-    (``consistency``) and the Hessian repair's pair choice (``hessfix``)
-    all read it.  With the coordinate axis ahead of the sensor axis, the
-    (C, 2, S) offsets reshape to the (2C, S) layout of the stacked vector
-    without a copy.
+    (``nll``) and the recovery's sensor order and signal split
+    (``consistency``) read it.  With the coordinate axis ahead of the
+    sensor axis, the (C, 2, S) offsets reshape to the (2C, S) layout of the
+    stacked vector without a copy.
     """
     r = positions[:, :, None] - sensors_t
     return r, _clamped_distance(r[:, 0], r[:, 1])
@@ -305,6 +306,8 @@ class Scenario:
             raise ConfigurationError(
                 f"initial_states must be (C, 4) with C >= 1, got {init.shape}"
             )
+        if not np.isfinite(init).all():
+            raise ConfigurationError("initial_states must be finite")
         if self.bounds not in ("inside", "reflect", "none"):
             raise ConfigurationError(f"unknown bounds policy {self.bounds!r}")
         if self.bounds == "inside":

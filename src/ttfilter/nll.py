@@ -49,14 +49,14 @@ the prior precision Sigma_xx^{-1} is positive definite at every point, and
 (prior-anchored) fit takes its first few directions from it and needs no
 Levenberg shift there (see ``optimize.minimize``).  The exact Hessian is
 built only where it is read: for the later iterations, and at the final
-iterate, whose Hessian shapes the cubature.  ``measurement_objective``
-offers no such matrix, so the measurement-only fits (recovery and the
-fixed-center initial fit) run exact Newton throughout, as does the Hessian
-repair's refit, whose reduced objective passes only the gradient and Hessian
-on.  That split was measured: warming the measurement-only fits up as well made
-the ``acquire`` benchmark worse (square-hopping calls 11 -> 64 and
-one-by-one calls 165 -> 218 per round, p99 47 -> 104 ms, avg OMAT
-0.518 -> 0.533 m).
+iterate, whose Hessian shapes the cubature; where that Hessian is not
+positive definite, the same Gauss-Newton matrix stands in for it
+(``hessfix``).  ``measurement_objective`` offers no such matrix, so the
+measurement-only fits (recovery and the fixed-center initial fit) run exact
+Newton throughout.  That split was measured: warming the measurement-only
+fits up as well made the ``acquire`` benchmark worse (square-hopping calls
+11 -> 64 and one-by-one calls 165 -> 218 per round, p99 47 -> 104 ms, avg
+OMAT 0.518 -> 0.533 m).
 """
 
 from __future__ import annotations
@@ -463,7 +463,7 @@ def measurement_objective(
     The sensor positions, frame entries and noise variances are gathered and
     checked once, here, so one fit builds one objective and every evaluation
     reuses them.  ``sensor_indices`` restricts the sum to a subset of sensors
-    (recovery and Hessian repair need this); None means all sensors.  The
+    (recovery needs this); None means all sensors.  The
     gradient and Hessian are built when first read.  No Gauss-Newton matrix
     is offered, so fits of this objective run exact Newton from the first
     iteration (see the module docstring for why).
@@ -482,18 +482,19 @@ def combined_objective(
     grid: SensorGrid,
     meas: MeasurementModel,
     prior: PropagatedPrior,
-    sensor_indices: np.ndarray | None = None,
 ) -> Objective:
-    """Measurement plus prior objective, as a function ``x -> NllReport``.
+    """Measurement plus prior objective over every sensor, as a function
+    ``x -> NllReport``.
 
     Built once per fit like ``measurement_objective``; derivatives are built
     when first read.  Besides the exact Hessian each report offers
     ``gauss_newton``: the Gauss-Newton matrix plus the prior precision
     ``xx_inv``.  That is positive definite wherever the objective is
     evaluated, so ``optimize.minimize`` can take its first directions from
-    it without a Levenberg shift search.
+    it without a Levenberg shift search, and ``hessfix.repair_hessian``
+    factors it where the exact Hessian is not positive definite.
     """
-    terms = _sensor_terms(frame, grid, meas, sensor_indices)
+    terms = _sensor_terms(frame, grid, meas, None)
     mean_x, xx_inv = prior.mean_x, prior.xx_inv
 
     def evaluate(x: np.ndarray) -> NllReport:
@@ -528,10 +529,9 @@ def combined_nll(
     grid: SensorGrid,
     meas: MeasurementModel,
     prior: PropagatedPrior,
-    sensor_indices: np.ndarray | None = None,
 ) -> NllReport:
-    """``combined_objective(frame, grid, meas, prior, sensor_indices)`` at one point."""
-    return combined_objective(frame, grid, meas, prior, sensor_indices)(x)
+    """``combined_objective(frame, grid, meas, prior)`` at one point."""
+    return combined_objective(frame, grid, meas, prior)(x)
 
 
 def combined_value_batch(

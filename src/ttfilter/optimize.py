@@ -34,12 +34,11 @@ positive definite, so those directions need no Levenberg shift search, and
 the residual-curvature part of the exact Hessian is not built for them.
 Later directions use the exact Hessian, and ``OptimizeResult.hess`` is
 always the exact Hessian at the final iterate, also when the fit converges
-during the warm-up; it is built when first read.  An
-objective without that matrix (the measurement-only recovery and initial
-fits, the Hessian repair's refit) runs exact Newton from the first
-iteration: warming those up as well raised the square-hopping calls per
-``acquire`` benchmark round from 11 to 64 and its p99 step time from 47 to
-104 ms (``nll`` has the full measurement).  In a traced
+during the warm-up; it is built when first read.  An objective without
+that matrix (the measurement-only recovery and initial fits) runs exact
+Newton from the first iteration: warming those up as well raised the
+square-hopping calls per ``acquire`` benchmark round from 11 to 64 and its
+p99 step time from 47 to 104 ms (``nll`` has the full measurement).  In a traced
 ``acceptance`` benchmark round (seed 7) the warm-up cut the main fit from
 38,435 iterations and 60,464 objective evaluations to 27,339 and 38,460.
 The count is fixed.  Adaptive rules were measured on ``acceptance``
@@ -206,8 +205,9 @@ class OptimizeResult:
     def hess(self) -> np.ndarray:
         """The objective's exact Hessian at x, built when first read.
 
-        Only the main fit and the Hessian repair's refit read it; the
-        recovery and first-frame fits never build it.
+        The step reads the main fit's (through ``report``, in
+        ``hessfix.repair_hessian``); the recovery and first-frame fits never
+        build it.
         """
         return self.report.hess
 

@@ -34,6 +34,22 @@ def benchmark_scenario(sigma_s2: float = 0.01, gamma: float = 0.05) -> Scenario:
     )
 
 
+def corner_scenario(sigma_s2: float) -> Scenario:
+    """Free motion (``bounds="none"``) from a start with target 0 at the
+    grid's corner, heading off it: the main fit can end with a target on the
+    search box's bound, or beside a sensor with an indefinite Hessian."""
+    return Scenario(
+        grid=build_grid(5, 5, 10.0),
+        motion=MotionModel(gamma=0.05),
+        meas=MeasurementModel(sigma_s2=sigma_s2),
+        initial_states=np.array(
+            [[1.0, 1.0, -0.3, -0.2], [32.0, 32.0, 0.3, 0.2],
+             [20.0, 13.0, -0.1, 0.01], [15.0, 35.0, 0.002, 0.3]]
+        ),
+        bounds="none",
+    )
+
+
 def fd_gradient(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)

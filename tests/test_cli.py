@@ -104,6 +104,55 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
             assert "`variants` must be a list of names" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"filter": {"init_spatial_var": -1}}',
+        '{"filter": {"box_margin": -20}}',
+        '{"filter": {"sigma_s2": 0}}',
+        '{"filter": {"alpha": 0.1}}',  # the assumed process noise is not PSD
+        '{"scenario": {"sigma_s2": NaN}}',
+        '{"scenario": {"sigma_s2": [' + "0.1, " * 24 + "Infinity]}}",
+        '{"scenario": {"grid": {"spacing": "inf"}}}',
+        '{"scenario": {"amplitude": Infinity}}',
+        '{"scenario": {"targets": [[1, 2, NaN, 0]], "bounds": "none"}}',
+        '{"filter": {"alpha": true}}',
+        '{"filter": {"grad_tol": true}}',
+        '{"filter": {"near_sensor_fraction": "nan"}}',
+        '{"filter": {"init_radius": -5}}',
+        '{"bpf": {"resample_threshold": true}}',
+    ],
+)
+def test_bad_number_in_config_gives_config_exit(tmp_path, capsys, text):
+    # rejected when the config is read, not as a failure of every track
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    code = main(["track", "--config", str(cfg), "--out", str(out),
+                 "--tracks", "1", "--steps", "2"])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "steps.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
+def test_unsimulable_scenario_gives_config_exit(tmp_path, capsys, command):
+    # noise-free truth leaves the grid, so bounds="inside" has no path to keep
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"scenario": {"gamma": 0, "targets": [[38.0, 20.0, 1.0, 0.0]]}}
+    ))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run"),
+            "--steps", "5"]
+    if command == "track":
+        argv += ["--tracks", "1"]
+    code = main(argv)
+    assert code == 2
+    assert "simulation error: noise-free trajectory leaves the grid" in (
+        capsys.readouterr().err
+    )
+
+
 def test_track_subcommand_writes_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(

@@ -1,19 +1,25 @@
-"""Positive-definite repair of the converged spatial Hessian."""
+"""Positive-definite factor of the spatial Hessian at the step's estimate."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from ttfilter.errors import NumericalError
 from ttfilter.hessfix import repair_hessian
-from ttfilter.model import MeasurementModel, build_grid, expected_signal
+from ttfilter.model import expected_signal, simulate
 from ttfilter.nll import (
     FilterNoiseModel,
     GaussianBelief,
+    NllReport,
     combined_nll,
+    combined_objective,
     propagate_prior,
 )
-from ttfilter.optimize import box_from_grid
+from ttfilter.optimize import minimize
+from ttfilter.tracker import FilterConfig, init_belief, make_context, step
+
+from conftest import corner_scenario
 
 
 def prior_at(x: np.ndarray):
@@ -24,108 +30,67 @@ def prior_at(x: np.ndarray):
     return propagate_prior(belief, FilterNoiseModel())
 
 
-def repair_at(x, frame, grid, meas, prior, box):
-    """Repair the combined-NLL Hessian at ``x``, as the fit would hand it over."""
-    hess = combined_nll(x, frame, grid, meas, prior).hess
-    return repair_hessian(x, hess, frame, grid, meas, prior, box)
-
-
-def assert_factor_matches(fix):
-    np.testing.assert_array_equal(fix.chol, np.tril(fix.chol))
-    np.testing.assert_allclose(
-        fix.chol @ fix.chol.T, fix.hessian, rtol=1e-12, atol=1e-12
+@pytest.fixture(scope="module")
+def indefinite_fit():
+    """The main fit of step 1 of a ``corner_scenario`` track at sigma^2 =
+    0.01, as ``tracker.step`` runs it: it converges inside the box with
+    target 2 0.12 m from sensor 0, where the exact Hessian is indefinite."""
+    scn = corner_scenario(0.01)
+    ctx = make_context(scn, FilterConfig())
+    traj = simulate(scn, 2, np.random.SeedSequence([3, 8, 0]))
+    belief = init_belief(
+        "random_around_truth", ctx.config, scn.grid,
+        np.random.default_rng(np.random.SeedSequence([3, 8, 1])),
+        truth_state=traj.states[0],
     )
-
-
-@pytest.fixture()
-def indefinite_case(grid55):
-    """Target 0 parked beside the center sensor, which reads an impossible
-    amplitude; the residual-curvature term then dominates and flips the sign
-    of the radial direction."""
-    meas = MeasurementModel(sigma_s2=0.01)
-    x = np.array([20.03, 20.0, 8.0, 31.0])
-    frame = expected_signal(x, grid55, meas)
-    frame[12] += 60.0
-    return meas, x, frame
+    belief = step(belief, traj.frames[0], ctx).posterior
+    prior = propagate_prior(belief, ctx.noise)
+    objective = combined_objective(traj.frames[1], scn.grid, ctx.meas, prior)
+    return minimize(
+        objective, prior.mean_x, ctx.box, ctx.config.optimizer, chart=ctx.near_sensors
+    )
 
 
 def test_pd_hessian_returned_unchanged(grid55, meas_default, rng):
     x = rng.uniform(8.0, 32.0, size=4)
     frame = expected_signal(x, grid55, meas_default)
-    prior = prior_at(x)
-    box = box_from_grid(grid55, n_targets=2)
-    fix = repair_at(x, frame, grid55, meas_default, prior, box)
-    assert fix.exclusions == ()
-    np.testing.assert_array_equal(fix.x, x)
-    expect = combined_nll(x, frame, grid55, meas_default, prior).hess
-    np.testing.assert_array_equal(fix.hessian, expect)
-    assert_factor_matches(fix)
+    report = combined_nll(x, frame, grid55, meas_default, prior_at(x))
+    fix = repair_hessian(report)
+    assert not fix.gauss_newton and fix.exclusions == ()
+    assert fix.chol.tobytes() == np.linalg.cholesky(report.hess).tobytes()
 
 
-def test_indefinite_fixture_is_actually_indefinite(grid55, indefinite_case):
-    meas, x, frame = indefinite_case
-    hess = combined_nll(x, frame, grid55, meas, prior_at(x)).hess
-    assert np.linalg.eigvalsh(hess).min() < 0.0
+def test_indefinite_fixture_is_actually_indefinite(indefinite_fit):
+    assert indefinite_fit.converged and indefinite_fit.active_set.size == 0
+    assert np.linalg.eigvalsh(indefinite_fit.hess).min() < -1.0
 
 
-def test_repair_restores_positive_definiteness(grid55, indefinite_case):
-    meas, x, frame = indefinite_case
-    box = box_from_grid(grid55, n_targets=2)
-    fix = repair_at(x, frame, grid55, meas, prior_at(x), box)
-    assert fix.exclusions
-    w = np.linalg.eigvalsh(fix.hessian)
-    assert w.min() > 0.0
-    assert_factor_matches(fix)
+def test_repair_restores_positive_definiteness(indefinite_fit):
+    fix = repair_hessian(indefinite_fit.report)
+    assert fix.gauss_newton and fix.exclusions == ()
+    np.testing.assert_array_equal(fix.chol, np.tril(fix.chol))
+    assert np.isfinite(fix.chol).all() and (np.diag(fix.chol) > 0.0).all()
 
 
-def test_closest_pair_excluded_first(grid55, indefinite_case):
-    meas, x, frame = indefinite_case
-    box = box_from_grid(grid55, n_targets=2)
-    fix = repair_at(x, frame, grid55, meas, prior_at(x), box)
-    assert len(fix.exclusions) >= 1
-    assert fix.exclusions[0] == (0, 12)
-    assert len(set(fix.exclusions)) == len(fix.exclusions)
-    for c, s in fix.exclusions:
-        assert 0 <= c < 2 and 0 <= s < grid55.count
-    assert len(fix.exclusions) <= 2 * grid55.count
-
-
-def test_excluded_target_gets_fixed_variance_block(grid55, indefinite_case):
-    meas, x, frame = indefinite_case
-    box = box_from_grid(grid55, n_targets=2)
-    fix = repair_at(x, frame, grid55, meas, prior_at(x), box)
-    bad = sorted({c for c, _ in fix.exclusions})
-    assert bad == [0]
-    scale = meas.offset**-2
-    np.testing.assert_array_equal(fix.hessian[:2, :2], scale * np.eye(2))
-    np.testing.assert_array_equal(fix.hessian[:2, 2:], np.zeros((2, 2)))
-    np.testing.assert_array_equal(fix.hessian[2:, :2], np.zeros((2, 2)))
-
-
-def test_kept_block_matches_reduced_hessian(grid55, indefinite_case):
-    meas, x, frame = indefinite_case
-    prior = prior_at(x)
-    box = box_from_grid(grid55, n_targets=2)
-    fix = repair_at(x, frame, grid55, meas, prior, box)
-    kept_sensors = np.setdiff1d(
-        np.arange(grid55.count), [s for _, s in fix.exclusions]
+def test_fallback_factor_reproduces_gauss_newton(indefinite_fit):
+    report = indefinite_fit.report
+    fix = repair_hessian(report)
+    assert fix.chol.tobytes() == np.linalg.cholesky(report.gauss_newton).tobytes()
+    np.testing.assert_allclose(
+        fix.chol @ fix.chol.T, report.gauss_newton, rtol=1e-12,
+        atol=1e-12 * np.abs(report.gauss_newton).max(),
     )
-    rep = combined_nll(fix.x, frame, grid55, meas, prior, kept_sensors)
-    np.testing.assert_array_equal(fix.hessian[2:, 2:], rep.hess[2:, 2:])
 
 
-def test_single_target_full_exclusion(grid55):
-    # with one target the first exclusion already empties the free set; the
-    # empty reduced system factorizes vacuously and the whole matrix becomes
-    # the fixed-variance block
-    meas = MeasurementModel(sigma_s2=0.01)
-    x = np.array([20.03, 20.0])
-    frame = expected_signal(x, grid55, meas)
-    frame[12] += 60.0
-    hess = combined_nll(x, frame, grid55, meas, prior_at(x)).hess
-    assert np.linalg.eigvalsh(hess).min() < 0.0
-    box = box_from_grid(grid55, n_targets=1)
-    fix = repair_at(x, frame, grid55, meas, prior_at(x), box)
-    np.testing.assert_array_equal(fix.hessian, meas.offset**-2 * np.eye(2))
-    assert fix.exclusions == ((0, 12),)
-    assert_factor_matches(fix)
+@pytest.mark.parametrize("gauss_newton", ["nan", "missing"])
+def test_nan_in_both_raises_numerical_error(indefinite_fit, gauss_newton):
+    report = indefinite_fit.report
+    hess = report.hess.copy()
+    hess[1, 0] = hess[0, 1] = np.nan
+    if gauss_newton == "nan":
+        fallback = report.gauss_newton.copy()
+        fallback[1, 0] = fallback[0, 1] = np.nan
+    else:  # a measurement-only report offers no Gauss-Newton matrix
+        fallback = None
+    with pytest.raises(NumericalError, match="neither the Hessian"):
+        repair_hessian(NllReport(report.value, report.grad, hess, fallback))

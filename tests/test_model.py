@@ -54,6 +54,27 @@ def test_build_grid_rejects_degenerate():
         build_grid(1, 5, 10.0)
     with pytest.raises(ConfigurationError):
         build_grid(5, 5, 0.0)
+    with pytest.raises(ConfigurationError):
+        build_grid(5, 5, np.inf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_models_reject_non_finite_numbers(bad):
+    # a sweep value reaches these models without passing the config reader
+    for build in (
+        lambda: MeasurementModel(amplitude=bad),
+        lambda: MeasurementModel(offset=bad),
+        lambda: MeasurementModel(exponent=bad),
+        lambda: MeasurementModel(sigma_s2=bad),
+        lambda: MeasurementModel(sigma_s2=np.array([0.1, bad])),
+        lambda: MotionModel(gamma=bad),
+        lambda: Scenario(
+            grid=build_grid(5, 5, 10.0), motion=MotionModel(), meas=MeasurementModel(),
+            initial_states=[[1.0, 2.0, bad, 0.0]], bounds="none",
+        ),
+    ):
+        with pytest.raises(ConfigurationError):
+            build()
 
 
 def test_boundary_indices_5x5():

@@ -12,9 +12,9 @@ from ttfilter import nll as nll_module
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import (
     MeasurementModel,
+    SensorGrid,
     _clamped_distance,
     _distance_terms,
-    build_grid,
     expected_signal,
 )
 from ttfilter.nll import (
@@ -249,13 +249,13 @@ def reference_prior_nll(x: np.ndarray, prior: PropagatedPrior) -> NllReport:
     return NllReport(0.5 * float(diff @ grad), grad, prior.xx_inv.copy())
 
 
-NO_SENSORS = np.array([], dtype=int)
+# a grid without sensors: the combined objective over it is the prior term
+NO_SENSORS = SensorGrid(positions=np.empty((0, 2)), rows=0, cols=0, spacing=10.0)
 
 
 def prior_term(x: np.ndarray, prior: PropagatedPrior) -> NllReport:
     """The prior term alone: the combined objective over no sensors."""
-    return combined_nll(x, np.zeros(25), build_grid(5, 5, 10.0), MeasurementModel(),
-                        prior, NO_SENSORS)
+    return combined_nll(x, np.zeros(0), NO_SENSORS, MeasurementModel(), prior)
 
 
 def test_prior_nll_minimum_at_mean(rng):
@@ -291,13 +291,10 @@ def test_combined_is_exact_sum(grid55, meas_default, rng):
     np.testing.assert_array_equal(total.hess, m.hess + p.hess)
 
 
-def test_combined_empty_sensor_set_is_prior_only(grid55, meas_default, rng):
+def test_combined_empty_sensor_set_is_prior_only(meas_default, rng):
     prior = random_prior(4, rng)
     x = rng.uniform(5.0, 35.0, size=8)
-    frame = rng.uniform(0.5, 4.0, size=25)
-    rep = combined_nll(
-        x, frame, grid55, meas_default, prior, np.array([], dtype=int)
-    )
+    rep = combined_nll(x, np.zeros(0), NO_SENSORS, meas_default, prior)
     p = reference_prior_nll(x, prior)
     assert rep.value == p.value
     np.testing.assert_array_equal(rep.grad, p.grad)
@@ -361,31 +358,34 @@ def eager_measurement_nll(x, frame, grid, meas, sensor_indices=None) -> NllRepor
     ids=["all", "subset", "empty"],
 )
 def test_lazy_derivatives_equal_eager_ones_bit_for_bit(grid55, meas_default, sensors):
+    # the measurement objective over the sensor set; the combined one always
+    # sums over every sensor
     rng = np.random.default_rng(11)
     prior = random_prior(4, rng)
     for trial in range(10):
         x = rng.uniform(2.0, 38.0, size=8)
         frame = rng.uniform(0.5, 4.0, size=25)
         meas = eager_measurement_nll(x, frame, grid55, meas_default, sensors)
+        every = eager_measurement_nll(x, frame, grid55, meas_default)
         pri = reference_prior_nll(x, prior)
         lazy_m = measurement_nll(x, frame, grid55, meas_default, sensors)
-        lazy_c = combined_nll(x, frame, grid55, meas_default, prior, sensors)
+        lazy_c = combined_nll(x, frame, grid55, meas_default, prior)
         assert lazy_m.value == meas.value
-        assert lazy_c.value == meas.value + pri.value
+        assert lazy_c.value == every.value + pri.value
         # the derivatives do not depend on which of them is read first: a
         # second report read in the other order gives the same bytes
         if trial % 2:
             _ = (lazy_m.hess, lazy_c.hess)
         other_m = measurement_nll(x, frame, grid55, meas_default, sensors)
-        other_c = combined_nll(x, frame, grid55, meas_default, prior, sensors)
+        other_c = combined_nll(x, frame, grid55, meas_default, prior)
         if not trial % 2:
             _ = (other_m.hess, other_c.hess)
         for lazy, other, eager in [
             (lazy_m.grad, other_m.grad, meas.grad),
             (lazy_m.hess, other_m.hess, meas.hess),
-            (lazy_c.grad, other_c.grad, meas.grad + pri.grad),
-            (lazy_c.hess, other_c.hess, meas.hess + pri.hess),
-            (lazy_c.gauss_newton, other_c.gauss_newton, meas.gauss_newton + pri.hess),
+            (lazy_c.grad, other_c.grad, every.grad + pri.grad),
+            (lazy_c.hess, other_c.hess, every.hess + pri.hess),
+            (lazy_c.gauss_newton, other_c.gauss_newton, every.gauss_newton + pri.hess),
         ]:
             assert lazy.shape == other.shape and lazy.tobytes() == other.tobytes()
             assert_close_to_reference(lazy, eager)
@@ -451,11 +451,11 @@ def per_call_measurement(x, frame, grid, meas, sensor_indices=None):
     return value, PerCallDerivatives(rel, rho, rho_p, D, res, sig2, meas)
 
 
-def per_call_combined(x, frame, grid, meas, prior, sensor_indices=None):
+def per_call_combined(x, frame, grid, meas, prior):
     """Reference: value, gradient, Gauss-Newton matrix and Hessian of the
     per-call combined kernel."""
     x = np.asarray(x, dtype=float).ravel()
-    value, d = per_call_measurement(x, frame, grid, meas, sensor_indices)
+    value, d = per_call_measurement(x, frame, grid, meas)
     diff = x - prior.mean_x
     prior_grad = prior.xx_inv @ diff
     return (
@@ -473,18 +473,20 @@ def per_call_combined(x, frame, grid, meas, prior, sensor_indices=None):
 def test_per_fit_objectives_equal_the_per_call_kernel_bit_for_bit(
     grid55, meas_default, sensors
 ):
+    # the measurement objective over the sensor set; the combined one always
+    # sums over every sensor
     rng = np.random.default_rng(17)
     prior = random_prior(4, rng)
     frame = rng.uniform(0.5, 4.0, size=25)
     measurement = measurement_objective(frame, grid55, meas_default, sensors)
-    combined = combined_objective(frame, grid55, meas_default, prior, sensors)
+    combined = combined_objective(frame, grid55, meas_default, prior)
     # one objective serves many points, read in either order
     for trial in range(12):
         x = rng.uniform(2.0, 38.0, size=8)
         if trial == 0:
             x[2:4] = grid55.positions[12]  # a target on a sensor: clamped rho
         m_value, m_ref = per_call_measurement(x, frame, grid55, meas_default, sensors)
-        c_ref = per_call_combined(x, frame, grid55, meas_default, prior, sensors)
+        c_ref = per_call_combined(x, frame, grid55, meas_default, prior)
         m, c = measurement(x), combined(x)
         if trial % 2:
             _ = (m.hess, c.hess)
@@ -501,7 +503,7 @@ def test_per_fit_objectives_equal_the_per_call_kernel_bit_for_bit(
         # the per-call objectives give the per-fit ones' bytes
         for got, want in [
             (m.grad, measurement_nll(x, frame, grid55, meas_default, sensors).grad),
-            (c.hess, combined_nll(x, frame, grid55, meas_default, prior, sensors).hess),
+            (c.hess, combined_nll(x, frame, grid55, meas_default, prior).hess),
         ]:
             assert got.tobytes() == want.tobytes()
 

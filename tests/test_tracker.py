@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ttfilter import consistency, hessfix, tracker
+from ttfilter import consistency, tracker
 from ttfilter.consistency import chi2_threshold, consistency_statistic
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import (
@@ -31,7 +31,7 @@ from ttfilter.nll import (
 from ttfilter.optimize import NewtonOptions, minimize
 from ttfilter.tracker import FilterConfig, init_belief, make_context, step, track
 
-from conftest import benchmark_scenario
+from conftest import benchmark_scenario, corner_scenario
 
 
 def tight_belief(truth_state: np.ndarray, spatial=1e-2, velocity=1e-6) -> GaussianBelief:
@@ -216,12 +216,11 @@ def test_step_evaluates_combined_nll_once_per_point(monkeypatch):
 
         return evaluate
 
-    for module in (tracker, hessfix):
-        monkeypatch.setattr(
-            module, "combined_objective", wrap_objectives(combined_objective, counted)
-        )
+    monkeypatch.setattr(
+        tracker, "combined_objective", wrap_objectives(combined_objective, counted)
+    )
     out = step(tight_belief(truth), frame, ctx)
-    assert out.consistent and not out.exclusions
+    assert out.consistent and not any(a.startswith("hessfix") for a in out.actions)
     assert not any(a.startswith(("one_by_one", "hopping")) for a in out.actions)
     repeats = len(seen) - len(set(seen))
     assert seen and repeats == 0, f"{repeats} repeated evaluation(s)"
@@ -316,7 +315,7 @@ def test_every_fit_gathers_its_sensors_before_it_starts(monkeypatch):
         fits.append((len(gathered) - before, len(evals)))
         return res
 
-    for module in (tracker, consistency, hessfix):
+    for module in (tracker, consistency):
         monkeypatch.setattr(module, "minimize", watched)
     truth = scn.initial_states
     frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
@@ -403,30 +402,19 @@ def test_step_polar_action_fires_near_sensor():
     assert not any(a.startswith("polar") for a in off.actions)
 
 
-def test_step_repairs_hessian_after_main_fit_ends_on_a_bound(monkeypatch):
-    # the repair's reachable case: with bounds="none" target 0 drifts out of
-    # the grid, and at step 11 of this track the main fit leaves it on the
-    # box's lower x bound with a Hessian that is not positive definite.  The
-    # step must repair (here by excluding a pair of every target) rather
-    # than fall back.
-    scn = Scenario(
-        grid=build_grid(5, 5, 10.0),
-        meas=MeasurementModel(sigma_s2=0.1),
-        motion=MotionModel(gamma=0.05),
-        initial_states=np.array(
-            [[1.0, 1.0, -0.3, -0.2], [32.0, 32.0, 0.3, 0.2],
-             [20.0, 13.0, -0.1, 0.01], [15.0, 35.0, 0.002, 0.3]]
-        ),
-        bounds="none",
-    )
+def step_with_spied_main_fit(monkeypatch, sigma_s2, seed, index):
+    """Step ``index`` of a ``corner_scenario`` track simulated from
+    ``seed + [0]`` and filtered with ``seed + [1]``, with the main fit's
+    result kept: ``(StepOutput, main fit)``."""
+    scn = corner_scenario(sigma_s2)
     ctx = make_context(scn, FilterConfig())
-    traj = simulate(scn, 40, np.random.default_rng(np.random.SeedSequence([3, 18, 0])))
+    traj = simulate(scn, 40, np.random.default_rng(np.random.SeedSequence(seed + [0])))
     belief = init_belief(
         "random_around_truth", ctx.config, scn.grid,
-        np.random.default_rng(np.random.SeedSequence([3, 18, 1])),
+        np.random.default_rng(np.random.SeedSequence(seed + [1])),
         truth_state=traj.states[0],
     )
-    for frame in traj.frames[:11]:
+    for frame in traj.frames[:index]:
         belief = step(belief, frame, ctx).posterior
 
     fits = []
@@ -436,14 +424,44 @@ def test_step_repairs_hessian_after_main_fit_ends_on_a_bound(monkeypatch):
         return fits[-1]
 
     monkeypatch.setattr(tracker, "minimize", spy)
-    out = step(belief, traj.frames[11], ctx)
-    assert fits[0].converged and 0 in fits[0].active_set
-    assert any(a.startswith("hessfix:") for a in out.actions)
+    return step(belief, traj.frames[index], ctx), fits[0]
+
+
+def assert_repaired_without_fallback(out):
+    assert "hessfix:gauss-newton" in out.actions
     assert not any(a.startswith("fallback:") for a in out.actions)
-    assert {c for c, _ in out.exclusions} == {0, 1, 2, 3}
+    assert out.exclusions == ()
     post = out.posterior
     assert np.isfinite(post.mean).all() and np.isfinite(post.cov).all()
     assert np.linalg.eigvalsh(post.cov).min() > 0.0
+
+
+def test_step_repairs_hessian_after_main_fit_ends_on_a_bound(monkeypatch):
+    # with bounds="none" target 0 drifts out of the grid, and at step 11 of
+    # this track the main fit leaves it on the box's lower x bound with a
+    # Hessian that is not positive definite.  The Gauss-Newton matrix stands
+    # in, so target 0's spread reflects how little the frame says about a
+    # target 11.7 m from the nearest sensor, and no target is pinned to the
+    # 0.1 m spread of a signal peak.
+    out, fit = step_with_spied_main_fit(monkeypatch, 0.1, [3, 18], 11)
+    assert fit.converged and 0 in fit.active_set
+    assert np.linalg.eigvalsh(fit.hess).min() < 0.0
+    assert_repaired_without_fallback(out)
+    sd = np.sqrt(np.diag(out.posterior.cov_xx))
+    assert sd[0] >= 1.0
+    assert sd.min() >= 0.2
+    np.testing.assert_array_equal(out.x_ml, fit.x)  # the gated estimate
+
+
+def test_step_repairs_hessian_after_interior_fit_near_a_sensor(monkeypatch):
+    # the interior case: the main fit converges with no bound active and
+    # target 2 0.12 m from sensor 0, on a point where the exact Hessian is
+    # indefinite although no Newton step is left to take
+    out, fit = step_with_spied_main_fit(monkeypatch, 0.01, [3, 8], 1)
+    assert fit.converged and fit.active_set.size == 0
+    assert np.linalg.eigvalsh(fit.hess).min() < 0.0
+    assert_repaired_without_fallback(out)
+    np.testing.assert_array_equal(out.x_ml, fit.x)
 
 
 def test_step_posterior_satisfies_belief_invariants(rng):
