@@ -83,8 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXPERIMENT_KEYS = ("tracks", "steps", "seed", "variants")
+
+
 def _resolve_seed(args, cfg: dict) -> int:
-    exp = cfgmod._section(cfg, "experiment")
+    exp = cfgmod._section(cfg, "experiment", EXPERIMENT_KEYS)
     if args.seed is not None:
         return args.seed
     if exp.get("seed") is not None:
@@ -99,7 +102,7 @@ def _resolve_seed(args, cfg: dict) -> int:
 
 
 def _experiment_spec(args, cfg: dict, default_variants: tuple[str, ...]) -> ExperimentSpec:
-    exp = cfgmod._section(cfg, "experiment")
+    exp = cfgmod._section(cfg, "experiment", EXPERIMENT_KEYS)
     scenario = cfgmod.scenario_from_config(cfg)
     fcfg = cfgmod.filter_config_from_config(cfg)
     bcfg = cfgmod.bpf_config_from_config(cfg)

@@ -1,7 +1,9 @@
 """JSON configuration handling for scenarios, filters, and experiments.
 
 Every field is optional; omitted values fall back to the benchmark defaults.
-See the README for the full schema.
+A key that no reader uses is a configuration error, at every level, so a
+misspelt or removed setting is not silently replaced by its default.  See
+the README for the full schema.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .model import DEFAULT_TARGETS, MeasurementModel, MotionModel, Scenario, bui
 from .optimize import NewtonOptions
 from .tracker import FilterConfig
 
+SECTIONS = ("scenario", "filter", "bpf", "experiment")
 SWEEP_AXES = ("sigma_s2", "alpha", "gamma")
 
 DEFAULT_SWEEPS = {
@@ -35,14 +38,23 @@ def load_config(path) -> dict:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config {path} must hold a JSON object")
-    return cfg
+    return _only(cfg, SECTIONS, "the config")
 
 
-def _section(cfg: dict, name: str) -> dict:
+def _only(sec: dict, keys: tuple[str, ...], where: str) -> dict:
+    unknown = sorted(set(sec) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"unknown keys {unknown} in {where}, known {list(keys)}")
+    return sec
+
+
+def _section(cfg: dict, name: str, keys: tuple[str, ...], where: str = "") -> dict:
+    """``cfg[name]`` (empty when absent), an object holding only ``keys``;
+    ``where`` is the path of ``cfg`` for messages."""
     sec = cfg.get(name, {})
     if not isinstance(sec, dict):
-        raise ConfigurationError(f"config section {name!r} must be an object")
-    return sec
+        raise ConfigurationError(f"config section {where + name!r} must be an object")
+    return _only(sec, keys, where + name)
 
 
 def integer(sec: dict, key: str, default: int | None, where: str) -> int:
@@ -74,8 +86,9 @@ def number(sec: dict, key: str, default: float | None, where: str) -> float:
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    sec = _section(cfg, "scenario")
-    grid_sec = _section(sec, "grid")
+    sec = _section(cfg, "scenario", ("grid", "amplitude", "offset", "exponent",
+                                     "sigma_s2", "gamma", "bounds", "targets"))
+    grid_sec = _section(sec, "grid", ("rows", "cols", "spacing"), "scenario.")
     targets = sec.get("targets")
     try:
         grid = build_grid(
@@ -113,7 +126,11 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 
 def filter_config_from_config(cfg: dict) -> FilterConfig:
-    sec = _section(cfg, "filter")
+    sec = _section(cfg, "filter", (
+        "p_value", "n_bad_tgt", "n_bad_sq", "max_subsets", "grad_tol", "max_iter",
+        "alpha", "sigma_s2", "box_margin", "init_spatial_var", "init_velocity_var",
+        "init_radius",
+    ))
     try:
         consistency = ConsistencyConfig(
             p_value=number(sec, "p_value", 0.0013, "filter"),
@@ -132,7 +149,6 @@ def filter_config_from_config(cfg: dict) -> FilterConfig:
                 if sec.get("sigma_s2") is not None
                 else None
             ),
-            near_sensor_fraction=number(sec, "near_sensor_fraction", 0.2, "filter"),
             box_margin=number(sec, "box_margin", 1.0, "filter"),
             init_spatial_var=number(sec, "init_spatial_var", 100.0, "filter"),
             init_velocity_var=number(sec, "init_velocity_var", 5e-4, "filter"),
@@ -149,7 +165,7 @@ def filter_config_from_config(cfg: dict) -> FilterConfig:
 def bpf_config_from_config(cfg: dict) -> BpfConfig:
     """The particle filter's own settings; the rest it reads from the TT
     filter's context (see ``metrics.bpf_track``)."""
-    sec = _section(cfg, "bpf")
+    sec = _section(cfg, "bpf", ("particles", "resample_threshold"))
     try:
         return BpfConfig(
             n_particles=integer(sec, "particles", 100_000, "bpf"),

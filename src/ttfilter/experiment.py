@@ -116,7 +116,8 @@ def _point_key(scenario: Scenario, fcfg: FilterConfig) -> dict:
 
 
 def _run_point_track(args) -> dict:
-    """One trajectory, all variants.  Top level so it pickles for workers."""
+    """One trajectory, all variants.  Top level so it pickles for workers.
+    A ``ConfigurationError`` ends the experiment: every track would raise it."""
     scenario, fcfg, bcfg, variants, steps, seed, track_idx = args
     sim_rng = np.random.default_rng(np.random.SeedSequence([seed, track_idx, 0]))
     trajectory = simulate(scenario, steps, sim_rng)
@@ -136,6 +137,8 @@ def _run_point_track(args) -> dict:
                 "step_time": rec.step_time,
                 "error": None,
             }
+        except ConfigurationError:
+            raise
         except Exception as exc:  # record and keep the experiment alive
             results[name] = {"omat": None, "step_time": None, "error": repr(exc)}
     return results

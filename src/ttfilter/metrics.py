@@ -234,9 +234,7 @@ def bpf_track(
     """
     rng = np.random.default_rng(rng)
     grid, meas = ctx.scenario.grid, ctx.meas
-    sig2 = meas.noise_variances(grid.count)
-    if np.any(sig2 <= 0.0):
-        raise ConfigurationError("particle weighting needs positive noise variances")
+    sig2 = meas.noise_variances(grid.count)  # positive: make_context checks it
     n, c = config.n_particles, trajectory.n_targets
     t_steps = trajectory.n_steps
 

@@ -76,29 +76,29 @@ objective's valley ring-shaped, and Cartesian Newton steps crawl along it:
 on ``acceptance`` (seed 7) the 329 main fits that end within 1 m of a
 sensor took 26 Cartesian iterations on average against 8 elsewhere, up to
 the 200-iteration cap (with the chart below: 9 and 7).
-Given ``chart`` (``tracker.step`` passes one to its main fit only, under
-``nonlinear_correction``), each exact-Newton step on an interior iterate
-takes every target that ``chart`` lists in the chart the cubature uses
-(``quadrature.chart_frame`` and ``quadrature.bend``): (range, arc length)
-about its sensor, the angle measured from the target's current bearing.
-The direction solves the chart system of ``_chart_system`` (R^T H R with
--(g . e_r) / r added to the target's arc-arc entry, R the rotation to the
-bearing's frame), and each line-search trial follows the chart's straight
-line mapped back by ``quadrature.inverse_polar`` instead of the chord.
+Given ``chart`` (``tracker.step`` passes ``tracker.FilterContext.chart``
+to its main fit only), each exact-Newton step on an interior iterate asks
+it once for the frames (``quadrature.ChartFrame``) of the targets the chart
+takes there, and takes each of them in the chart the cubature uses:
+(range, arc length) about its sensor, the angle measured from the target's
+current bearing.  The direction solves the chart system of
+``_chart_system`` (R^T H R with -(g . e_r) / r added to the target's
+arc-arc entry, R the rotation to the bearing's frame), and each
+line-search trial follows the chart's straight line, carried there by
+``quadrature.bend`` with the same frames, instead of the chord.
 The stopping rules (the Cartesian projected gradient, and the decrement,
 which is the same number in either coordinates), the Armijo test on the
 trial's Cartesian move, the warm-up, the iterates on a bound, the
 steepest-descent fallback and the exact Cartesian Hessian handed on in
-``OptimizeResult.hess`` stay as they are, and an iteration with no target
-listed is the Cartesian one bit for bit.  From the same 2,880 priors of a
+``OptimizeResult.hess`` stay as they are, and an iteration with no frame
+is the Cartesian one bit for bit.  From the same 2,880 priors of a
 seed-7 ``acceptance`` round the chart took the main fit from 29,146 to
 20,928 iterations (per-fit p99 51 -> 18, maximum 200 -> 31) and reached the
 Cartesian loop's value to 1e-9 relative in 2,871 fits.  What it costs, on
-one core: asking ``chart`` at every exact-Newton iteration (about 2 us with
-``tracker.FilterContext.near_sensors``, against about 42 us for a whole
-iteration), and on an iteration that uses the chart a rotated 2C x 2C
-system (about 5 us) and one ``bend`` per listed target and trial (about
-6 us).
+one core: asking ``chart`` at every exact-Newton iteration (about 2 us,
+against about 42 us for a whole iteration, plus about 1 us per frame it
+builds), and on an iteration that uses the chart a rotated 2C x 2C system
+(about 5 us) and one ``bend`` per trial (about 5 us per charted target).
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .errors import ConfigurationError, NumericalError
 from .model import SensorGrid
 from .nll import NllReport, Objective
-from .quadrature import bend, chart_frame
+from .quadrature import ChartFrame, bend
 
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 MIN_STEP = 1e-12  # smallest step length tried before giving up on a direction
@@ -266,21 +266,22 @@ def _line_search(
     value: float,
     grad: np.ndarray,
     direction: np.ndarray,
-    curve: Callable[[np.ndarray], np.ndarray] | None = None,
+    frames: Sequence[ChartFrame] = (),
 ):
     """Backtracking Armijo search along a projected direction.
 
     ``value`` and ``grad`` are the objective's at ``x``.  Each trial is
-    ``x + t direction``, carried onto ``curve`` when one is given (the
-    chart step's), then projected onto the box.  A trial whose value is not
-    finite (NaN or either infinity) halves the step.  Returns
-    ``(x_new, report_new)`` or None if no acceptable step exists.
+    ``x + t direction``, carried onto the charts of ``frames`` when there
+    are any (the chart step's curve; ``quadrature.bend``), then projected
+    onto the box.  A trial whose value is not finite (NaN or either
+    infinity) halves the step.  Returns ``(x_new, report_new)`` or None if
+    no acceptable step exists.
     """
     t = 1.0
     while t >= MIN_STEP:
         xt = x + t * direction
-        if curve is not None:
-            xt = curve(xt)
+        if frames:
+            bend(xt, x, frames)
         xt = np.minimum(np.maximum(xt, lower), upper)
         move = xt - x
         if not move.any():
@@ -296,54 +297,31 @@ def _line_search(
 
 
 def _chart_system(
-    hess: np.ndarray,
-    grad: np.ndarray,
-    x: np.ndarray,
-    near: Sequence[tuple[int, np.ndarray]],
+    hess: np.ndarray, grad: np.ndarray, frames: Sequence[ChartFrame]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Newton system at ``x`` with each near target in its sensor's chart.
+    """The Newton system at the iterate ``frames`` were built at, with each
+    of their targets in its sensor's chart.
 
-    ``near`` lists (target, sensor position) pairs.  Target c's two
-    coordinates become (range, arc length) about its sensor, with the angle
-    measured from its current bearing (``quadrature.chart_frame``); the
-    others stay Cartesian.  At ``x`` the chart's Jacobian R is a rotation
-    per near target, so the chart gradient is R^T g and the chart Hessian
+    Target c's two coordinates become (range, arc length) about its sensor,
+    with the angle measured from its current bearing; the others stay
+    Cartesian.  At the iterate the chart's Jacobian R is a rotation per
+    charted target, so the chart gradient is R^T g and the chart Hessian
     is R^T H R plus the map's curvature: d^2 x / d(arc)^2 = -e_r / r, which
     adds -(g . e_r) / r to that target's arc-arc entry.  Returns
     ``(R, chart Hessian, chart gradient)``; a chart step d maps back to the
     Cartesian tangent R d.
     """
-    rot = np.eye(x.size)
-    ranges = []
-    for c, sensor in near:
-        r0, e_r, _ = chart_frame(x[2 * c : 2 * c + 2], sensor)
+    rot = np.eye(grad.size)
+    for f in frames:
+        c, e_r = f.target, f.e_r
         rot[2 * c : 2 * c + 2, 2 * c] = e_r
         rot[2 * c : 2 * c + 2, 2 * c + 1] = (-e_r[1], e_r[0])
-        ranges.append((c, r0))
     grad_c = grad @ rot
     hess_c = rot.T @ hess @ rot
-    for c, r0 in ranges:
-        hess_c[2 * c + 1, 2 * c + 1] -= grad_c[2 * c] / r0  # g . e_r is the range slot
+    for f in frames:
+        arc, g_r = 2 * f.target + 1, grad_c[2 * f.target]  # g . e_r: the range slot
+        hess_c[arc, arc] -= g_r / f.r0
     return rot, hess_c, grad_c
-
-
-def _chart_curve(
-    x: np.ndarray, near: Sequence[tuple[int, np.ndarray]]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Trial point ``x + t d`` -> the chart step's point for the same t.
-
-    The Cartesian tangent d = R d_chart read back in each near target's
-    frame is t d_chart, so ``quadrature.bend`` puts the trial where the
-    straight chart step t d_chart lands.
-    """
-
-    def curve(trial: np.ndarray) -> np.ndarray:
-        for c, sensor in near:
-            block = trial[2 * c : 2 * c + 2]
-            block[:] = bend(block, x[2 * c : 2 * c + 2], sensor)
-        return trial
-
-    return curve
 
 
 def minimize(
@@ -351,13 +329,13 @@ def minimize(
     x0: np.ndarray,
     box: BoxConstraints,
     options: NewtonOptions | None = None,
-    chart: Callable[[np.ndarray], Sequence[tuple[int, np.ndarray]]] | None = None,
+    chart: Callable[[np.ndarray], Sequence[ChartFrame]] | None = None,
 ) -> OptimizeResult:
     """Minimize ``fun`` over the box starting from ``x0`` (clipped inside).
 
-    ``chart``, when given, maps an iterate to the (target, sensor position)
-    pairs that its exact-Newton step takes in the near-sensor chart (see the
-    module docstring); None, or an empty list, keeps the step Cartesian.
+    ``chart``, when given, maps an iterate to the frames of the targets that
+    its exact-Newton step takes in the near-sensor chart (see the module
+    docstring); None, or no frames, keeps the step Cartesian.
     """
     opts = options or NewtonOptions()
     grad_tol, max_iter = opts.grad_tol, opts.max_iter
@@ -386,19 +364,18 @@ def minimize(
             free = ~((at_lo & (g > 0.0)) | (at_hi & (g < 0.0)))
             free_any = bool(free.any())
             idx = None if free.all() else np.flatnonzero(free)
-        near, curve = (), None
+        frames = ()
         if free_any:
             curv = report.gauss_newton if iterations < WARMUP_ITERATIONS else None
             exact = curv is None
             if exact:  # past the warm-up, or no Gauss-Newton matrix offered
                 curv = report.hess
                 if interior and chart is not None:
-                    near = chart(x)
-            if near:  # exact Newton on an interior iterate, some target near a sensor
-                rot, hess_c, grad_c = _chart_system(curv, g, x, near)
+                    frames = chart(x)
+            if frames:  # exact Newton on an interior iterate, some target charted
+                rot, hess_c, grad_c = _chart_system(curv, g, frames)
                 step_c, shift = _shifted_solve(hess_c, -grad_c)
                 direction = rot @ step_c
-                curve = _chart_curve(x, near)
             elif idx is None:  # every coordinate free: solve on the matrix itself
                 direction, shift = _shifted_solve(curv, -g)
             else:
@@ -410,7 +387,7 @@ def minimize(
         else:
             direction = np.zeros_like(x)
 
-        step = _line_search(fun, lower, upper, x, report.value, g, direction, curve)
+        step = _line_search(fun, lower, upper, x, report.value, g, direction, frames)
         if step is None and free_any:
             # fall back on steepest descent if the Newton direction stalls
             step = _line_search(fun, lower, upper, x, report.value, g, -g)

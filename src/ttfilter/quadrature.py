@@ -22,20 +22,23 @@ unit Jacobian everywhere, so the rule and its weights carry over unchanged,
 and they are exact through cubics for a surface that is Gaussian in chart
 coordinates.
 
-The chart is used twice, through the same two helpers: ``chart_frame``
-(range, unit bearing vector and bearing) and ``bend`` (Cartesian offsets
-read in that frame and mapped back with ``inverse_polar``).  Here ``bend``
-places the sigma points, once per near target and step (2 d(d+1) points at
-a time).  The main fit's Newton steps use the same frame for their chart
-system and ``bend`` for their line-search trials, one point at a time
-(see ``optimize``).
+Which targets the chart takes is decided in one place,
+``tracker.FilterContext.chart``: it selects them with
+:func:`near_sensor_pairs` and builds each one's :class:`ChartFrame` (range,
+unit bearing vector and bearing about its sensor) with :func:`chart_frame`,
+once per point it is asked about.  :func:`bend` carries points onto the
+charts of a list of frames, offsets read in each frame and mapped back with
+:func:`inverse_polar`.  It places the sigma points here, once per step
+(2 d(d+1) points at a time), and the main fit's line-search trials, one
+point at a time, whose Newton system uses the same frames (see
+``optimize``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -126,16 +129,16 @@ def build_sigma_points(
     rule: RadialRule,
     dirs: DirectionSet,
     nll_values: Callable[[np.ndarray], np.ndarray],
-    near: Sequence[tuple[int, np.ndarray]] = (),
+    frames: Sequence[ChartFrame] = (),
 ) -> SigmaPointSet:
     """Place and weight sigma points for the surface with Hessian ``chol chol^T``.
 
     ``chol`` is the lower Cholesky factor of the Hessian at ``mean``.
     ``nll_values`` maps a (K, d) batch of points to their NLL values (up to a
     shared additive constant, which cancels in the normalized weights).
-    ``near`` lists (target, sensor position) pairs whose two coordinates are
-    placed in the polar chart about that sensor (see the module docstring);
-    the other coordinates stay Cartesian.
+    Each target that ``frames`` holds (built at ``mean``) has its two
+    coordinates placed in the polar chart about its sensor (see the module
+    docstring); the other coordinates stay Cartesian.
     """
     mean = np.asarray(mean, dtype=float).ravel()
     # H^{-1/2} theta for every direction: solve L^T y = theta.  L^T is
@@ -152,9 +155,7 @@ def build_sigma_points(
             mean + math.sqrt(2.0 * rule.z_plus) * spread,
         ]
     )
-    for c, sensor in near:
-        block = pts[:, 2 * c : 2 * c + 2]
-        block[:] = bend(block, mean[2 * c : 2 * c + 2], sensor)
+    bend(pts, mean, frames)
     nll = np.asarray(nll_values(pts), dtype=float)
     if nll.shape != (pts.shape[0],) or not np.all(np.isfinite(nll)):
         raise NumericalError("sigma-point NLL evaluation returned bad values")
@@ -173,58 +174,56 @@ def build_sigma_points(
     return SigmaPointSet(points=pts, weights=raw / total)
 
 
+class ChartFrame(NamedTuple):
+    """Target ``target``'s chart about sensor ``sensor`` (at ``position``)
+    at one point: range ``r0``, unit bearing vector ``e_r`` and ``bearing``.
+    There its Jacobian is [e_r, e_t], e_t being e_r turned by +90 degrees."""
+
+    target: int
+    sensor: int
+    position: np.ndarray
+    r0: float
+    e_r: np.ndarray
+    bearing: float
+
+
 def chart_frame(
-    center: np.ndarray, sensor: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    """Range ``r0``, unit bearing vector ``e_r`` and bearing of ``center``
-    about ``sensor``.
-
-    The chart about ``sensor`` with the angle measured from this bearing
-    has Jacobian [e_r, e_t] at ``center``, where e_t is e_r turned by +90
-    degrees: a rotation.
-    """
-    rel = center - sensor
+    x: np.ndarray, target: int, sensor: int, position: np.ndarray
+) -> ChartFrame:
+    """The frame of ``target``'s chart about ``sensor`` at positions ``x``."""
+    rel = x[2 * target : 2 * target + 2] - position
     r0 = math.hypot(rel[0], rel[1])
-    return r0, rel / r0, math.atan2(rel[1], rel[0])
+    bearing = math.atan2(rel[1], rel[0])
+    return ChartFrame(target, sensor, position, r0, rel / r0, bearing)
 
 
-def bend(points: np.ndarray, center: np.ndarray, sensor: np.ndarray) -> np.ndarray:
-    """Carry plane points (..., 2) near ``center`` onto the chart about ``sensor``.
-
-    Each offset from ``center`` is read in the (e_r, e_t) frame of
-    :func:`chart_frame` as a (range, arc length) offset from the chart
-    point of ``center``, and mapped back with :func:`inverse_polar`; the
-    range stays clamped at ``R_MIN`` like every distance.  A straight line
-    of offsets becomes the curve that is straight in the chart.
-    """
-    r0, e_r, bearing = chart_frame(center, sensor)
-    d = points - center
-    uv = np.empty(d.shape)
-    uv[..., 0] = np.maximum(r0 + d @ e_r, R_MIN)
-    uv[..., 1] = d[..., 1] * e_r[0] - d[..., 0] * e_r[1]
-    return inverse_polar(uv, sensor, bearing)
-
-
-def polar_transform(
-    point: np.ndarray, sensor: np.ndarray, bearing: float = 0.0
+def bend(
+    points: np.ndarray, center: np.ndarray, frames: Sequence[ChartFrame]
 ) -> np.ndarray:
-    """Map plane points (..., 2) to (range, arc length) about a sensor.
+    """Carry points (..., 2C) near ``center`` (2C,) onto the charts of
+    ``frames`` (built at ``center``), in place, and return them.
 
-    The angle is measured from ``bearing`` and lies in [-pi, pi], so the
-    chart is smooth everywhere but across the ray opposite ``bearing``.
+    For each frame's target, each offset from ``center`` is read in the
+    (e_r, e_t) frame as a (range, arc length) offset from the chart point of
+    ``center``, and mapped back with :func:`inverse_polar`; the range stays
+    clamped at ``R_MIN`` like every distance.  A straight line of offsets
+    becomes the curve that is straight in the chart.
     """
-    rel = np.asarray(point, dtype=float) - np.asarray(sensor, dtype=float)
-    cos_b, sin_b = math.cos(bearing), math.sin(bearing)
-    along = rel[..., 0] * cos_b + rel[..., 1] * sin_b
-    across = rel[..., 1] * cos_b - rel[..., 0] * sin_b
-    u = np.hypot(rel[..., 0], rel[..., 1])
-    return np.stack([u, u * np.arctan2(across, along)], axis=-1)
+    for f in frames:
+        block = points[..., 2 * f.target : 2 * f.target + 2]
+        d = block - center[2 * f.target : 2 * f.target + 2]
+        uv = np.empty(d.shape)
+        uv[..., 0] = np.maximum(f.r0 + d @ f.e_r, R_MIN)
+        uv[..., 1] = d[..., 1] * f.e_r[0] - d[..., 0] * f.e_r[1]
+        block[...] = inverse_polar(uv, f.position, f.bearing)
+    return points
 
 
 def inverse_polar(
     uv: np.ndarray, sensor: np.ndarray, bearing: float = 0.0
 ) -> np.ndarray:
-    """Inverse of :func:`polar_transform` for u > 0."""
+    """Plane points of chart points ``uv`` (..., 2), (range, arc length)
+    about ``sensor`` with the angle measured from ``bearing``; u > 0."""
     uv = np.asarray(uv, dtype=float)
     u = uv[..., 0]
     ang = bearing + uv[..., 1] / u

@@ -3,24 +3,25 @@
 Each step: propagate the posterior through the constant-velocity model with
 inflated noise, maximize the spatial likelihood inside the search box (with
 the nonlinear correction, the fit's Newton steps take each target near a
-sensor in the same polar chart the cubature uses; a fit that stops short of
+sensor in the same polar chart the cubature uses, ``FilterContext.chart``
+deciding which targets at each iterate; a fit that stops short of
 convergence is recorded as ``unconverged:main[iterations]``), gate
 the fit with the chi-square consistency test (escalating through one-by-one
 sensor re-acquisition and square hopping when it fails), factor the Hessian
 at the gated estimate (the Gauss-Newton matrix stands in where the Hessian
 is not positive definite, recorded as ``hessfix:gauss-newton``), spread
 sigma points on the combined NLL surface (in the polar chart about the
-sensor for each target sitting close to one, the nonlinear correction), and
-read off posterior moments.  Prior and posterior are ``nll.GaussianBelief``
-values, and a step's posterior is the next step's belief as it is.  Every
-fit builds its objective once (``nll.combined_objective`` for the main fit,
-``nll.measurement_objective`` for the fixed-center initial fit), and the
-main fit's objective is the one evaluated again when a measurement-only
-recovery fit is adopted.  The repair reads the main fit's last evaluation,
-or that re-evaluation, and its factor places the sigma points.  Any numerical
-failure downgrades the step to the propagated prior so a single bad frame
-cannot kill the track; a frame with a NaN or infinite reading does so before
-any fit, naming the sensors.
+sensor for each target that ``FilterContext.chart`` takes at the estimate,
+recorded as ``polar:c@s``), and read off posterior moments.  Prior and
+posterior are ``nll.GaussianBelief`` values, and a step's posterior is the
+next step's belief as it is.  Every fit builds its objective once
+(``nll.combined_objective`` for the main fit, ``nll.measurement_objective``
+for the fixed-center initial fit), and the main fit's objective is the one
+evaluated again when a measurement-only recovery fit is adopted.  The repair
+reads the main fit's last evaluation, or that re-evaluation, and its factor
+places the sigma points.  Any numerical failure downgrades the step to the
+propagated prior so a single bad frame cannot kill the track; a frame with a
+NaN or infinite reading does so before any fit, naming the sensors.
 """
 
 from __future__ import annotations
@@ -52,11 +53,15 @@ from .nll import (
 )
 from .optimize import BoxConstraints, NewtonOptions, box_from_grid, minimize
 from .quadrature import (
+    ChartFrame,
     build_sigma_points,
+    chart_frame,
     near_sensor_pairs,
     radial_rule,
     simplex_directions,
 )
+
+NEAR_SENSOR_FRACTION = 0.2  # the chart's radius about a sensor, in grid spacings
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,6 @@ class FilterConfig:
     fixed_init: bool = False
     alpha: float = 3.0  # spatial inflation of the assumed process noise
     sigma_s2: float | None = None  # override the scenario's measurement noise
-    near_sensor_fraction: float = 0.2  # polar gate, in grid spacings
     box_margin: float = 1.0  # search box padding, in grid spacings
     init_spatial_var: float = 100.0
     init_velocity_var: float = 5e-4
@@ -80,7 +84,7 @@ class FilterConfig:
     def __post_init__(self):
         """Reject numbers no filter can run with, before any track starts."""
         for name in (
-            "alpha", "near_sensor_fraction", "box_margin",
+            "alpha", "box_margin",
             "init_spatial_var", "init_velocity_var", "init_radius",
         ):
             value = getattr(self, name)
@@ -107,21 +111,25 @@ class FilterContext:
     box: BoxConstraints
     rule: object
     dirs: object
-    near_threshold: float
 
-    def near_sensors(self, x: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """(target, sensor position) for each target of ``x`` within
-        ``near_threshold`` of its nearest sensor: the targets the
-        near-sensor chart takes at ``x``."""
+    def chart(self, x: np.ndarray) -> list[ChartFrame]:
+        """The frames of the targets of ``x`` (2C,) that the near-sensor
+        chart takes: those closer than ``NEAR_SENSOR_FRACTION`` grid spacings
+        to their nearest sensor, and none without the nonlinear correction."""
+        if not self.config.nonlinear_correction:
+            return []
         grid = self.scenario.grid
-        pairs = near_sensor_pairs(x, grid, self.near_threshold)
-        return [(c, grid.positions[s]) for c, s in pairs]
+        pairs = near_sensor_pairs(x, grid, NEAR_SENSOR_FRACTION * grid.spacing)
+        return [chart_frame(x, c, s, grid.positions[s]) for c, s in pairs]
 
 
 def make_context(scenario: Scenario, config: FilterConfig) -> FilterContext:
     meas = scenario.meas
     if config.sigma_s2 is not None:
         meas = replace(meas, sigma_s2=config.sigma_s2)
+    if np.any(meas.noise_variances(scenario.grid.count) <= 0.0):  # fine to simulate
+        raise ConfigurationError("the filter's assumed measurement noise sigma_s2 must"
+                                 f" be positive at every sensor, got {meas.sigma_s2}")
     dim = 2 * scenario.n_targets
     return FilterContext(
         scenario=scenario,
@@ -131,7 +139,6 @@ def make_context(scenario: Scenario, config: FilterConfig) -> FilterContext:
         box=box_from_grid(scenario.grid, scenario.n_targets, config.box_margin),
         rule=radial_rule(dim),
         dirs=simplex_directions(dim),
-        near_threshold=config.near_sensor_fraction * scenario.grid.spacing,
     )
 
 
@@ -232,10 +239,7 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
         if non_finite.size:  # no fit can explain a NaN or infinite reading
             raise NumericalError(f"non-finite frame: sensors {non_finite.tolist()}")
         objective = combined_objective(frame, grid, meas, prior)
-        res = minimize(
-            objective, prior.mean_x, ctx.box, cfg.optimizer,
-            chart=ctx.near_sensors if cfg.nonlinear_correction else None,
-        )
+        res = minimize(objective, prior.mean_x, ctx.box, cfg.optimizer, chart=ctx.chart)
         if not res.converged:
             actions.append(f"unconverged:main[{res.iterations}]")
         x_hat, report = res.x, res.report
@@ -270,20 +274,16 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
         if repair.gauss_newton:
             actions.append("hessfix:gauss-newton")
 
-        near = (
-            near_sensor_pairs(x_hat, grid, ctx.near_threshold)
-            if cfg.nonlinear_correction
-            else []
-        )
+        frames = ctx.chart(x_hat)
         points = build_sigma_points(
             x_hat,
             repair.chol,
             ctx.rule,
             ctx.dirs,
             lambda pts: combined_value_batch(pts, frame, grid, meas, prior),
-            near=[(c, grid.positions[s]) for c, s in near],
+            frames,
         )
-        actions.extend(f"polar:{c}@{s}" for c, s in near)
+        actions.extend(f"polar:{f.target}@{f.sensor}" for f in frames)
 
         mean_x, cov_xx = spatial_moments(points)
         mean_v, cov_vv, cov_vx = velocity_moments(prior, mean_x, cov_xx)

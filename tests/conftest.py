@@ -1,6 +1,8 @@
-"""Shared fixtures and finite-difference helpers."""
+"""Shared fixtures, finite-difference helpers and the polar chart."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +50,23 @@ def corner_scenario(sigma_s2: float) -> Scenario:
         ),
         bounds="none",
     )
+
+
+def polar_transform(
+    point: np.ndarray, sensor: np.ndarray, bearing: float = 0.0
+) -> np.ndarray:
+    """Map plane points (..., 2) to (range, arc length) about a sensor: the
+    chart that ``quadrature.inverse_polar`` inverts, as the tests' oracle.
+
+    The angle is measured from ``bearing`` and lies in [-pi, pi], so the
+    chart is smooth everywhere but across the ray opposite ``bearing``.
+    """
+    rel = np.asarray(point, dtype=float) - np.asarray(sensor, dtype=float)
+    cos_b, sin_b = math.cos(bearing), math.sin(bearing)
+    along = rel[..., 0] * cos_b + rel[..., 1] * sin_b
+    across = rel[..., 1] * cos_b - rel[..., 0] * sin_b
+    u = np.hypot(rel[..., 0], rel[..., 1])
+    return np.stack([u, u * np.arctan2(across, along)], axis=-1)
 
 
 def fd_gradient(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -32,7 +32,6 @@ from ttfilter.nll import (
 from ttfilter.quadrature import (
     build_sigma_points,
     inverse_polar,
-    polar_transform,
     radial_rule,
     simplex_directions,
 )
@@ -42,6 +41,7 @@ from conftest import (
     benchmark_scenario,
     fd_gradient,
     fd_hessian_from_grad,
+    polar_transform,
     random_spd,
 )
 

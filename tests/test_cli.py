@@ -118,7 +118,6 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         '{"scenario": {"targets": [[1, 2, NaN, 0]], "bounds": "none"}}',
         '{"filter": {"alpha": true}}',
         '{"filter": {"grad_tol": true}}',
-        '{"filter": {"near_sensor_fraction": "nan"}}',
         '{"filter": {"init_radius": -5}}',
         '{"bpf": {"resample_threshold": true}}',
     ],
@@ -133,6 +132,58 @@ def test_bad_number_in_config_gives_config_exit(tmp_path, capsys, text):
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (out / "steps.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("track", '{"filter": {"near_sensor_fraction": 0.2}}', "near_sensor_fraction"),
+        ("track", '{"filter": {"near_sensor_fracton": 5.0, "p_valu": 0.5}, '
+         '"scenaro": {"sigma_s2": 3}, "experiment": {"trakcs": 3}}', "scenaro"),
+        ("track", '{"filter": {"near_sensor_fracton": 5.0, "p_valu": 0.5}}',
+         "near_sensor_fracton"),
+        ("track", '{"scenario": {"grid": {"spacng": 5}}}', "spacng"),
+        ("benchmark", '{"bpf": {"particle": 10}}', "particle"),
+        ("track", '{"experiment": {"trakcs": 3}}', "trakcs"),
+        ("simulate", '{"scenario": {"sigma": 0.1}}', "sigma"),
+        ("simulate", '{"experiment": {"sead": 3}}', "sead"),
+    ],
+    ids=[
+        "filter.near_sensor_fraction", "top-level", "filter", "scenario.grid",
+        "bpf", "experiment", "scenario", "simulate-experiment",
+    ],
+)
+def test_unknown_config_key_gives_config_exit(tmp_path, capsys, command, text, key):
+    # read as a typo, not silently replaced by the default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--steps", "2"]
+    if command != "simulate":
+        argv += ["--tracks", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: unknown keys" in err and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["track", "benchmark"])
+def test_zero_assumed_noise_gives_config_exit(tmp_path, capsys, command):
+    # noise-free frames simulate, but the filter cannot assume them: every
+    # track would fail, so the run stops with a configuration error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"sigma_s2": 0}, "bpf": {"particles": 50}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    argv = ["--config", str(cfg), "--tracks", "1", "--steps", "2"]
+    out = tmp_path / "run"
+    assert main([command, "--out", str(out), *argv]) == 2
+    assert "sigma_s2 must be positive at every sensor" in capsys.readouterr().err
+    assert not (out / "steps.csv").exists()
+    # the filter may assume a positive noise for noise-free frames
+    cfg.write_text(json.dumps({"scenario": {"sigma_s2": 0}, "filter": {"sigma_s2": 0.1},
+                               "bpf": {"particles": 50}}))
+    assert main([command, "--out", str(out), *argv]) == 0
+    assert "failed" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["simulate", "track"])

@@ -85,7 +85,6 @@ def test_filter_overrides_apply():
             "max_subsets": 20,
             "grad_tol": 1e-8,
             "max_iter": 50,
-            "near_sensor_fraction": 0.3,
             "box_margin": 2.0,
             "init_spatial_var": 25.0,
             "init_velocity_var": 1e-3,
@@ -101,7 +100,6 @@ def test_filter_overrides_apply():
     assert fcfg.consistency.max_subsets == 20
     assert fcfg.optimizer.grad_tol == 1e-8
     assert fcfg.optimizer.max_iter == 50
-    assert fcfg.near_sensor_fraction == 0.3
     assert fcfg.box_margin == 2.0
     assert fcfg.init_spatial_var == 25.0
     assert fcfg.init_velocity_var == 1e-3
@@ -136,6 +134,24 @@ def test_load_config_rejects_non_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]")
     with pytest.raises(ConfigurationError):
+        load_config(path)
+
+
+def test_unknown_keys_rejected_at_every_level(tmp_path):
+    # a misspelt or removed key (near_sensor_fraction is now a constant)
+    # must not leave the reader silently on its default
+    for reader, cfg, key in [
+        (scenario_from_config, {"scenario": {"gama": 0.1}}, "gama"),
+        (scenario_from_config, {"scenario": {"grid": {"row": 3}}}, "row"),
+        (filter_config_from_config, {"filter": {"near_sensor_fraction": 0.2}},
+         "near_sensor_fraction"),
+        (bpf_config_from_config, {"bpf": {"n_particles": 10}}, "n_particles"),
+    ]:
+        with pytest.raises(ConfigurationError, match=f"unknown keys \\['{key}'\\]"):
+            reader(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenaro": {}, "filter": {}}))
+    with pytest.raises(ConfigurationError, match="unknown keys \\['scenaro'\\]"):
         load_config(path)
 
 

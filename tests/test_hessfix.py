@@ -47,7 +47,7 @@ def indefinite_fit():
     prior = propagate_prior(belief, ctx.noise)
     objective = combined_objective(traj.frames[1], scn.grid, ctx.meas, prior)
     return minimize(
-        objective, prior.mean_x, ctx.box, ctx.config.optimizer, chart=ctx.near_sensors
+        objective, prior.mean_x, ctx.box, ctx.config.optimizer, chart=ctx.chart
     )
 
 

@@ -21,7 +21,7 @@ from ttfilter.nll import (
     measurement_objective,
     propagate_prior,
 )
-from ttfilter.quadrature import inverse_polar
+from ttfilter.quadrature import chart_frame, inverse_polar
 from ttfilter.optimize import (
     LEVENBERG_SCALE,
     WARMUP_ITERATIONS,
@@ -696,7 +696,8 @@ def test_chart_gradient_and_hessian_match_finite_differences(bearing):
     x = prior.mean_x.copy()
     x[2:4] = sensor + 0.6 * np.array([np.cos(bearing), np.sin(bearing)])
     rep = fun(x)
-    rot, hess_c, grad_c = optimize._chart_system(rep.hess, rep.grad, x, [(1, sensor)])
+    frames = [chart_frame(x, 1, 13, sensor)]
+    rot, hess_c, grad_c = optimize._chart_system(rep.hess, rep.grad, frames)
 
     grad_fd, hess_fd = fd_chart_derivatives(fun, x, 1, sensor, bearing, 1e-4)
     grad_fd_fine, _ = fd_chart_derivatives(fun, x, 1, sensor, bearing, 1e-6)
@@ -744,7 +745,7 @@ def test_chart_fit_stops_crawling_around_a_sensor():
     ctx, fun, prior = crawl_fit()
     cartesian = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer)
     charted = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer,
-                       chart=ctx.near_sensors)
+                       chart=ctx.chart)
     dist = np.hypot(*(charted.x.reshape(-1, 2)[:, None] - ctx.scenario.grid.positions).T)
     assert 0.1 < dist.min() < 0.16
     assert cartesian.converged and cartesian.iterations > 100
@@ -753,7 +754,7 @@ def test_chart_fit_stops_crawling_around_a_sensor():
     # both loops reach the same point (9e-9 m apart)
     tight = dataclasses.replace(ctx.config.optimizer, grad_tol=1e-11)
     cartesian_tight = minimize(fun, prior.mean_x, ctx.box, tight)
-    charted_tight = minimize(fun, prior.mean_x, ctx.box, tight, chart=ctx.near_sensors)
+    charted_tight = minimize(fun, prior.mean_x, ctx.box, tight, chart=ctx.chart)
     assert cartesian_tight.converged and cartesian_tight.iterations > 100
     assert charted_tight.converged and charted_tight.iterations <= 30
     np.testing.assert_allclose(charted_tight.x, cartesian_tight.x, rtol=0.0, atol=1e-6)
@@ -769,7 +770,7 @@ def test_chart_with_no_target_near_a_sensor_is_the_cartesian_loop_bit_for_bit():
         asked = []
 
         def chart(x):
-            asked.append(ctx.near_sensors(x))
+            asked.append(ctx.chart(x))
             return asked[-1]
 
         seen = ([], [])
@@ -807,7 +808,7 @@ def test_main_fit_that_stalled_below_the_armijo_resolution_now_converges():
     prior = propagate_prior(belief, ctx.noise)
     fun = combined_objective(frame, ctx.scenario.grid, ctx.meas, prior)
     res = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer,
-                   chart=ctx.near_sensors)
+                   chart=ctx.chart)
     proj_grad = res.x - ctx.box.clip(res.x - res.report.grad)
     assert res.converged and res.active_set.size == 0
     assert np.abs(proj_grad).max() > ctx.config.optimizer.grad_tol  # the decrement stopped it

@@ -9,19 +9,21 @@ import pytest
 from scipy.special import roots_genlaguerre
 
 from ttfilter.errors import ConfigurationError
-from ttfilter.model import build_grid
+from ttfilter.model import R_MIN, build_grid
 from ttfilter.quadrature import (
     DirectionSet,
     SigmaPointSet,
+    bend,
     build_sigma_points,
+    chart_frame,
     inverse_polar,
     near_sensor_pairs,
-    polar_transform,
     radial_rule,
     simplex_directions,
 )
+from ttfilter.tracker import FilterConfig, make_context
 
-from conftest import random_spd
+from conftest import benchmark_scenario, polar_transform, random_spd
 
 
 def quadratic_nll(mean: np.ndarray, hess: np.ndarray):
@@ -284,7 +286,7 @@ def test_sigma_points_exact_on_surface_gaussian_in_polar_chart(rule8, dirs8, bea
     jac[:2, :2] = [[math.cos(bearing), math.sin(bearing)],
                    [-math.sin(bearing), math.cos(bearing)]]
     chol = np.linalg.cholesky(jac.T @ h_chart @ jac)
-    pts = build_sigma_points(m, chol, rule8, dirs8, nll, near=[(0, sensor)])
+    pts = build_sigma_points(m, chol, rule8, dirs8, nll, [chart_frame(m, 0, 12, sensor)])
 
     j = dirs8.count
     np.testing.assert_allclose(pts.weights[:j], pts.weights[0], rtol=1e-10)
@@ -299,6 +301,66 @@ def test_sigma_points_exact_on_surface_gaussian_in_polar_chart(rule8, dirs8, bea
     # the other targets' coordinates are placed exactly as without the chart
     plain = build_sigma_points(m, chol, rule8, dirs8, nll)
     np.testing.assert_array_equal(pts.points[:, 2:], plain.points[:, 2:])
+
+
+def bend_one(points: np.ndarray, center: np.ndarray, sensor: np.ndarray) -> np.ndarray:
+    """Plane points (..., 2) near one target's ``center`` carried onto the
+    chart about ``sensor``, the frame read at ``center``: the per-target
+    form ``quadrature.bend`` had before it took frames built once per
+    iterate, kept as its oracle."""
+    rel = center - sensor
+    r0 = math.hypot(rel[0], rel[1])
+    e_r = rel / r0
+    bearing = math.atan2(rel[1], rel[0])
+    d = points - center
+    uv = np.empty(d.shape)
+    uv[..., 0] = np.maximum(r0 + d @ e_r, R_MIN)
+    uv[..., 1] = d[..., 1] * e_r[0] - d[..., 0] * e_r[1]
+    return inverse_polar(uv, sensor, bearing)
+
+
+def test_bend_of_two_charted_targets_equals_the_per_target_oracle_bit_for_bit(
+    rule8, dirs8
+):
+    # targets 0 and 2 each sit within the chart radius of their own sensor,
+    # so one iterate's chart holds two frames; a line-search trial point and
+    # a 144-point sigma set are bent as the oracle bends each target
+    scn = benchmark_scenario()
+    ctx = make_context(scn, FilterConfig())
+    grid = scn.grid
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        x = rng.uniform(2.0, 38.0, size=8)
+        for c, s in ((0, 6), (2, 18)):
+            r, phi = rng.uniform(0.05, 1.95), rng.uniform(-math.pi, math.pi)
+            x[2 * c : 2 * c + 2] = grid.positions[s] + r * np.array(
+                [math.cos(phi), math.sin(phi)]
+            )
+        frames = ctx.chart(x)
+        pairs = near_sensor_pairs(x, grid, 2.0)
+        assert [(f.target, f.sensor) for f in frames] == pairs
+        assert {(0, 6), (2, 18)} <= set(pairs)
+
+        def oracle(points: np.ndarray) -> np.ndarray:
+            out = points.copy()
+            for c, s in pairs:
+                out[..., 2 * c : 2 * c + 2] = bend_one(
+                    points[..., 2 * c : 2 * c + 2], x[2 * c : 2 * c + 2],
+                    grid.positions[s],
+                )
+            return out
+
+        trial = x + rng.uniform(0.1, 1.0) * rng.normal(0.0, 0.5, size=8)
+        expect = oracle(trial)
+        assert bend(trial, x, frames).tobytes() == expect.tobytes()
+
+        hess = random_spd(8, rng, scale=rng.uniform(1.0, 100.0))
+        chol = np.linalg.cholesky(hess)
+        nll = quadratic_nll(x, hess)
+        plain = build_sigma_points(x, chol, rule8, dirs8, nll)
+        charted = build_sigma_points(x, chol, rule8, dirs8, nll, frames)
+        assert charted.points.shape == (144, 8)
+        assert charted.points.tobytes() == oracle(plain.points).tobytes()
 
 
 def test_direct_lapack_solves_equal_the_scipy_wrappers():

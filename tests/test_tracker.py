@@ -539,4 +539,14 @@ def test_make_context_applies_overrides():
     assert ctx.noise.alpha == 1.0
     assert ctx.rule.dim == 8
     assert ctx.dirs.count == 72
-    assert ctx.near_threshold == pytest.approx(2.0)
+    # the chart takes the targets closer than 0.2 grid spacings (2 m) to
+    # their nearest sensor, and none without the nonlinear correction
+    x = np.array([21.99, 20.0, 2.01, 0.0, 30.0, 31.5, 15.0, 35.0])
+    frames = ctx.chart(x)
+    assert [(f.target, f.sensor) for f in frames] == [(0, 12), (2, 18)]
+    assert frames[0].r0 == pytest.approx(1.99)
+    np.testing.assert_array_equal(frames[1].position, [30.0, 30.0])
+    np.testing.assert_array_equal(frames[1].e_r, [0.0, 1.0])
+    assert frames[1].bearing == pytest.approx(np.pi / 2.0)
+    linear = make_context(scn, FilterConfig(nonlinear_correction=False))
+    assert linear.chart(x) == []
