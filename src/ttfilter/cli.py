@@ -47,7 +47,7 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
         choices=sorted(VARIANTS),
         help="variant to run (repeatable)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel track workers")
+    p.add_argument("--jobs", type=int, default=None, help="parallel track workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,34 +83,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-EXPERIMENT_KEYS = ("tracks", "steps", "seed", "variants")
-
-
-def _resolve_seed(args, cfg: dict) -> int:
-    exp = cfgmod._section(cfg, "experiment", EXPERIMENT_KEYS)
-    if args.seed is not None:
-        return args.seed
-    if exp.get("seed") is not None:
-        return cfgmod.integer(exp, "seed", None, "experiment")
+def _resolve_seed(flag: int | None, exp: dict) -> int:
+    """The seed from the ``--seed`` flag, then the read ``experiment`` section
+    ``exp``, then $TT_SEED, then ``ExperimentSpec``'s default."""
+    seed = exp.get("seed") if flag is None else flag
     env = os.environ.get("TT_SEED")
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigurationError(f"TT_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if seed is None:
+        seed = ExperimentSpec.seed
+    if seed < 0:  # SeedSequence takes only non-negative entropy
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _experiment_spec(args, cfg: dict, default_variants: tuple[str, ...]) -> ExperimentSpec:
-    exp = cfgmod._section(cfg, "experiment", EXPERIMENT_KEYS)
-    scenario = cfgmod.scenario_from_config(cfg)
-    fcfg = cfgmod.filter_config_from_config(cfg)
-    bcfg = cfgmod.bpf_config_from_config(cfg)
-    variants = exp.get("variants", list(default_variants))
-    if not (isinstance(variants, list) and all(isinstance(v, str) for v in variants)):
-        raise ConfigurationError("`variants` must be a list of names")
-    if args.variant:
-        variants = args.variant
+    """The spec from the command line, then the config's ``experiment``
+    section, then ``ExperimentSpec``'s defaults (the variants default to the
+    command's own set)."""
+    exp = cfgmod.experiment_from_config(cfg)
+    flags = {"tracks": args.tracks, "steps": args.steps, "variants": args.variant,
+             "jobs": args.jobs}  # jobs below 2 run serially
+    exp.update((key, value) for key, value in flags.items() if value is not None)
+    exp["variants"] = tuple(exp.get("variants", default_variants))
+    exp["seed"] = _resolve_seed(args.seed, exp)
     sweep_axis = getattr(args, "axis", None)
     sweep_values = None
     if sweep_axis is not None:
@@ -118,22 +117,12 @@ def _experiment_spec(args, cfg: dict, default_variants: tuple[str, ...]) -> Expe
             args.values if args.values else cfgmod.DEFAULT_SWEEPS[sweep_axis]
         )
     return ExperimentSpec(
-        scenario=scenario,
-        filter_config=fcfg,
-        bpf_config=bcfg,
-        variants=tuple(variants),
-        tracks=(
-            args.tracks if args.tracks is not None
-            else cfgmod.integer(exp, "tracks", 50, "experiment")
-        ),
-        steps=(
-            args.steps if args.steps is not None
-            else cfgmod.integer(exp, "steps", 40, "experiment")
-        ),
-        seed=_resolve_seed(args, cfg),
+        scenario=cfgmod.scenario_from_config(cfg),
+        filter_config=cfgmod.filter_config_from_config(cfg),
+        bpf_config=cfgmod.bpf_config_from_config(cfg),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
-        jobs=max(1, args.jobs),
+        **exp,
     )
 
 
@@ -161,8 +150,8 @@ def _print_summary(summary: dict) -> None:
 def _cmd_simulate(args) -> int:
     cfg = cfgmod.load_config(args.config) if args.config else {}
     scenario = cfgmod.scenario_from_config(cfg)
-    seed = _resolve_seed(args, cfg)
-    steps = args.steps if args.steps is not None else 40
+    seed = _resolve_seed(args.seed, cfgmod.experiment_from_config(cfg))
+    steps = args.steps if args.steps is not None else ExperimentSpec.steps
     trajectory = simulate(
         scenario, steps, np.random.default_rng(np.random.SeedSequence([seed, 0, 0]))
     )

@@ -1,9 +1,13 @@
 """JSON configuration handling for scenarios, filters, and experiments.
 
-Every field is optional; omitted values fall back to the benchmark defaults.
-A key that no reader uses is a configuration error, at every level, so a
-misspelt or removed setting is not silently replaced by its default.  See
-the README for the full schema.
+Every field is optional.  A reader passes on only the keys a config sets,
+each checked by its reader below; the defaults are those of the dataclasses
+the readers build (``model.build_grid``, ``MeasurementModel``,
+``MotionModel``, ``Scenario``, ``FilterConfig``, ``NewtonOptions``,
+``BpfConfig`` and ``experiment.ExperimentSpec``), written there and nowhere
+else.  A key that no reader uses is a configuration error, at every level,
+so a misspelt or removed setting is not silently replaced by its default.
+See the README for the full schema.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 
 import numpy as np
 
-from .consistency import ConsistencyConfig
 from .errors import ConfigurationError
 from .metrics import BpfConfig
 from .model import DEFAULT_TARGETS, MeasurementModel, MotionModel, Scenario, build_grid
@@ -41,14 +44,14 @@ def load_config(path) -> dict:
     return _only(cfg, SECTIONS, "the config")
 
 
-def _only(sec: dict, keys: tuple[str, ...], where: str) -> dict:
+def _only(sec: dict, keys, where: str) -> dict:
     unknown = sorted(set(sec) - set(keys))
     if unknown:
         raise ConfigurationError(f"unknown keys {unknown} in {where}, known {list(keys)}")
     return sec
 
 
-def _section(cfg: dict, name: str, keys: tuple[str, ...], where: str = "") -> dict:
+def _section(cfg: dict, name: str, keys, where: str = "") -> dict:
     """``cfg[name]`` (empty when absent), an object holding only ``keys``;
     ``where`` is the path of ``cfg`` for messages."""
     sec = cfg.get(name, {})
@@ -57,24 +60,28 @@ def _section(cfg: dict, name: str, keys: tuple[str, ...], where: str = "") -> di
     return _only(sec, keys, where + name)
 
 
-def integer(sec: dict, key: str, default: int | None, where: str) -> int:
-    """``sec[key]`` (or ``default``) as an int; a bool or a number with a
-    fractional part is rejected, not truncated."""
-    value = sec.get(key, default)
+def _given(sec: dict, readers: dict, where: str) -> dict:
+    """The keys of ``readers`` that ``sec`` sets, each read by its reader
+    (called with the value and its path for messages).  Keys left out stay
+    out, so the dataclass defaults stand for them."""
+    return {key: read(sec[key], f"{where}.{key}") for key, read in readers.items()
+            if key in sec}
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a number with a fractional part is
+    rejected, not truncated."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigurationError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"{where}.{key} must be an integer, got {value!r}"
-        ) from exc
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from exc
 
 
-def number(sec: dict, key: str, default: float | None, where: str) -> float:
-    """``sec[key]`` (or ``default``) as a finite float; a bool, NaN or an
-    infinity is rejected, not read as 1.0 or passed on to fail later."""
-    value = sec.get(key, default)
+def number(value, name: str) -> float:
+    """``value`` as a finite float; a bool, NaN or an infinity is rejected,
+    not read as 1.0 or passed on to fail later."""
     if not isinstance(value, bool):
         try:
             out = float(value)
@@ -82,42 +89,61 @@ def number(sec: dict, key: str, default: float | None, where: str) -> float:
             out = math.nan
         if math.isfinite(out):
             return out
-    raise ConfigurationError(f"{where}.{key} must be a finite number, got {value!r}")
+    raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+
+
+def numbers(value, name: str) -> float | np.ndarray:
+    """A number, or a (nested) list of them as a float array, every entry
+    read by ``number`` so a list holds to the same rule as a scalar."""
+    if isinstance(value, list):
+        return np.array(
+            [numbers(v, f"{name}[{i}]") for i, v in enumerate(value)], dtype=float
+        )
+    return number(value, name)
+
+
+def _number_or_null(value, name: str) -> float | None:
+    return None if value is None else number(value, name)
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _variants(value, name: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigurationError(f"`variants` must be a list of names, got {value!r}")
+    return tuple(value)
+
+
+GRID = {"rows": integer, "cols": integer, "spacing": number}
+MEASUREMENT = {"amplitude": number, "offset": number, "exponent": number,
+               "sigma_s2": numbers}
+MOTION = {"gamma": number}
+FILTER = {"alpha": number, "sigma_s2": _number_or_null,
+          "init_spatial_var": number, "init_velocity_var": number}
+NEWTON = {"grad_tol": number, "max_iter": integer}
+EXPERIMENT = {"tracks": integer, "steps": integer, "seed": integer,
+              "variants": _variants}
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    sec = _section(cfg, "scenario", ("grid", "amplitude", "offset", "exponent",
-                                     "sigma_s2", "gamma", "bounds", "targets"))
-    grid_sec = _section(sec, "grid", ("rows", "cols", "spacing"), "scenario.")
-    targets = sec.get("targets")
+    sec = _section(cfg, "scenario",
+                   ("grid", *MEASUREMENT, *MOTION, "bounds", "targets"))
+    grid_sec = _section(sec, "grid", tuple(GRID), "scenario.")
     try:
-        grid = build_grid(
-            rows=integer(grid_sec, "rows", 5, "scenario.grid"),
-            cols=integer(grid_sec, "cols", 5, "scenario.grid"),
-            spacing=number(grid_sec, "spacing", 10.0, "scenario.grid"),
-        )
-        meas = MeasurementModel(
-            amplitude=number(sec, "amplitude", 10.0, "scenario"),
-            offset=number(sec, "offset", 0.1, "scenario"),
-            exponent=number(sec, "exponent", 1.0, "scenario"),
-            sigma_s2=(
-                np.asarray(sec["sigma_s2"], dtype=float)
-                if isinstance(sec.get("sigma_s2"), list)
-                else number(sec, "sigma_s2", 0.01, "scenario")
-            ),
-        )
-        motion = MotionModel(gamma=number(sec, "gamma", 0.05, "scenario"))
-        init = (
-            DEFAULT_TARGETS.copy()
-            if targets is None
-            else np.asarray(targets, dtype=float)
+        targets = (
+            numbers(sec["targets"], "scenario.targets") if "targets" in sec
+            else DEFAULT_TARGETS.copy()
         )
         return Scenario(
-            grid=grid,
-            motion=motion,
-            meas=meas,
-            initial_states=init,
-            bounds=str(sec.get("bounds", "inside")),
+            grid=build_grid(**_given(grid_sec, GRID, "scenario.grid")),
+            motion=MotionModel(**_given(sec, MOTION, "scenario")),
+            meas=MeasurementModel(**_given(sec, MEASUREMENT, "scenario")),
+            initial_states=targets,
+            **_given(sec, {"bounds": _text}, "scenario"),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigurationError):
@@ -126,52 +152,24 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 
 def filter_config_from_config(cfg: dict) -> FilterConfig:
-    sec = _section(cfg, "filter", (
-        "p_value", "n_bad_tgt", "n_bad_sq", "max_subsets", "grad_tol", "max_iter",
-        "alpha", "sigma_s2", "box_margin", "init_spatial_var", "init_velocity_var",
-        "init_radius",
-    ))
-    try:
-        consistency = ConsistencyConfig(
-            p_value=number(sec, "p_value", 0.0013, "filter"),
-            n_bad_tgt=integer(sec, "n_bad_tgt", 2, "filter"),
-            n_bad_sq=integer(sec, "n_bad_sq", 12, "filter"),
-            max_subsets=integer(sec, "max_subsets", 66, "filter"),
-        )
-        optimizer = NewtonOptions(
-            grad_tol=number(sec, "grad_tol", 1e-6, "filter"),
-            max_iter=integer(sec, "max_iter", 200, "filter"),
-        )
-        return FilterConfig(
-            alpha=number(sec, "alpha", 3.0, "filter"),
-            sigma_s2=(
-                number(sec, "sigma_s2", None, "filter")
-                if sec.get("sigma_s2") is not None
-                else None
-            ),
-            box_margin=number(sec, "box_margin", 1.0, "filter"),
-            init_spatial_var=number(sec, "init_spatial_var", 100.0, "filter"),
-            init_velocity_var=number(sec, "init_velocity_var", 5e-4, "filter"),
-            init_radius=number(sec, "init_radius", 5.0, "filter"),
-            consistency=consistency,
-            optimizer=optimizer,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"bad filter config: {exc}") from exc
+    sec = _section(cfg, "filter", (*FILTER, *NEWTON))
+    return FilterConfig(
+        optimizer=NewtonOptions(**_given(sec, NEWTON, "filter")),
+        **_given(sec, FILTER, "filter"),
+    )
 
 
 def bpf_config_from_config(cfg: dict) -> BpfConfig:
     """The particle filter's own settings; the rest it reads from the TT
     filter's context (see ``metrics.bpf_track``)."""
-    sec = _section(cfg, "bpf", ("particles", "resample_threshold"))
-    try:
-        return BpfConfig(
-            n_particles=integer(sec, "particles", 100_000, "bpf"),
-            resample_threshold=number(sec, "resample_threshold", 0.5, "bpf"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise ConfigurationError(f"bad bpf config: {exc}") from exc
+    sec = _section(cfg, "bpf", ("particles",))
+    if "particles" in sec:
+        return BpfConfig(n_particles=integer(sec["particles"], "bpf.particles"))
+    return BpfConfig()
+
+
+def experiment_from_config(cfg: dict) -> dict:
+    """The ``experiment`` keys the config sets, read; the command line and
+    ``experiment.ExperimentSpec`` supply the rest."""
+    sec = _section(cfg, "experiment", tuple(EXPERIMENT))
+    return _given(sec, EXPERIMENT, "experiment")

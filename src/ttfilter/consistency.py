@@ -9,11 +9,14 @@ chi-square with S - 2C dof instead (measured mean 16.9 and variance 34.2 on
 the 5x5 grid with 4 targets at sigma^2 = 0.01, against 17 and 34).  There
 the dof-25 threshold of 51.72 at p = 0.0013 is exceeded with probability
 2.3e-5, 57 times below the nominal rate, so a consistent fit fails the gate
-far more rarely than ``p_value`` says.  The threshold keeps S dof.  Two
+far more rarely than ``P_VALUE`` says.  The threshold keeps S dof, and
+``gate_threshold`` is the one place that decides it: the main gate, the
+re-checks after a recovery and square hopping's pass test all read it.  Two
 escalating repairs follow: re-estimation with sensors introduced one at a
 time (boundary ring first, then a maximin fill), and square hopping, which
-relocates the worst-fitting targets to candidate grid cells chosen by signal
-deficit and re-optimizes.
+relocates the ``N_BAD_TARGETS`` worst-fitting targets to the
+``N_BAD_SQUARES`` grid cells with the largest signal deficit and
+re-optimizes.
 """
 
 from __future__ import annotations
@@ -31,18 +34,9 @@ from .nll import PropagatedPrior, measurement_nll, measurement_objective
 from .optimize import BoxConstraints, NewtonOptions, OptimizeResult, minimize
 
 
-@dataclass(frozen=True)
-class ConsistencyConfig:
-    p_value: float = 0.0013
-    n_bad_tgt: int = 2
-    n_bad_sq: int = 12
-    max_subsets: int = 66
-
-    def __post_init__(self):
-        if not 0.0 < self.p_value < 1.0:
-            raise ConfigurationError("p_value must lie in (0, 1)")
-        if self.n_bad_tgt < 1 or self.n_bad_sq < 1 or self.max_subsets < 1:
-            raise ConfigurationError("recovery sizes must be positive")
+P_VALUE = 0.0013  # the gate's nominal false-alarm rate at the true positions
+N_BAD_TARGETS = 2  # targets square hopping relocates
+N_BAD_SQUARES = 12  # candidate squares: at most C(12, 2) = 66 subset fits
 
 
 @lru_cache(maxsize=64)
@@ -72,15 +66,17 @@ def consistency_statistic(
     return 2.0 * measurement_nll(x, frame, grid, meas).value
 
 
+def gate_threshold(grid: SensorGrid) -> float:
+    """The gate's threshold: chi-square with S dof at ``P_VALUE``."""
+    return chi2_threshold(grid.count, P_VALUE)
+
+
 def is_consistent(
-    x: np.ndarray,
-    frame: np.ndarray,
-    grid: SensorGrid,
-    meas: MeasurementModel,
-    config: ConsistencyConfig,
+    x: np.ndarray, frame: np.ndarray, grid: SensorGrid, meas: MeasurementModel
 ) -> tuple[bool, float]:
+    """``(passed, statistic)`` of the gate at ``x``."""
     stat = consistency_statistic(x, frame, grid, meas)
-    return stat <= chi2_threshold(grid.count, config.p_value), stat
+    return stat <= gate_threshold(grid), stat
 
 
 @dataclass(frozen=True)
@@ -209,7 +205,6 @@ def square_hopping_recovery(
     grid: SensorGrid,
     meas: MeasurementModel,
     box: BoxConstraints,
-    config: ConsistencyConfig,
     options: NewtonOptions | None = None,
 ) -> RecoveryOutcome:
     """Relocate the worst-fitting targets onto candidate grid squares.
@@ -225,7 +220,7 @@ def square_hopping_recovery(
     (including the incoming estimate) is returned flagged.
     """
     x_est = np.asarray(x_est, dtype=float).ravel()
-    thr = chi2_threshold(grid.count, config.p_value)
+    thr = gate_threshold(grid)
 
     objective = measurement_objective(frame, grid, meas)  # shared by every subset fit
     rep = objective(x_est)
@@ -240,19 +235,17 @@ def square_hopping_recovery(
     if 2.0 * incoming.value <= thr:
         return RecoveryOutcome(result=incoming, gate_passed=True, attempts=0)
 
-    ed = excess_deficit(x_est, frame, grid, meas, config.n_bad_tgt)
+    ed = excess_deficit(x_est, frame, grid, meas, N_BAD_TARGETS)
     bad, n_bad = ed.removed, len(ed.removed)
 
     corners, centers = grid.squares()
     sq_deficit = ed.deficit[corners].sum(axis=1)
     ranked = np.lexsort((np.arange(len(sq_deficit)), -sq_deficit))
-    candidates = ranked[: min(config.n_bad_sq, len(ranked))]
+    candidates = ranked[:N_BAD_SQUARES]
 
     best = incoming
     attempts = 0
     for subset in combinations(candidates, n_bad):
-        if attempts >= config.max_subsets:
-            break
         x_start = x_est.copy()
         for tgt, sq in zip(bad, subset):
             x_start[2 * tgt : 2 * tgt + 2] = centers[sq]

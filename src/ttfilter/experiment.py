@@ -76,8 +76,11 @@ class ExperimentSpec:
             )
         if not self.variants:
             raise ConfigurationError("at least one variant is required")
-        if self.tracks < 1 or self.steps < 1:
-            raise ConfigurationError("tracks and steps must be positive")
+        for name in ("tracks", "steps"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be at least 1, got {getattr(self, name)}"
+                )
         if self.sweep_axis is not None and not self.sweep_values:
             raise ConfigurationError("sweep_axis set but sweep_values empty")
         # the summary groups rows by sweep value: a repeated value would write

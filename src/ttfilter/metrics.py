@@ -4,7 +4,7 @@ The particle filter makes the assumptions of the TT filter it is compared
 with, and reads them from that filter's ``tracker.FilterContext``: the
 assumed measurement model (with any ``sigma_s2`` override), the process
 noise V' and the initial variances.  ``BpfConfig`` holds only what is the
-particle filter's own: the particle count and the resampling threshold.
+particle filter's own: the particle count.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # tracker imports this module
 # cut the weighting from about 55 to 34 ms a step against one whole-cloud
 # pass (one core).
 PARTICLE_BLOCK = 2048
+
+# Systematic resampling runs when the effective sample size falls below this
+# share of the particles.
+RESAMPLE_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -162,17 +166,14 @@ class BpfConfig:
     noise V' and are weighted by the Gaussian measurement likelihood, both
     read from the TT filter's context (see ``bpf_track``).  Systematic
     resampling triggers when the effective sample size drops below
-    ``resample_threshold * n_particles``.
+    ``RESAMPLE_THRESHOLD * n_particles``.
     """
 
     n_particles: int = 100_000
-    resample_threshold: float = 0.5
 
     def __post_init__(self):
         if self.n_particles < 1:
             raise ConfigurationError("n_particles must be >= 1")
-        if not 0.0 <= self.resample_threshold <= 1.0:
-            raise ConfigurationError("resample_threshold must lie in [0, 1]")
 
 
 def systematic_resample(
@@ -282,7 +283,7 @@ def bpf_track(
         covs[t] = (w[:, None] * diff).T @ diff
 
         ess = 1.0 / float(w @ w)
-        if ess < config.resample_threshold * n:
+        if ess < RESAMPLE_THRESHOLD * n:
             idx = systematic_resample(w, rng)
             particles = particles[idx]
             log_w[:] = 0.0

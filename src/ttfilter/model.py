@@ -116,8 +116,9 @@ class SensorGrid:
         return corners, centers
 
 
-def build_grid(rows: int, cols: int, spacing: float) -> SensorGrid:
-    """Build a rows x cols sensor grid with the given spacing in meters."""
+def build_grid(rows: int = 5, cols: int = 5, spacing: float = 10.0) -> SensorGrid:
+    """Build a rows x cols sensor grid with the given spacing in meters
+    (by default the benchmark's 5 x 5 grid at 10 m)."""
     if rows < 2 or cols < 2:
         raise ConfigurationError(f"grid needs at least 2x2 sensors, got {rows}x{cols}")
     if not (math.isfinite(spacing) and spacing > 0.0):
@@ -264,21 +265,6 @@ def propagate_truth(
     return states @ F_SINGLE.T + z @ L.T
 
 
-def _reflect_into(states: np.ndarray, width: float, height: float) -> np.ndarray:
-    """Fold positions into [0, width] x [0, height], flipping velocities once
-    per boundary crossing (mirror reflection)."""
-    out = states.copy()
-    for axis, span in ((0, width), (1, height)):
-        period = 2.0 * span
-        y = np.mod(out[:, axis], period)
-        # landing in the upper half-period means an odd number of wall hits
-        hit = y > span
-        y[hit] = period - y[hit]
-        out[:, axis] = y
-        out[hit, axis + 2] = -out[hit, axis + 2]
-    return out
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed to generate benchmark tracks.
@@ -288,9 +274,6 @@ class Scenario:
     * ``"inside"``: rejection-sample whole trajectories until every position
       stays within the grid at every step.  Targets never leave the observed
       region, and the motion stays exactly constant-velocity.
-    * ``"reflect"``: mirror positions at the grid edges, flipping the
-      velocity component on each bounce.  Cheap, but bounces break the
-      constant-velocity assumption the filter propagates with.
     * ``"none"``: free motion; targets may drift out of the grid entirely.
     """
 
@@ -308,7 +291,7 @@ class Scenario:
             )
         if not np.isfinite(init).all():
             raise ConfigurationError("initial_states must be finite")
-        if self.bounds not in ("inside", "reflect", "none"):
+        if self.bounds not in ("inside", "none"):
             raise ConfigurationError(f"unknown bounds policy {self.bounds!r}")
         if self.bounds == "inside":
             width, height = self.grid.extent
@@ -462,29 +445,27 @@ def simulate(
 ) -> Trajectory:
     """Generate one truth trajectory with per-step measurement frames.
 
-    Bit-reproducible for a fixed seed.  Under "reflect" and "none" the
-    standard-normal draws do not depend on gamma or sigma_s2, so sweeping
-    either noise scale reuses the same underlying randomness.  Under
-    "inside" the accepted path depends on gamma (it conditions on staying
-    in-region), but the truth is still invariant to sigma_s2.
+    Bit-reproducible for a fixed seed.  Under "none" the standard-normal
+    draws do not depend on gamma or sigma_s2, so sweeping either noise scale
+    reuses the same underlying randomness.  Under "inside" the accepted path
+    depends on gamma (it conditions on staying in-region), but the truth is
+    still invariant to sigma_s2.
     """
+    if n_steps < 1:
+        raise ConfigurationError(f"steps must be at least 1, got {n_steps}")
     rng = np.random.default_rng(rng)
     if scenario.bounds == "inside":
         return _simulate_inside(scenario, n_steps, rng)
 
     grid, motion, meas = scenario.grid, scenario.motion, scenario.meas
-    width, height = grid.extent
     sig = np.sqrt(meas.noise_variances(grid.count))
 
     states = np.empty((n_steps + 1,) + scenario.initial_states.shape)
     frames = np.empty((n_steps, grid.count))
     states[0] = scenario.initial_states
     for t in range(1, n_steps + 1):
-        nxt = propagate_truth(states[t - 1], motion, rng)
-        if scenario.bounds == "reflect":
-            nxt = _reflect_into(nxt, width, height)
-        states[t] = nxt
-        alpha = expected_signal(nxt[:, :2], grid, meas)
+        states[t] = propagate_truth(states[t - 1], motion, rng)
+        alpha = expected_signal(states[t, :, :2], grid, meas)
         frames[t - 1] = alpha + sig * rng.standard_normal(grid.count)
     return Trajectory(states=states, frames=frames)
 

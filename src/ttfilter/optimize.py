@@ -156,12 +156,10 @@ class BoxConstraints:
         )
 
 
-def box_from_grid(
-    grid: SensorGrid, n_targets: int, margin_spacings: float = 1.0
-) -> BoxConstraints:
-    """Search box: grid extent padded by ``margin_spacings`` grid spacings."""
+def box_from_grid(grid: SensorGrid, n_targets: int) -> BoxConstraints:
+    """Search box: grid extent padded by one grid spacing."""
     w, h = grid.extent
-    pad = margin_spacings * grid.spacing
+    pad = grid.spacing
     lo = np.tile([-pad, -pad], n_targets)
     hi = np.tile([w + pad, h + pad], n_targets)
     return BoxConstraints(lower=lo, upper=hi)

@@ -6,8 +6,9 @@ the nonlinear correction, the fit's Newton steps take each target near a
 sensor in the same polar chart the cubature uses, ``FilterContext.chart``
 deciding which targets at each iterate; a fit that stops short of
 convergence is recorded as ``unconverged:main[iterations]``), gate
-the fit with the chi-square consistency test (escalating through one-by-one
-sensor re-acquisition and square hopping when it fails), factor the Hessian
+the fit with the chi-square consistency test at ``consistency.gate_threshold``
+(escalating through one-by-one sensor re-acquisition and square hopping when
+it fails, an adopted refit gated again at that threshold), factor the Hessian
 at the gated estimate (the Gauss-Newton matrix stands in where the Hessian
 is not positive definite, recorded as ``hessfix:gauss-newton``), spread
 sigma points on the combined NLL surface (in the polar chart about the
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .consistency import (
-    ConsistencyConfig,
     is_consistent,
     one_by_one_recovery,
     square_hopping_recovery,
@@ -62,11 +62,17 @@ from .quadrature import (
 )
 
 NEAR_SENSOR_FRACTION = 0.2  # the chart's radius about a sensor, in grid spacings
+INIT_RADIUS = 5.0  # fixed-center initial means lie within this radius, in meters
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Tracker variant switches and numeric knobs."""
+    """Tracker variant switches and the numbers a config may set.
+
+    The gate's p-value and hopping's sizes are constants of ``consistency``,
+    the search box pads the grid by one spacing (``optimize.box_from_grid``)
+    and blind starts scatter within ``INIT_RADIUS`` of the grid center.
+    """
 
     nonlinear_correction: bool = True
     one_by_one: bool = True
@@ -74,19 +80,13 @@ class FilterConfig:
     fixed_init: bool = False
     alpha: float = 3.0  # spatial inflation of the assumed process noise
     sigma_s2: float | None = None  # override the scenario's measurement noise
-    box_margin: float = 1.0  # search box padding, in grid spacings
     init_spatial_var: float = 100.0
     init_velocity_var: float = 5e-4
-    init_radius: float = 5.0  # fixed-init scatter around the grid center
-    consistency: ConsistencyConfig = field(default_factory=ConsistencyConfig)
     optimizer: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
         """Reject numbers no filter can run with, before any track starts."""
-        for name in (
-            "alpha", "box_margin",
-            "init_spatial_var", "init_velocity_var", "init_radius",
-        ):
+        for name in ("alpha", "init_spatial_var", "init_velocity_var"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigurationError(
@@ -136,7 +136,7 @@ def make_context(scenario: Scenario, config: FilterConfig) -> FilterContext:
         config=config,
         meas=meas,
         noise=FilterNoiseModel(alpha=config.alpha),
-        box=box_from_grid(scenario.grid, scenario.n_targets, config.box_margin),
+        box=box_from_grid(scenario.grid, scenario.n_targets),
         rule=radial_rule(dim),
         dirs=simplex_directions(dim),
     )
@@ -157,7 +157,7 @@ def init_belief(
 
     ``random_around_truth`` draws each mean from a Gaussian centered on the
     true launch state; ``fixed_center`` places every target mean uniformly
-    within ``init_radius`` of the grid center with zero velocity (no access
+    within ``INIT_RADIUS`` of the grid center with zero velocity (no access
     to the truth), then sharpens the spatial means with one measurement fit
     against the first frame when one is supplied.  A first frame with a NaN
     or infinite entry cannot be fitted, so the blind means stay and ``step``
@@ -179,7 +179,7 @@ def init_belief(
         if n_targets is None:
             raise ConfigurationError("fixed_center needs n_targets")
         c = n_targets
-        radius = config.init_radius * np.sqrt(rng.random(c))
+        radius = INIT_RADIUS * np.sqrt(rng.random(c))
         angle = 2.0 * np.pi * rng.random(c)
         pos = grid.center + np.stack(
             [radius * np.cos(angle), radius * np.sin(angle)], axis=1
@@ -243,7 +243,7 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
         if not res.converged:
             actions.append(f"unconverged:main[{res.iterations}]")
         x_hat, report = res.x, res.report
-        ok, stat = is_consistent(x_hat, frame, grid, meas, cfg.consistency)
+        ok, stat = is_consistent(x_hat, frame, grid, meas)
 
         # Recoveries refit by measurement likelihood alone, so their value
         # doubles as the candidate statistic: adopt whenever it improves.
@@ -254,11 +254,11 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
             actions.append("one_by_one")
             if 2.0 * cand.value < stat:
                 x_hat, report = cand.x, None
-                ok, stat = is_consistent(x_hat, frame, grid, meas, cfg.consistency)
+                ok, stat = is_consistent(x_hat, frame, grid, meas)
 
         if not ok and cfg.hopping:
             outcome = square_hopping_recovery(
-                x_hat, frame, grid, meas, ctx.box, cfg.consistency, cfg.optimizer
+                x_hat, frame, grid, meas, ctx.box, cfg.optimizer
             )
             actions.append(
                 f"hopping:{'pass' if outcome.gate_passed else 'best'}"
@@ -266,7 +266,7 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
             )
             if 2.0 * outcome.result.value < stat:
                 x_hat, report = outcome.result.x, None
-                ok, stat = is_consistent(x_hat, frame, grid, meas, cfg.consistency)
+                ok, stat = is_consistent(x_hat, frame, grid, meas)
 
         if report is None:  # an adopted recovery fit ignored the prior
             report = objective(x_hat)

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ttfilter.consistency import ConsistencyConfig, chi2_threshold, is_consistent
+from ttfilter.consistency import P_VALUE, chi2_threshold, is_consistent
 from ttfilter.experiment import ExperimentSpec, run_experiment
 from ttfilter.metrics import BpfConfig, omat
 from ttfilter.model import (
@@ -201,7 +201,6 @@ def _chi2_quantile_bisect(dof: int, p_value: float) -> float:
 def test_criterion_6_gate_calibration():
     grid = build_grid(5, 5, 10.0)
     meas = MeasurementModel(sigma_s2=0.1)
-    config = ConsistencyConfig()
     truth = DEFAULT_TARGETS[:, :2]
     clean = expected_signal(truth, grid, meas)
     rng = np.random.default_rng(2026)
@@ -209,9 +208,9 @@ def test_criterion_6_gate_calibration():
     rejected = 0
     for _ in range(n):
         frame = clean + rng.normal(0.0, math.sqrt(0.1), grid.count)
-        ok, _ = is_consistent(truth.ravel(), frame, grid, meas, config)
+        ok, _ = is_consistent(truth.ravel(), frame, grid, meas)
         rejected += 0 if ok else 1
-    p = config.p_value
+    p = P_VALUE
     band = 3.0 * math.sqrt(p * (1.0 - p) / n)
     assert abs(rejected / n - p) <= band, f"rate {rejected / n} vs {p} +- {band:.2e}"
 

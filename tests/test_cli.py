@@ -90,9 +90,9 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         ("track", '{"filter": {"max_iter": 2.5}}'),
         ("track", '{"scenario": {"grid": {"rows": 5.9}}}'),
         ("track", '{"scenario": {"grid": {"cols": true}}}'),
-        ("track", '{"filter": {"n_bad_sq": true}}'),
-        ("track", '{"filter": {"n_bad_tgt": 1.5}}'),
-        ("track", '{"filter": {"max_subsets": "many"}}'),
+        ("track", '{"bpf": {"particles": true}}'),
+        ("simulate", '{"experiment": {"seed": 1.5}}'),
+        ("track", '{"filter": {"max_iter": "many"}}'),
         ("track", '{"bpf": {"particles": 10.7}}'),
     ]:
         cfg.write_text(text)
@@ -108,7 +108,6 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
     "text",
     [
         '{"filter": {"init_spatial_var": -1}}',
-        '{"filter": {"box_margin": -20}}',
         '{"filter": {"sigma_s2": 0}}',
         '{"filter": {"alpha": 0.1}}',  # the assumed process noise is not PSD
         '{"scenario": {"sigma_s2": NaN}}',
@@ -118,8 +117,9 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         '{"scenario": {"targets": [[1, 2, NaN, 0]], "bounds": "none"}}',
         '{"filter": {"alpha": true}}',
         '{"filter": {"grad_tol": true}}',
-        '{"filter": {"init_radius": -5}}',
-        '{"bpf": {"resample_threshold": true}}',
+        # a list entry holds to the rule of a scalar
+        '{"scenario": {"sigma_s2": [true' + ", 0.1" * 24 + "]}}",
+        '{"scenario": {"targets": [[true, 2, 0, 0]], "bounds": "none"}}',
     ],
 )
 def test_bad_number_in_config_gives_config_exit(tmp_path, capsys, text):
@@ -147,10 +147,20 @@ def test_bad_number_in_config_gives_config_exit(tmp_path, capsys, text):
         ("track", '{"experiment": {"trakcs": 3}}', "trakcs"),
         ("simulate", '{"scenario": {"sigma": 0.1}}', "sigma"),
         ("simulate", '{"experiment": {"sead": 3}}', "sead"),
+        # settings that had one value in use are constants now
+        ("track", '{"filter": {"p_value": 0.0013}}', "p_value"),
+        ("track", '{"filter": {"n_bad_tgt": 2}}', "n_bad_tgt"),
+        ("track", '{"filter": {"n_bad_sq": 12}}', "n_bad_sq"),
+        ("track", '{"filter": {"max_subsets": 66}}', "max_subsets"),
+        ("track", '{"filter": {"box_margin": -20}}', "box_margin"),
+        ("track", '{"filter": {"init_radius": -5}}', "init_radius"),
+        ("benchmark", '{"bpf": {"resample_threshold": true}}', "resample_threshold"),
     ],
     ids=[
         "filter.near_sensor_fraction", "top-level", "filter", "scenario.grid",
         "bpf", "experiment", "scenario", "simulate-experiment",
+        "filter.p_value", "filter.n_bad_tgt", "filter.n_bad_sq", "filter.max_subsets",
+        "filter.box_margin", "filter.init_radius", "bpf.resample_threshold",
     ],
 )
 def test_unknown_config_key_gives_config_exit(tmp_path, capsys, command, text, key):
@@ -164,6 +174,57 @@ def test_unknown_config_key_gives_config_exit(tmp_path, capsys, command, text, k
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error: unknown keys" in err and repr(key) in err
+    assert not out.exists()
+
+
+def test_removed_bounds_policy_gives_config_exit(tmp_path, capsys):
+    # "reflect" broke the constant-velocity motion the filter assumes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"bounds": "reflect"}}))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown bounds policy 'reflect'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, env, text, named",
+    [
+        (["simulate", "--seed", "-1"], None, None, "-1"),
+        (["track", "--seed", "-5"], None, None, "-5"),
+        (["simulate"], "-2", None, "-2"),
+        (["track"], None, '{"experiment": {"seed": -3}}', "-3"),
+        (["simulate", "--steps", "-3"], None, None, "-3"),
+        (["simulate", "--steps", "0"], None, None, "0"),
+        (["track", "--steps", "0"], None, None, "0"),
+        (["track", "--tracks", "-1"], None, None, "-1"),
+    ],
+    ids=[
+        "simulate-seed-flag", "track-seed-flag", "TT_SEED", "config-seed",
+        "simulate-negative-steps", "simulate-zero-steps", "track-zero-steps",
+        "track-negative-tracks",
+    ],
+)
+def test_negative_seed_or_step_count_gives_config_exit(
+    tmp_path, capsys, monkeypatch, argv, env, text, named
+):
+    # exit 2 naming the value, not a numpy traceback or empty output files
+    monkeypatch.delenv("TT_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("TT_SEED", env)
+    out = tmp_path / "run"
+    argv = [*argv, "--out", str(out)]
+    if text is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv += ["--config", str(cfg)]
+    if argv[0] == "track" and "--steps" not in argv:
+        argv += ["--steps", "1"]
+    if argv[0] == "track" and "--tracks" not in argv:
+        argv += ["--tracks", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"got {named}" in err
     assert not out.exists()
 
 

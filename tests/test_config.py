@@ -18,7 +18,7 @@ from ttfilter.config import (
 from ttfilter.errors import ConfigurationError
 from ttfilter.metrics import BpfConfig
 from ttfilter.model import DEFAULT_TARGETS
-from ttfilter.tracker import make_context
+from ttfilter.tracker import FilterConfig, make_context
 
 
 def test_empty_config_gives_benchmark_defaults():
@@ -36,12 +36,12 @@ def test_empty_config_gives_benchmark_defaults():
     fcfg = filter_config_from_config({})
     assert fcfg.alpha == 3.0
     assert fcfg.sigma_s2 is None
-    assert fcfg.consistency.p_value == 0.0013
     assert fcfg.optimizer.grad_tol == 1e-6
+    assert fcfg == FilterConfig()
 
     bcfg = bpf_config_from_config({})
     assert bcfg.n_particles == 100_000
-    assert bcfg.resample_threshold == 0.5
+    assert bcfg == BpfConfig()
 
 
 def test_scenario_overrides_apply():
@@ -53,7 +53,7 @@ def test_scenario_overrides_apply():
             "exponent": 2.0,
             "sigma_s2": 0.5,
             "gamma": 0.1,
-            "bounds": "reflect",
+            "bounds": "none",
             "targets": [[1.0, 2.0, 0.0, 0.0], [3.0, 4.0, 0.1, -0.1]],
         }
     }
@@ -64,7 +64,7 @@ def test_scenario_overrides_apply():
     assert scn.meas.exponent == 2.0
     assert float(np.asarray(scn.meas.sigma_s2)) == 0.5
     assert scn.motion.gamma == 0.1
-    assert scn.bounds == "reflect"
+    assert scn.bounds == "none"
     assert scn.n_targets == 2
 
 
@@ -79,31 +79,35 @@ def test_filter_overrides_apply():
         "filter": {
             "alpha": 1.0,
             "sigma_s2": 0.2,
-            "p_value": 0.01,
-            "n_bad_tgt": 3,
-            "n_bad_sq": 8,
-            "max_subsets": 20,
             "grad_tol": 1e-8,
             "max_iter": 50,
-            "box_margin": 2.0,
             "init_spatial_var": 25.0,
             "init_velocity_var": 1e-3,
-            "init_radius": 3.0,
         }
     }
     fcfg = filter_config_from_config(cfg)
     assert fcfg.alpha == 1.0
     assert fcfg.sigma_s2 == 0.2
-    assert fcfg.consistency.p_value == 0.01
-    assert fcfg.consistency.n_bad_tgt == 3
-    assert fcfg.consistency.n_bad_sq == 8
-    assert fcfg.consistency.max_subsets == 20
     assert fcfg.optimizer.grad_tol == 1e-8
     assert fcfg.optimizer.max_iter == 50
-    assert fcfg.box_margin == 2.0
     assert fcfg.init_spatial_var == 25.0
     assert fcfg.init_velocity_var == 1e-3
-    assert fcfg.init_radius == 3.0
+    # a null sigma_s2 is the scenario's, as when the key is left out
+    assert filter_config_from_config({"filter": {"sigma_s2": None}}).sigma_s2 is None
+
+
+def test_list_entries_are_read_like_scalars():
+    # true is not read as 1.0 inside a list either; the message names the entry
+    for cfg, entry in [
+        ({"sigma_s2": [0.1] * 24 + [True]}, "scenario.sigma_s2[24]"),
+        ({"sigma_s2": [0.1, "nan"] + [0.1] * 23}, "scenario.sigma_s2[1]"),
+        ({"targets": [[True, 2, 0, 0]]}, "scenario.targets[0][0]"),
+        ({"targets": [[1, 2, 0, 0], [3, 4, None, 0]]}, "scenario.targets[1][2]"),
+    ]:
+        with pytest.raises(ConfigurationError, match=entry.replace("[", r"\[")):
+            scenario_from_config({"scenario": cfg})
+    scn = scenario_from_config({"scenario": {"targets": [[1, 2, 0, 0]], "bounds": "none"}})
+    np.testing.assert_array_equal(scn.initial_states, [[1.0, 2.0, 0.0, 0.0]])
 
 
 def test_bpf_inherits_filter_noise():
@@ -167,6 +171,8 @@ def test_bad_scenario_values_rejected():
         scenario_from_config({"scenario": {"grid": {"spacing": -1.0}}})
     with pytest.raises(ConfigurationError):
         scenario_from_config({"scenario": {"bounds": "wrap"}})
+    with pytest.raises(ConfigurationError, match="scenario.bounds must be a string"):
+        scenario_from_config({"scenario": {"bounds": 1}})
     with pytest.raises(ConfigurationError):
         scenario_from_config({"scenario": {"gamma": "fast"}})
 

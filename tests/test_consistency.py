@@ -12,11 +12,15 @@ import pytest
 
 import ttfilter
 
+from ttfilter import consistency
 from ttfilter.consistency import (
-    ConsistencyConfig,
+    N_BAD_SQUARES,
+    N_BAD_TARGETS,
+    P_VALUE,
     chi2_threshold,
     consistency_statistic,
     excess_deficit,
+    gate_threshold,
     is_consistent,
     maximin_pick,
     one_by_one_recovery,
@@ -98,19 +102,27 @@ def test_chi2_threshold_validation():
         chi2_threshold(0, 0.5)
 
 
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        ConsistencyConfig(p_value=1.2)
-    with pytest.raises(ConfigurationError):
-        ConsistencyConfig(n_bad_tgt=0)
-
-
 def test_perfect_frame_is_consistent(grid55, meas_default):
     pos = np.asarray(DEFAULT_TARGETS)[:, :2]
     frame = expected_signal(pos, grid55, meas_default)
-    ok, stat = is_consistent(pos.ravel(), frame, grid55, meas_default, ConsistencyConfig())
+    ok, stat = is_consistent(pos.ravel(), frame, grid55, meas_default)
     assert ok
     assert stat == 0.0
+
+
+def test_gate_threshold_is_the_one_threshold(grid55, meas_default, monkeypatch):
+    # S dof at P_VALUE, read by the gate and by square hopping's pass test
+    assert gate_threshold(grid55) == chi2_threshold(grid55.count, P_VALUE)
+    truth = np.asarray(DEFAULT_TARGETS)[:, :2]
+    frame = expected_signal(truth, grid55, meas_default)
+    far = np.clip(truth + 15.0, 0.0, 40.0).ravel()
+    box = box_from_grid(grid55, n_targets=4)
+    monkeypatch.setattr(consistency, "gate_threshold", lambda grid: np.inf)
+    assert is_consistent(far, frame, grid55, meas_default)[0]
+    out = square_hopping_recovery(far, frame, grid55, meas_default, box)
+    assert out.gate_passed and out.attempts == 0
+    monkeypatch.setattr(consistency, "gate_threshold", lambda grid: -1.0)
+    assert not is_consistent(truth.ravel(), frame, grid55, meas_default)[0]
 
 
 def test_statistic_scales_quadratically(grid55, meas_default, rng):
@@ -132,8 +144,8 @@ def test_rejection_rate_matches_p_value(grid55, meas_default, rng):
     # the closed form above equals the statistic computed through the NLL
     spot = consistency_statistic(pos.ravel(), alpha + resid[0], grid55, meas_default)
     assert spot == pytest.approx(stats[0], rel=1e-9)
-    p = 0.0013
-    rate = np.mean(stats > chi2_threshold(25, p))
+    p = P_VALUE
+    rate = np.mean(stats > gate_threshold(grid55))
     assert abs(rate - p) <= 3.0 * np.sqrt(p * (1.0 - p) / n)
 
 
@@ -144,12 +156,11 @@ def test_displaced_target_flags_inconsistent(grid55, rng):
     wrong[2] += 30.0  # three squares away
     wrong = np.clip(wrong, 0.0, 40.0)
     alpha = expected_signal(pos, grid55, meas)
-    cfg = ConsistencyConfig()
     hits = 0
     trials = 200
     for _ in range(trials):
         frame = alpha + 0.1 * rng.standard_normal(25)
-        ok, _ = is_consistent(wrong.ravel(), frame, grid55, meas, cfg)
+        ok, _ = is_consistent(wrong.ravel(), frame, grid55, meas)
         hits += not ok
     assert hits >= 0.95 * trials
 
@@ -281,7 +292,7 @@ def test_one_by_one_recovers_from_belief_drift(grid55):
     box = box_from_grid(grid55, n_targets=4)
     res = one_by_one_recovery(frame, grid55, meas, prior, box)
     stat = 2.0 * res.value
-    assert stat <= chi2_threshold(25, 0.0013)
+    assert stat <= gate_threshold(grid55)
     got = np.sort(res.x.reshape(-1, 2), axis=0)
     want = np.sort(truth, axis=0)
     np.testing.assert_allclose(got, want, atol=1e-3)
@@ -335,8 +346,8 @@ def test_square_count_and_subset_cap(grid55):
     assert corners.shape[0] == 16
     from math import comb
 
-    assert comb(ConsistencyConfig().n_bad_sq, ConsistencyConfig().n_bad_tgt) == 66
-    assert ConsistencyConfig().max_subsets == 66
+    # hopping fits at most one start per pair of the 12 candidate squares
+    assert comb(N_BAD_SQUARES, N_BAD_TARGETS) == 66
 
 
 def test_hopping_short_circuits_when_consistent(grid55, meas_default):
@@ -344,7 +355,7 @@ def test_hopping_short_circuits_when_consistent(grid55, meas_default):
     frame = expected_signal(truth, grid55, meas_default)
     box = box_from_grid(grid55, n_targets=4)
     out = square_hopping_recovery(
-        truth.ravel(), frame, grid55, meas_default, box, ConsistencyConfig()
+        truth.ravel(), frame, grid55, meas_default, box
     )
     assert out.gate_passed
     assert out.attempts == 0
@@ -359,7 +370,7 @@ def test_hopping_relocates_misplaced_target(grid55):
     wrong[2] = [25.0, 15.0]  # one square over from (20, 13) area, wrong basin
     box = box_from_grid(grid55, n_targets=4)
     out = square_hopping_recovery(
-        wrong.ravel(), frame, grid55, meas, box, ConsistencyConfig()
+        wrong.ravel(), frame, grid55, meas, box
     )
     assert out.gate_passed
     assert out.attempts >= 1
@@ -377,6 +388,6 @@ def test_recovery_never_worsens_value(grid55, rng):
 
     incoming = measurement_nll(wrong.ravel(), frame, grid55, meas).value
     out = square_hopping_recovery(
-        wrong.ravel(), frame, grid55, meas, box, ConsistencyConfig()
+        wrong.ravel(), frame, grid55, meas, box
     )
     assert out.result.value <= incoming + 1e-12

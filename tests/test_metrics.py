@@ -193,8 +193,6 @@ def test_systematic_resample_stays_in_range_when_weights_sum_below_one():
 def test_bpf_config_validation():
     with pytest.raises(ConfigurationError):
         BpfConfig(n_particles=0)
-    with pytest.raises(ConfigurationError):
-        BpfConfig(resample_threshold=1.5)
 
 
 def test_bpf_single_particle_dead_reckons():

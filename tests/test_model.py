@@ -343,21 +343,6 @@ def test_inside_rejects_out_of_grid_launch():
         )
 
 
-def test_reflect_bounces_off_walls():
-    scen = Scenario(
-        grid=build_grid(5, 5, 10.0),
-        motion=MotionModel(gamma=0.0),
-        meas=MeasurementModel(sigma_s2=0.0),
-        initial_states=np.array([[39.0, 20.0, 2.0, 0.0]]),
-        bounds="reflect",
-    )
-    traj = simulate(scen, 3, 0)
-    np.testing.assert_allclose(
-        traj.states[:, 0, 0], [39.0, 39.0, 37.0, 35.0]
-    )
-    np.testing.assert_allclose(traj.states[1:, 0, 2], [-2.0, -2.0, -2.0])
-
-
 def test_bounds_none_is_free_motion():
     scen = Scenario(
         grid=build_grid(5, 5, 10.0),

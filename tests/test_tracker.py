@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ttfilter import consistency, tracker
-from ttfilter.consistency import chi2_threshold, consistency_statistic
+from ttfilter.consistency import consistency_statistic, gate_threshold
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import (
     DEFAULT_TARGETS,
@@ -81,7 +81,7 @@ def test_init_fixed_center_within_radius(grid55, rng):
     belief = init_belief("fixed_center", cfg, grid55, rng, n_targets=4)
     pos = belief.mean_x.reshape(4, 2)
     dist = np.linalg.norm(pos - grid55.center, axis=1)
-    assert (dist <= cfg.init_radius + 1e-12).all()
+    assert (dist <= tracker.INIT_RADIUS + 1e-12).all()
     np.testing.assert_array_equal(belief.mean_v, np.zeros(8))
 
 
@@ -181,7 +181,7 @@ def test_step_flags_inconsistency_without_recoveries():
     belief = tight_belief(wrong)
     out = step(belief, frame, ctx)
     assert not out.consistent
-    assert out.statistic > chi2_threshold(scn.grid.count, 0.0013)
+    assert out.statistic > gate_threshold(scn.grid)
     assert out.actions == () or all(a.startswith("hessfix") for a in out.actions)
 
 
@@ -367,7 +367,7 @@ def test_step_recovery_engages_and_never_worsens_statistic():
         ctx.config.optimizer,
     )
     stat0 = consistency_statistic(direct.x, frame, scn.grid, ctx.meas)
-    assert stat0 > chi2_threshold(scn.grid.count, 0.0013)
+    assert stat0 > gate_threshold(scn.grid)
 
     out = step(belief, frame, ctx)
     assert any(a == "one_by_one" or a.startswith("hopping") for a in out.actions)
