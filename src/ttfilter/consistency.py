@@ -11,12 +11,13 @@ the dof-25 threshold of 51.72 at p = 0.0013 is exceeded with probability
 2.3e-5, 57 times below the nominal rate, so a consistent fit fails the gate
 far more rarely than ``P_VALUE`` says.  The threshold keeps S dof, and
 ``gate_threshold`` is the one place that decides it: the main gate, the
-re-checks after a recovery and square hopping's pass test all read it.  Two
-escalating repairs follow: re-estimation with sensors introduced one at a
-time (boundary ring first, then a maximin fill), and square hopping, which
-relocates the ``N_BAD_TARGETS`` worst-fitting targets to the
-``N_BAD_SQUARES`` grid cells with the largest signal deficit and
-re-optimizes.
+re-checks after a recovery, one-by-one's choice of a second start and
+square hopping's pass test all read it.  Two escalating repairs follow:
+re-estimation with sensors introduced one at a time (boundary ring first,
+then a maximin fill), swept from a neutral start and, only when that fails
+the gate, from the prior mean too; and square hopping, which relocates the
+``N_BAD_TARGETS`` worst-fitting targets to the ``N_BAD_SQUARES`` grid cells
+with the largest signal deficit and re-optimizes.
 """
 
 from __future__ import annotations
@@ -176,17 +177,19 @@ def one_by_one_recovery(
     in maximin order, re-optimizing after each addition, so the final result
     uses every sensor and twice its value is the consistency statistic.
 
-    The whole sweep runs from two starts, the prior mean and a neutral ring
-    at the grid center, keeping the lower final NLL.  The prior mean is the
-    better start when the belief merely drifted; the neutral start wins when
-    the belief itself is the wrong-basin culprit, which is common right after
-    a widely scattered initialization.
+    The sweep runs first from a neutral ring at the grid center, which
+    carries none of the belief that just failed the gate.  Only when that
+    result fails the gate (``gate_threshold``) does a second sweep run from
+    the prior mean, and then the lower final NLL of the two is kept: the
+    prior mean is the better start when the belief merely drifted.  So a
+    passing first candidate wins, as in square hopping, and most calls run
+    one sweep instead of two.  The ring's targets come in its own order, so
+    the caller puts an adopted result back into the prior's target labels.
     """
-    start = prior.mean_x
-    res = _grow_sensor_set(frame, grid, meas, start, box, options)
-    neutral = _center_ring(grid, start.size // 2)
-    if not np.allclose(neutral, start):
-        alt = _grow_sensor_set(frame, grid, meas, neutral, box, options)
+    neutral = _center_ring(grid, prior.mean_x.size // 2)
+    res = _grow_sensor_set(frame, grid, meas, neutral, box, options)
+    if 2.0 * res.value > gate_threshold(grid) and not np.allclose(neutral, prior.mean_x):
+        alt = _grow_sensor_set(frame, grid, meas, prior.mean_x, box, options)
         if alt.value < res.value:
             res = alt
     return res

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -76,6 +77,11 @@ class ExperimentSpec:
             )
         if not self.variants:
             raise ConfigurationError("at least one variant is required")
+        # every track's generators derive from SeedSequence([seed, ...]),
+        # which takes only non-negative integer entropy
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
         for name in ("tracks", "steps"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(

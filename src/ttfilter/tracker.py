@@ -8,10 +8,11 @@ deciding which targets at each iterate; a fit that stops short of
 convergence is recorded as ``unconverged:main[iterations]``), gate
 the fit with the chi-square consistency test at ``consistency.gate_threshold``
 (escalating through one-by-one sensor re-acquisition and square hopping when
-it fails, an adopted refit gated again at that threshold), factor the Hessian
-at the gated estimate (the Gauss-Newton matrix stands in where the Hessian
-is not positive definite, recorded as ``hessfix:gauss-newton``), spread
-sigma points on the combined NLL surface (in the polar chart about the
+it fails, an adopted refit put back into the prior's target labels and gated
+again at that threshold), factor the Hessian at the gated estimate (the
+Gauss-Newton matrix stands in where the Hessian is not positive definite,
+recorded as ``hessfix:gauss-newton``), spread sigma points on the combined
+NLL surface (in the polar chart about the
 sensor for each target that ``FilterContext.chart`` takes at the estimate,
 recorded as ``polar:c@s``), and read off posterior moments.  Prior and
 posterior are ``nll.GaussianBelief`` values, and a step's posterior is the
@@ -40,7 +41,7 @@ from .consistency import (
 )
 from .errors import ConfigurationError, NumericalError
 from .hessfix import repair_hessian
-from .metrics import TrackRecord, omat
+from .metrics import TrackRecord, _linear_sum_assignment, omat
 from .model import MeasurementModel, Scenario, SensorGrid, Trajectory, stack_state
 from .moments import assemble, spatial_moments, velocity_moments
 from .nll import (
@@ -224,6 +225,17 @@ class StepOutput:
     wall_time: float
 
 
+def _in_prior_labels(x: np.ndarray, prior_x: np.ndarray) -> np.ndarray:
+    """``x`` (2C,) with its targets reordered so that target c is the one
+    matched to target c of ``prior_x`` by the minimum-distance assignment
+    OMAT uses.  A recovery fit starts away from the prior mean and its
+    measurement likelihood cannot tell targets apart, so its labels are
+    arbitrary; the prior term of the combined objective is not."""
+    est, ref = x.reshape(-1, 2), prior_x.reshape(-1, 2)
+    dist = np.linalg.norm(ref[:, None, :] - est[None, :, :], axis=2)
+    return est[_linear_sum_assignment(dist)[1]].ravel()
+
+
 def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepOutput:
     """Advance the belief by one measurement frame."""
     tic = time.perf_counter()
@@ -246,14 +258,15 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
         ok, stat = is_consistent(x_hat, frame, grid, meas)
 
         # Recoveries refit by measurement likelihood alone, so their value
-        # doubles as the candidate statistic: adopt whenever it improves.
+        # doubles as the candidate statistic: adopt whenever it improves, in
+        # the prior's target labels.
         if not ok and cfg.one_by_one:
             cand = one_by_one_recovery(
                 frame, grid, meas, prior, ctx.box, options=cfg.optimizer
             )
             actions.append("one_by_one")
             if 2.0 * cand.value < stat:
-                x_hat, report = cand.x, None
+                x_hat, report = _in_prior_labels(cand.x, prior.mean_x), None
                 ok, stat = is_consistent(x_hat, frame, grid, meas)
 
         if not ok and cfg.hopping:
@@ -265,7 +278,7 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
                 f"[{outcome.attempts}]"
             )
             if 2.0 * outcome.result.value < stat:
-                x_hat, report = outcome.result.x, None
+                x_hat, report = _in_prior_labels(outcome.result.x, prior.mean_x), None
                 ok, stat = is_consistent(x_hat, frame, grid, meas)
 
         if report is None:  # an adopted recovery fit ignored the prior

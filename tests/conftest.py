@@ -52,6 +52,55 @@ def corner_scenario(sigma_s2: float) -> Scenario:
     )
 
 
+@pytest.fixture(scope="session")
+def indefinite_interior_step():
+    """The first main fit of a fixed scan that converges with no bound active
+    at a point where the exact Hessian has a negative eigenvalue, and the
+    output of its step: ``(StepOutput, main fit)``.
+
+    Such a fit ends beside a sensor: the Newton decrement stops on the chart
+    system, which is positive definite there although the Cartesian Hessian
+    is not.  The scan runs ``tracker.step`` over the first four frames
+    of ``corner_scenario`` tracks simulated from ``SeedSequence([3, i, 0])``
+    and filtered with ``[3, i, 1]``, for i = 0, 1, ... and, per track,
+    sigma^2 = 0.01 then 0.001.  It finds a case wherever the arithmetic
+    moves it, so no test pins one track.
+    """
+    from ttfilter import tracker
+    from ttfilter.model import simulate
+
+    fits = []
+
+    def spy(*args, **kwargs):
+        fits.append(tracker_minimize(*args, **kwargs))
+        return fits[-1]
+
+    tracker_minimize = tracker.minimize
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tracker, "minimize", spy)
+        for i in range(40):
+            for sigma_s2 in (0.01, 0.001):
+                scn = corner_scenario(sigma_s2)
+                ctx = tracker.make_context(scn, tracker.FilterConfig())
+                traj = simulate(scn, 4, np.random.SeedSequence([3, i, 0]))
+                belief = tracker.init_belief(
+                    "random_around_truth", ctx.config, scn.grid,
+                    np.random.default_rng(np.random.SeedSequence([3, i, 1])),
+                    truth_state=traj.states[0],
+                )
+                for frame in traj.frames:
+                    fits.clear()
+                    out = tracker.step(belief, frame, ctx)
+                    fit = fits[0]
+                    if (
+                        fit.converged and fit.active_set.size == 0
+                        and np.linalg.eigvalsh(fit.hess).min() < 0.0
+                    ):
+                        return out, fit
+                    belief = out.posterior
+    raise AssertionError("no indefinite interior main fit in the scan")
+
+
 def polar_transform(
     point: np.ndarray, sensor: np.ndarray, bearing: float = 0.0
 ) -> np.ndarray:

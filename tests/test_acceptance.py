@@ -127,6 +127,31 @@ def test_criterion_3_recovery_stages_rescue_bad_starts():
     assert only_hopping <= 1.10 * base, f"{only_hopping:.4f} vs {base:.4f}"
 
 
+def test_criterion_3_stress_tracks_recovery_fit_count(monkeypatch):
+    # measured: 8 one-by-one calls make 100 stage fits of 10 sensor sets
+    # each, 6 calls passing the gate from the neutral ring and 2 sweeping
+    # from the prior mean as well; sweeping from both starts on every call
+    # made 160, and the first sweep of a call always runs
+    from ttfilter import consistency, tracker
+
+    fits, calls = [0], [0]
+
+    def counting_minimize(*args, **kwargs):
+        fits[0] += 1
+        return minimize(*args, **kwargs)
+
+    def counting_recovery(*args, **kwargs):
+        calls[0] += 1
+        return recovery(*args, **kwargs)
+
+    minimize, recovery = consistency.minimize, tracker.one_by_one_recovery
+    monkeypatch.setattr(consistency, "minimize", counting_minimize)
+    monkeypatch.setattr(tracker, "one_by_one_recovery", counting_recovery)
+    _stress_average_omat(one_by_one=True, hopping=False)
+    assert calls[0] >= 1
+    assert 10 * calls[0] <= fits[0] <= 100
+
+
 def test_criterion_4_derivatives_match_finite_differences():
     grid = build_grid(5, 5, 10.0)
     meas = MeasurementModel(sigma_s2=0.1)

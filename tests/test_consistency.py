@@ -341,6 +341,45 @@ def test_one_by_one_builds_hessians_only_for_newton_directions(grid55, monkeypat
     assert builds[0] == iterations[0] + decrement_stops[0]
 
 
+def test_one_by_one_sweeps_from_the_prior_only_when_the_neutral_start_fails(
+    grid55, monkeypatch
+):
+    # a sweep is 10 stage fits on the 5x5 grid (the 16 boundary sensors, then
+    # the 9 others one at a time); the neutral ring sweeps first, and the
+    # prior mean sweeps only when the neutral result fails the gate
+    fits = []
+
+    def counting_minimize(fun, x0, box, options=None, **kwargs):
+        fits.append((np.array(x0), minimize(fun, x0, box, options, **kwargs)))
+        return fits[-1][1]
+
+    minimize = consistency.minimize
+    monkeypatch.setattr(consistency, "minimize", counting_minimize)
+    meas = MeasurementModel(sigma_s2=0.01)
+    box = box_from_grid(grid55, n_targets=4)
+    thr = gate_threshold(grid55)
+
+    # the neutral sweep finds these targets, so its result is returned
+    truth = np.array([[24.0, 13.0], [6.0, 5.0], [29.0, 32.0], [23.0, 27.0]])
+    prior = default_prior(np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0))
+    res = one_by_one_recovery(expected_signal(truth, grid55, meas), grid55, meas, prior, box)
+    assert 2.0 * res.value <= thr
+    assert len(fits) == 10
+    np.testing.assert_array_equal(fits[0][0], consistency._center_ring(grid55, 4))
+    assert res is fits[-1][1]
+
+    # from the ring the sweep misses the default targets; the prior-mean
+    # sweep runs, and the lower final value of the two is kept
+    fits.clear()
+    truth = np.asarray(DEFAULT_TARGETS)[:, :2]
+    prior = default_prior(np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0))
+    res = one_by_one_recovery(expected_signal(truth, grid55, meas), grid55, meas, prior, box)
+    assert 2.0 * fits[9][1].value > thr and 2.0 * res.value <= thr
+    assert len(fits) == 20
+    np.testing.assert_array_equal(fits[10][0], prior.mean_x)
+    assert res.value == min(fits[9][1].value, fits[19][1].value)
+
+
 def test_square_count_and_subset_cap(grid55):
     corners, centers = grid55.squares()
     assert corners.shape[0] == 16

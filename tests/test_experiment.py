@@ -65,6 +65,17 @@ def test_spec_validation():
         small_spec(sweep_axis="sigma_s2", sweep_values=(0.1, 0.01, 0.1))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
+def test_spec_rejects_a_seed_seedsequence_cannot_take(seed):
+    # caught when the spec is made, not in numpy once the run has started
+    with pytest.raises(ConfigurationError, match=f"seed .*got {seed!r}"):
+        small_spec(seed=seed)
+
+
+def test_spec_accepts_a_numpy_integer_seed():
+    assert small_spec(seed=np.int64(3)).seed == 3
+
+
 def test_minimal_run_emits_one_row_per_variant(tmp_path):
     spec = small_spec(variants=("tt-nonlinear", "bpf"))
     result = run_experiment(spec, tmp_path / "out")

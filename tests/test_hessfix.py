@@ -7,19 +7,14 @@ import pytest
 
 from ttfilter.errors import NumericalError
 from ttfilter.hessfix import repair_hessian
-from ttfilter.model import expected_signal, simulate
+from ttfilter.model import expected_signal
 from ttfilter.nll import (
     FilterNoiseModel,
     GaussianBelief,
     NllReport,
     combined_nll,
-    combined_objective,
     propagate_prior,
 )
-from ttfilter.optimize import minimize
-from ttfilter.tracker import FilterConfig, init_belief, make_context, step
-
-from conftest import corner_scenario
 
 
 def prior_at(x: np.ndarray):
@@ -31,24 +26,10 @@ def prior_at(x: np.ndarray):
 
 
 @pytest.fixture(scope="module")
-def indefinite_fit():
-    """The main fit of step 1 of a ``corner_scenario`` track at sigma^2 =
-    0.01, as ``tracker.step`` runs it: it converges inside the box with
-    target 2 0.12 m from sensor 0, where the exact Hessian is indefinite."""
-    scn = corner_scenario(0.01)
-    ctx = make_context(scn, FilterConfig())
-    traj = simulate(scn, 2, np.random.SeedSequence([3, 8, 0]))
-    belief = init_belief(
-        "random_around_truth", ctx.config, scn.grid,
-        np.random.default_rng(np.random.SeedSequence([3, 8, 1])),
-        truth_state=traj.states[0],
-    )
-    belief = step(belief, traj.frames[0], ctx).posterior
-    prior = propagate_prior(belief, ctx.noise)
-    objective = combined_objective(traj.frames[1], scn.grid, ctx.meas, prior)
-    return minimize(
-        objective, prior.mean_x, ctx.box, ctx.config.optimizer, chart=ctx.chart
-    )
+def indefinite_fit(indefinite_interior_step):
+    """A main fit as ``tracker.step`` runs it that converges inside the box
+    beside a sensor, where the exact Hessian is indefinite (conftest's scan)."""
+    return indefinite_interior_step[1]
 
 
 def test_pd_hessian_returned_unchanged(grid55, meas_default, rng):

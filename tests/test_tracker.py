@@ -18,6 +18,7 @@ from ttfilter.model import (
     simulate,
     stack_state,
 )
+from ttfilter.metrics import omat
 from ttfilter.moments import EIGEN_FLOOR
 from ttfilter.nll import (
     FilterNoiseModel,
@@ -375,6 +376,41 @@ def test_step_recovery_engages_and_never_worsens_statistic():
     assert out.consistent  # noise-free frames leave a perfectly explaining fit
 
 
+def test_adopted_recovery_keeps_the_prior_target_labels(monkeypatch):
+    # the first frames of criterion 3's stress tracks, where blind starts
+    # fail the gate and a one-by-one refit is adopted; a refit's labels are
+    # arbitrary (its measurement likelihood cannot tell targets apart), and
+    # without putting them back tracks 2, 3 and 5 of these six come out
+    # permuted, so the prior term would pull each target toward another's mean
+    scn = benchmark_scenario(sigma_s2=0.01)
+    ctx = make_context(scn, FilterConfig(fixed_init=True))
+    main_fits = []
+
+    def spy(*args, **kwargs):
+        main_fits.append(minimize(*args, **kwargs))
+        return main_fits[-1]
+
+    adopted = 0
+    for i in range(6):
+        traj = simulate(scn, 1, np.random.default_rng(np.random.SeedSequence([7, i, 0])))
+        belief = init_belief(
+            "fixed_center", ctx.config, scn.grid,
+            np.random.default_rng(np.random.SeedSequence([7, i, 6])),
+            n_targets=4, frame=traj.frames[0], meas=ctx.meas, box=ctx.box,
+        )
+        with monkeypatch.context() as m:
+            m.setattr(tracker, "minimize", spy)
+            out = step(belief, traj.frames[0], ctx)
+        if np.array_equal(out.x_ml, main_fits[-1].x):
+            continue
+        adopted += 1
+        prior = propagate_prior(belief, ctx.noise)
+        for estimate in (out.x_ml, out.posterior.mean_x):
+            matched = omat(prior.mean_x, estimate).assignment
+            np.testing.assert_array_equal(matched, np.arange(4), err_msg=f"track {i}")
+    assert adopted >= 3
+
+
 def test_step_linear_path_identical_when_no_near_sensor_target():
     scn = benchmark_scenario()
     truth = scn.initial_states  # all launch positions sit > 2 m from sensors
@@ -453,11 +489,11 @@ def test_step_repairs_hessian_after_main_fit_ends_on_a_bound(monkeypatch):
     np.testing.assert_array_equal(out.x_ml, fit.x)  # the gated estimate
 
 
-def test_step_repairs_hessian_after_interior_fit_near_a_sensor(monkeypatch):
-    # the interior case: the main fit converges with no bound active and
-    # target 2 0.12 m from sensor 0, on a point where the exact Hessian is
+def test_step_repairs_hessian_after_interior_fit_near_a_sensor(indefinite_interior_step):
+    # the interior case: the main fit converges with no bound active and a
+    # target beside a sensor, on a point where the exact Hessian is
     # indefinite although no Newton step is left to take
-    out, fit = step_with_spied_main_fit(monkeypatch, 0.01, [3, 8], 1)
+    out, fit = indefinite_interior_step
     assert fit.converged and fit.active_set.size == 0
     assert np.linalg.eigvalsh(fit.hess).min() < 0.0
     assert_repaired_without_fallback(out)
