@@ -32,7 +32,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--seed",
         type=int,
         default=None,
-        help="master seed (default: config value, then $TT_SEED, then 0)",
+        help="master seed (default: config value, then 0)",
     )
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--steps", type=int, default=None, help="steps per track")
@@ -85,16 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(flag: int | None, exp: dict) -> int:
     """The seed from the ``--seed`` flag, then the read ``experiment`` section
-    ``exp``, then $TT_SEED, then ``ExperimentSpec``'s default."""
-    seed = exp.get("seed") if flag is None else flag
-    env = os.environ.get("TT_SEED")
-    if seed is None and env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigurationError(f"TT_SEED must be an integer, got {env!r}") from exc
-    if seed is None:
-        seed = ExperimentSpec.seed
+    ``exp``, then ``ExperimentSpec``'s default."""
+    seed = exp.get("seed", ExperimentSpec.seed) if flag is None else flag
     if seed < 0:  # SeedSequence takes only non-negative entropy
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     return seed

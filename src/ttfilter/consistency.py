@@ -56,17 +56,6 @@ def chi2_threshold(dof: int, p_value: float) -> float:
     return float(chdtri(dof, p_value))
 
 
-def consistency_statistic(
-    x: np.ndarray, frame: np.ndarray, grid: SensorGrid, meas: MeasurementModel
-) -> float:
-    """2 * measurement NLL.
-
-    Chi-square with one dof per sensor at the true positions; at a fitted
-    estimate with C targets, chi-square with S - 2C dof (module docstring).
-    """
-    return 2.0 * measurement_nll(x, frame, grid, meas).value
-
-
 def gate_threshold(grid: SensorGrid) -> float:
     """The gate's threshold: chi-square with S dof at ``P_VALUE``."""
     return chi2_threshold(grid.count, P_VALUE)
@@ -75,8 +64,13 @@ def gate_threshold(grid: SensorGrid) -> float:
 def is_consistent(
     x: np.ndarray, frame: np.ndarray, grid: SensorGrid, meas: MeasurementModel
 ) -> tuple[bool, float]:
-    """``(passed, statistic)`` of the gate at ``x``."""
-    stat = consistency_statistic(x, frame, grid, meas)
+    """``(passed, statistic)`` of the gate at ``x``.
+
+    The statistic is twice the measurement NLL: chi-square with one dof per
+    sensor at the true positions, and at a fitted estimate with C targets
+    chi-square with S - 2C dof (module docstring).
+    """
+    stat = 2.0 * measurement_nll(x, frame, grid, meas).value
     return stat <= gate_threshold(grid), stat
 
 

@@ -89,8 +89,8 @@ class ExperimentSpec:
                 )
         if self.sweep_axis is not None and not self.sweep_values:
             raise ConfigurationError("sweep_axis set but sweep_values empty")
-        # the summary groups rows by sweep value: a repeated value would write
-        # its rows twice and count as one point with twice the tracks
+        # a repeated value would run its point twice, and steps.csv would hold
+        # two sets of rows under one key
         if self.sweep_values and len(set(self.sweep_values)) < len(self.sweep_values):
             raise ConfigurationError(
                 f"sweep_values must be distinct, got {list(self.sweep_values)}"
@@ -169,10 +169,9 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> ExperimentResult:
         tuple(spec.sweep_values) if spec.sweep_axis else (None,)
     )
 
-    point_rows = []  # (key, track, results-per-variant)
+    points = []  # (key, outcomes per track), in sweep order
     for value in values:
         scenario, fcfg = _point_params(spec, value)
-        key = _point_key(scenario, fcfg)
         shared = (scenario, fcfg, spec.bpf_config, spec.variants, spec.steps, spec.seed)
         tasks = [(*shared, i) for i in range(spec.tracks)]
         if spec.jobs > 1:
@@ -180,11 +179,17 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> ExperimentResult:
                 outcomes = list(pool.map(_run_point_track, tasks))
         else:
             outcomes = [_run_point_track(t) for t in tasks]
-        for i, outcome in enumerate(outcomes):
-            point_rows.append((key, i, outcome))
+        points.append((_point_key(scenario, fcfg), outcomes))
 
     steps_csv = out_dir / "steps.csv"
     timing_csv = out_dir / "timing.csv"
+    summary: dict = {
+        "seed": spec.seed,
+        "tracks": spec.tracks,
+        "steps": spec.steps,
+        "sweep_axis": spec.sweep_axis,
+        "points": [],
+    }
     with open(steps_csv, "w", newline="") as fh_s, open(
         timing_csv, "w", newline=""
     ) as fh_t:
@@ -194,48 +199,34 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> ExperimentResult:
         wt.writerow(
             ["sigma_s2", "alpha", "gamma", "variant", "track", "step", "seconds"]
         )
-        for key, track_idx, outcome in point_rows:
+        for key, outcomes in points:
             prefix = [repr(key["sigma_s2"]), repr(key["alpha"]), repr(key["gamma"])]
-            for name in spec.variants:
-                res = outcome[name]
-                if res["error"] is not None:
-                    continue
-                for t, (o, sec) in enumerate(
-                    zip(res["omat"], res["step_time"]), start=1
-                ):
-                    ws.writerow(prefix + [name, track_idx, t, repr(float(o))])
-                    wt.writerow(prefix + [name, track_idx, t, repr(float(sec))])
-
-    summary: dict = {
-        "seed": spec.seed,
-        "tracks": spec.tracks,
-        "steps": spec.steps,
-        "sweep_axis": spec.sweep_axis,
-        "points": [],
-    }
-    for value in values:
-        scenario, fcfg = _point_params(spec, value)
-        key = _point_key(scenario, fcfg)
-        per_variant = {}
-        for name in spec.variants:
-            omats, times, failures = [], [], []
-            for k, track_idx, outcome in point_rows:
-                if k != key:
-                    continue
-                res = outcome[name]
-                if res["error"] is not None:
-                    failures.append({"track": track_idx, "error": res["error"]})
-                else:
-                    omats.append(res["omat"])
-                    times.append(res["step_time"])
-            per_variant[name] = {
-                "label": LABELS[name],
-                "tracks": len(omats),
-                "avg_omat": float(np.mean(omats)) if omats else None,
-                "time_per_step": float(np.mean(times)) if times else None,
-                "failures": failures,
-            }
-        summary["points"].append({**key, "variants": per_variant})
+            ran = {name: [] for name in spec.variants}
+            failures = {name: [] for name in spec.variants}
+            for track_idx, outcome in enumerate(outcomes):
+                for name in spec.variants:
+                    res = outcome[name]
+                    if res["error"] is not None:
+                        failures[name].append({"track": track_idx, "error": res["error"]})
+                        continue
+                    ran[name].append(res)
+                    for t, (o, sec) in enumerate(
+                        zip(res["omat"], res["step_time"]), start=1
+                    ):
+                        ws.writerow(prefix + [name, track_idx, t, repr(float(o))])
+                        wt.writerow(prefix + [name, track_idx, t, repr(float(sec))])
+            per_variant = {}
+            for name, runs in ran.items():
+                omats = [res["omat"] for res in runs]
+                times = [res["step_time"] for res in runs]
+                per_variant[name] = {
+                    "label": LABELS[name],
+                    "tracks": len(runs),
+                    "avg_omat": float(np.mean(omats)) if runs else None,
+                    "time_per_step": float(np.mean(times)) if runs else None,
+                    "failures": failures[name],
+                }
+            summary["points"].append({**key, "variants": per_variant})
 
     summary_json = out_dir / "summary.json"
     with open(summary_json, "w") as fh:

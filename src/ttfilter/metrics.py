@@ -17,16 +17,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import F_SINGLE, MeasurementModel, SensorGrid, Trajectory, expected_signal
+from .model import F_SINGLE, Trajectory
+from .nll import _misfit
 
 if TYPE_CHECKING:  # tracker imports this module
     from .tracker import FilterContext
-
-# Target sets per block of the particle filter's likelihood: 2048 x 25
-# sensors keeps each (B, S) temporary at 400 kB.  At 10^5 particles this
-# cut the weighting from about 55 to 34 ms a step against one whole-cloud
-# pass (one core).
-PARTICLE_BLOCK = 2048
 
 # Systematic resampling runs when the effective sample size falls below this
 # share of the particles.
@@ -109,8 +104,8 @@ def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n), np.array(col4row, dtype=np.intp)
 
 
-def omat(estimates: np.ndarray, truths: np.ndarray, order: float = 1.0) -> OmatResult:
-    """OMAT metric of the given order (default 1: mean matched distance)."""
+def omat(estimates: np.ndarray, truths: np.ndarray) -> OmatResult:
+    """OMAT metric of order 1: the mean matched distance."""
     est = np.asarray(estimates, dtype=float).reshape(-1, 2)
     tru = np.asarray(truths, dtype=float).reshape(-1, 2)
     if est.shape != tru.shape:
@@ -118,8 +113,8 @@ def omat(estimates: np.ndarray, truths: np.ndarray, order: float = 1.0) -> OmatR
             f"cardinality mismatch: {est.shape[0]} estimates vs {tru.shape[0]} truths"
         )
     dist = np.linalg.norm(est[:, None, :] - tru[None, :, :], axis=2)
-    rows, cols = _linear_sum_assignment(dist**order)
-    value = float((dist[rows, cols] ** order).mean() ** (1.0 / order))
+    rows, cols = _linear_sum_assignment(dist)
+    value = float(dist[rows, cols].mean())
     return OmatResult(value=value, assignment=cols)
 
 
@@ -143,19 +138,6 @@ class TrackRecord:
     statistic: np.ndarray  # (T,), NaN where not applicable
     consistent: np.ndarray  # (T,) bool
     actions: list[tuple[str, ...]] = field(default_factory=list)
-
-    @property
-    def n_steps(self) -> int:
-        return self.omat.shape[0]
-
-    def summary(self) -> dict:
-        return {
-            "label": self.label,
-            "steps": int(self.n_steps),
-            "avg_omat": float(self.omat.mean()),
-            "final_omat": float(self.omat[-1]),
-            "time_per_step": float(self.step_time.mean()),
-        }
 
 
 @dataclass(frozen=True)
@@ -197,28 +179,6 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(mat)
         return vecs * np.sqrt(np.maximum(vals, 0.0))
-
-
-def _misfit(
-    positions: np.ndarray,
-    frame: np.ndarray,
-    grid: SensorGrid,
-    meas: MeasurementModel,
-    sig2: np.ndarray,
-) -> np.ndarray:
-    """sum_s (alpha_s - a_s)^2 / sigma_s^2 for each target set of (N, C, 2).
-
-    The cloud is evaluated in blocks of ``PARTICLE_BLOCK`` target sets, so
-    each block's (B, S) temporaries stay in the L2 cache instead of
-    streaming several (N, S) arrays through memory; each row is computed
-    by the same operations as in one whole-cloud pass, so the result is
-    the same to the last bit.
-    """
-    out = np.empty(positions.shape[0])
-    for lo in range(0, positions.shape[0], PARTICLE_BLOCK):
-        resid = expected_signal(positions[lo : lo + PARTICLE_BLOCK], grid, meas) - frame
-        out[lo : lo + PARTICLE_BLOCK] = np.einsum("ns,ns->n", resid, resid / sig2)
-    return out
 
 
 def bpf_track(

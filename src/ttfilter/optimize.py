@@ -32,8 +32,8 @@ Gauss-Newton matrix (``NllReport.gauss_newton``; only
 precision), the first ``WARMUP_ITERATIONS`` directions come from it.  It is
 positive definite, so those directions need no Levenberg shift search, and
 the residual-curvature part of the exact Hessian is not built for them.
-Later directions use the exact Hessian, and ``OptimizeResult.hess`` is
-always the exact Hessian at the final iterate, also when the fit converges
+Later directions use the exact Hessian, and ``OptimizeResult.report.hess``
+is always the exact Hessian at the final iterate, also when the fit converges
 during the warm-up; it is built when first read.  An objective without
 that matrix (the measurement-only recovery and initial fits) runs exact
 Newton from the first iteration: warming those up as well raised the
@@ -90,7 +90,7 @@ The stopping rules (the Cartesian projected gradient, and the decrement,
 which is the same number in either coordinates), the Armijo test on the
 trial's Cartesian move, the warm-up, the iterates on a bound, the
 steepest-descent fallback and the exact Cartesian Hessian handed on in
-``OptimizeResult.hess`` stay as they are, and an iteration with no frame
+``OptimizeResult.report`` stay as they are, and an iteration with no frame
 is the Cartesian one bit for bit.  From the same 2,880 priors of a
 seed-7 ``acceptance`` round the chart took the main fit from 29,146 to
 20,928 iterations (per-fit p99 51 -> 18, maximum 200 -> 31) and reached the
@@ -150,11 +150,6 @@ class BoxConstraints:
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
-        )
-
 
 def box_from_grid(grid: SensorGrid, n_targets: int) -> BoxConstraints:
     """Search box: grid extent padded by one grid spacing."""
@@ -198,16 +193,6 @@ class OptimizeResult:
     iterations: int
     converged: bool
     active_set: np.ndarray  # indices of coordinates sitting on a bound
-
-    @property
-    def hess(self) -> np.ndarray:
-        """The objective's exact Hessian at x, built when first read.
-
-        The step reads the main fit's (through ``report``, in
-        ``hessfix.repair_hessian``); the recovery and first-frame fits never
-        build it.
-        """
-        return self.report.hess
 
 
 def _factor_solve(shifted: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:

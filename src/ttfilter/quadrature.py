@@ -89,7 +89,6 @@ class DirectionSet:
     """
 
     directions: np.ndarray  # (J, d)
-    area_weight: float
 
     @property
     def count(self) -> int:
@@ -104,11 +103,7 @@ def simplex_directions(dim: int) -> DirectionSet:
     q = (math.sqrt(dim + 1.0) - 1.0) / dim
     rows += [eye[j] + q for j in range(dim)]
     rows += [-(eye[j] + q) for j in range(dim)]
-    directions = np.asarray(rows) / math.sqrt(2.0)
-    area = (2.0 * math.pi) ** (dim / 2.0) / (
-        math.gamma(dim / 2.0) * dim * (dim + 1.0)
-    )
-    return DirectionSet(directions=directions, area_weight=area)
+    return DirectionSet(directions=np.asarray(rows) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

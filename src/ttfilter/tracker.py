@@ -237,20 +237,29 @@ def _in_prior_labels(x: np.ndarray, prior_x: np.ndarray) -> np.ndarray:
 
 
 def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepOutput:
-    """Advance the belief by one measurement frame."""
+    """Advance the belief by one measurement frame.
+
+    A belief or frame of the wrong shape for ``ctx.scenario`` is the
+    caller's mistake and raises ``ConfigurationError``.
+    """
     tic = time.perf_counter()
     cfg = ctx.config
     grid, meas = ctx.scenario.grid, ctx.meas
     actions: list[str] = []
+    if belief.n_targets != ctx.scenario.n_targets:
+        raise ConfigurationError(
+            f"belief has {belief.n_targets} targets (mean {belief.mean.shape}), "
+            f"the scenario {ctx.scenario.n_targets}"
+        )
 
     prior = propagate_prior(belief, ctx.noise)
     frame = np.asarray(frame, dtype=float)
+    objective = combined_objective(frame, grid, meas, prior)  # checks the shape
     non_finite = np.flatnonzero(~np.isfinite(frame))
 
     try:
         if non_finite.size:  # no fit can explain a NaN or infinite reading
             raise NumericalError(f"non-finite frame: sensors {non_finite.tolist()}")
-        objective = combined_objective(frame, grid, meas, prior)
         res = minimize(objective, prior.mean_x, ctx.box, cfg.optimizer, chart=ctx.chart)
         if not res.converged:
             actions.append(f"unconverged:main[{res.iterations}]")

@@ -94,7 +94,7 @@ def indefinite_interior_step():
                     fit = fits[0]
                     if (
                         fit.converged and fit.active_set.size == 0
-                        and np.linalg.eigvalsh(fit.hess).min() < 0.0
+                        and np.linalg.eigvalsh(fit.report.hess).min() < 0.0
                     ):
                         return out, fit
                     belief = out.posterior

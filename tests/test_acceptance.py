@@ -26,7 +26,7 @@ from ttfilter.model import (
 from ttfilter.nll import (
     FilterNoiseModel,
     GaussianBelief,
-    combined_nll,
+    combined_objective,
     propagate_prior,
 )
 from ttfilter.quadrature import (
@@ -168,11 +168,10 @@ def test_criterion_4_derivatives_match_finite_differences():
         )
         prior = propagate_prior(belief, FilterNoiseModel())
         x = rng.uniform(0.0, 40.0, size=8)
-        rep = combined_nll(x, frame, grid, meas, prior)
-        fd_g = fd_gradient(lambda z: combined_nll(z, frame, grid, meas, prior).value, x)
-        fd_h = fd_hessian_from_grad(
-            lambda z: combined_nll(z, frame, grid, meas, prior).grad, x
-        )
+        objective = combined_objective(frame, grid, meas, prior)
+        rep = objective(x)
+        fd_g = fd_gradient(lambda z: objective(z).value, x)
+        fd_h = fd_hessian_from_grad(lambda z: objective(z).grad, x)
         worst_grad = max(worst_grad, np.linalg.norm(rep.grad - fd_g) / np.linalg.norm(fd_g))
         worst_hess = max(worst_hess, np.linalg.norm(rep.hess - fd_h) / np.linalg.norm(fd_h))
     assert worst_grad < 1e-5

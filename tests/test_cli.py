@@ -35,7 +35,7 @@ def test_simulate_same_seed_identical_files(tmp_path):
     assert (a / "frames.csv").read_bytes() == (b / "frames.csv").read_bytes()
 
 
-def test_seed_resolution_order(tmp_path, capsys, monkeypatch):
+def test_seed_resolution_order(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": {"seed": 3}}))
 
@@ -47,20 +47,8 @@ def test_seed_resolution_order(tmp_path, capsys, monkeypatch):
           "--config", str(cfg)])
     assert "seed 3" in capsys.readouterr().out
 
-    monkeypatch.setenv("TT_SEED", "11")
     main(["simulate", "--out", str(tmp_path / "o3"), "--steps", "1"])
-    assert "seed 11" in capsys.readouterr().out
-
-    monkeypatch.delenv("TT_SEED")
-    main(["simulate", "--out", str(tmp_path / "o4"), "--steps", "1"])
     assert "seed 0" in capsys.readouterr().out
-
-
-def test_bad_tt_seed_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TT_SEED", "lots")
-    code = main(["simulate", "--out", str(tmp_path / "o"), "--steps", "1"])
-    assert code == 2
-    assert "TT_SEED" in capsys.readouterr().err
 
 
 def test_missing_config_gives_io_exit(tmp_path, capsys):
@@ -188,30 +176,26 @@ def test_removed_bounds_policy_gives_config_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, env, text, named",
+    "argv, text, named",
     [
-        (["simulate", "--seed", "-1"], None, None, "-1"),
-        (["track", "--seed", "-5"], None, None, "-5"),
-        (["simulate"], "-2", None, "-2"),
-        (["track"], None, '{"experiment": {"seed": -3}}', "-3"),
-        (["simulate", "--steps", "-3"], None, None, "-3"),
-        (["simulate", "--steps", "0"], None, None, "0"),
-        (["track", "--steps", "0"], None, None, "0"),
-        (["track", "--tracks", "-1"], None, None, "-1"),
+        (["simulate", "--seed", "-1"], None, "-1"),
+        (["track", "--seed", "-5"], None, "-5"),
+        (["track"], '{"experiment": {"seed": -3}}', "-3"),
+        (["simulate", "--steps", "-3"], None, "-3"),
+        (["simulate", "--steps", "0"], None, "0"),
+        (["track", "--steps", "0"], None, "0"),
+        (["track", "--tracks", "-1"], None, "-1"),
     ],
     ids=[
-        "simulate-seed-flag", "track-seed-flag", "TT_SEED", "config-seed",
+        "simulate-seed-flag", "track-seed-flag", "config-seed",
         "simulate-negative-steps", "simulate-zero-steps", "track-zero-steps",
         "track-negative-tracks",
     ],
 )
 def test_negative_seed_or_step_count_gives_config_exit(
-    tmp_path, capsys, monkeypatch, argv, env, text, named
+    tmp_path, capsys, argv, text, named
 ):
     # exit 2 naming the value, not a numpy traceback or empty output files
-    monkeypatch.delenv("TT_SEED", raising=False)
-    if env is not None:
-        monkeypatch.setenv("TT_SEED", env)
     out = tmp_path / "run"
     argv = [*argv, "--out", str(out)]
     if text is not None:

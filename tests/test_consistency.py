@@ -18,7 +18,6 @@ from ttfilter.consistency import (
     N_BAD_TARGETS,
     P_VALUE,
     chi2_threshold,
-    consistency_statistic,
     excess_deficit,
     gate_threshold,
     is_consistent,
@@ -129,8 +128,8 @@ def test_statistic_scales_quadratically(grid55, meas_default, rng):
     pos = rng.uniform(5.0, 35.0, size=(4, 2))
     alpha = expected_signal(pos, grid55, meas_default)
     noise = 0.05 * rng.standard_normal(25)
-    s1 = consistency_statistic(pos.ravel(), alpha + noise, grid55, meas_default)
-    s3 = consistency_statistic(pos.ravel(), alpha + 3.0 * noise, grid55, meas_default)
+    s1 = is_consistent(pos.ravel(), alpha + noise, grid55, meas_default)[1]
+    s3 = is_consistent(pos.ravel(), alpha + 3.0 * noise, grid55, meas_default)[1]
     assert s3 == pytest.approx(9.0 * s1, rel=1e-10)
 
 
@@ -142,7 +141,7 @@ def test_rejection_rate_matches_p_value(grid55, meas_default, rng):
     resid = np.sqrt(sig2) * rng.standard_normal((n, 25))
     stats = (resid**2).sum(axis=1) / sig2
     # the closed form above equals the statistic computed through the NLL
-    spot = consistency_statistic(pos.ravel(), alpha + resid[0], grid55, meas_default)
+    spot = is_consistent(pos.ravel(), alpha + resid[0], grid55, meas_default)[1]
     assert spot == pytest.approx(stats[0], rel=1e-9)
     p = P_VALUE
     rate = np.mean(stats > gate_threshold(grid55))

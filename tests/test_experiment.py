@@ -118,6 +118,33 @@ def test_summary_matches_per_step_csv(tmp_path):
         assert got == pytest.approx(np.mean(vals), abs=1e-9)
 
 
+def test_summary_counts_a_failed_track_at_its_own_point(tmp_path, monkeypatch):
+    # a raising track is listed under its point and variant, and left out of
+    # that point's rows and average; every other point and variant is whole
+    real_track = experiment.track
+
+    def flaky(trajectory, ctx, ss, label):
+        if ss.entropy[1] == 1 and label == "tt-linear" and ctx.config.alpha == 2.0:
+            raise RuntimeError("boom")
+        return real_track(trajectory, ctx, ss, label=label)
+
+    monkeypatch.setattr(experiment, "track", flaky)
+    spec = small_spec(variants=("tt-nonlinear", "tt-linear"), tracks=2, steps=2,
+                      sweep_axis="alpha", sweep_values=(2.0, 3.0))
+    result = run_experiment(spec, tmp_path / "out")
+    rows = read_rows(result.steps_csv)
+    for point in result.summary["points"]:
+        for name, res in point["variants"].items():
+            failed = name == "tt-linear" and point["alpha"] == 2.0
+            assert res["failures"] == ([{"track": 1, "error": "RuntimeError('boom')"}]
+                                       if failed else [])
+            assert res["tracks"] == 2 - failed
+            vals = [float(r["omat"]) for r in rows
+                    if r["variant"] == name and float(r["alpha"]) == point["alpha"]]
+            assert len(vals) == 2 * res["tracks"]
+            assert res["avg_omat"] == pytest.approx(np.mean(vals), abs=1e-9)
+
+
 def test_summary_point_keys(tmp_path):
     spec = small_spec()
     result = run_experiment(spec, tmp_path / "out")

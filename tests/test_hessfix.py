@@ -12,7 +12,7 @@ from ttfilter.nll import (
     FilterNoiseModel,
     GaussianBelief,
     NllReport,
-    combined_nll,
+    combined_objective,
     propagate_prior,
 )
 
@@ -35,7 +35,7 @@ def indefinite_fit(indefinite_interior_step):
 def test_pd_hessian_returned_unchanged(grid55, meas_default, rng):
     x = rng.uniform(8.0, 32.0, size=4)
     frame = expected_signal(x, grid55, meas_default)
-    report = combined_nll(x, frame, grid55, meas_default, prior_at(x))
+    report = combined_objective(frame, grid55, meas_default, prior_at(x))(x)
     fix = repair_hessian(report)
     assert not fix.gauss_newton and fix.exclusions == ()
     assert fix.chol.tobytes() == np.linalg.cholesky(report.hess).tobytes()
@@ -43,7 +43,7 @@ def test_pd_hessian_returned_unchanged(grid55, meas_default, rng):
 
 def test_indefinite_fixture_is_actually_indefinite(indefinite_fit):
     assert indefinite_fit.converged and indefinite_fit.active_set.size == 0
-    assert np.linalg.eigvalsh(indefinite_fit.hess).min() < -1.0
+    assert np.linalg.eigvalsh(indefinite_fit.report.hess).min() < -1.0
 
 
 def test_repair_restores_positive_definiteness(indefinite_fit):

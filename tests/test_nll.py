@@ -18,11 +18,12 @@ from ttfilter.model import (
     expected_signal,
 )
 from ttfilter.nll import (
+    _PARTICLE_BLOCK,
     FilterNoiseModel,
     GaussianBelief,
     NllReport,
     PropagatedPrior,
-    combined_nll,
+    _misfit,
     combined_objective,
     combined_value_batch,
     measurement_nll,
@@ -33,7 +34,7 @@ from ttfilter.nll import (
 )
 from ttfilter.optimize import box_from_grid, minimize
 
-from conftest import fd_gradient, fd_hessian_from_grad, random_spd
+from conftest import benchmark_scenario, fd_gradient, fd_hessian_from_grad, random_spd
 
 
 def random_prior(c: int, rng: np.random.Generator) -> PropagatedPrior:
@@ -117,13 +118,14 @@ def test_sensor_subset_restricts_sum(grid55, meas_default, rng):
     x = rng.uniform(5.0, 35.0, size=8)
     frame = rng.uniform(0.5, 4.0, size=25)
     subset = np.array([0, 3, 17])
-    rep = measurement_nll(x, frame, grid55, meas_default, subset)
+    rep = measurement_objective(frame, grid55, meas_default, subset)(x)
     manual = 0.0
     alpha = expected_signal(x, grid55, meas_default)
     for s in subset:
         manual += (alpha[s] - frame[s]) ** 2 / (2.0 * 0.01)
     assert rep.value == pytest.approx(manual, rel=1e-12)
-    empty = measurement_nll(x, frame, grid55, meas_default, np.array([], dtype=int))
+    none = np.array([], dtype=int)
+    empty = measurement_objective(frame, grid55, meas_default, none)(x)
     assert empty.value == 0.0
     np.testing.assert_array_equal(empty.grad, np.zeros(8))
 
@@ -255,7 +257,7 @@ NO_SENSORS = SensorGrid(positions=np.empty((0, 2)), rows=0, cols=0, spacing=10.0
 
 def prior_term(x: np.ndarray, prior: PropagatedPrior) -> NllReport:
     """The prior term alone: the combined objective over no sensors."""
-    return combined_nll(x, np.zeros(0), NO_SENSORS, MeasurementModel(), prior)
+    return combined_objective(np.zeros(0), NO_SENSORS, MeasurementModel(), prior)(x)
 
 
 def test_prior_nll_minimum_at_mean(rng):
@@ -283,7 +285,7 @@ def test_combined_is_exact_sum(grid55, meas_default, rng):
     prior = random_prior(4, rng)
     x = rng.uniform(5.0, 35.0, size=8)
     frame = rng.uniform(0.5, 4.0, size=25)
-    total = combined_nll(x, frame, grid55, meas_default, prior)
+    total = combined_objective(frame, grid55, meas_default, prior)(x)
     m = measurement_nll(x, frame, grid55, meas_default)
     p = reference_prior_nll(x, prior)
     assert total.value == m.value + p.value
@@ -294,7 +296,7 @@ def test_combined_is_exact_sum(grid55, meas_default, rng):
 def test_combined_empty_sensor_set_is_prior_only(meas_default, rng):
     prior = random_prior(4, rng)
     x = rng.uniform(5.0, 35.0, size=8)
-    rep = combined_nll(x, np.zeros(0), NO_SENSORS, meas_default, prior)
+    rep = combined_objective(np.zeros(0), NO_SENSORS, meas_default, prior)(x)
     p = reference_prior_nll(x, prior)
     assert rep.value == p.value
     np.testing.assert_array_equal(rep.grad, p.grad)
@@ -368,16 +370,16 @@ def test_lazy_derivatives_equal_eager_ones_bit_for_bit(grid55, meas_default, sen
         meas = eager_measurement_nll(x, frame, grid55, meas_default, sensors)
         every = eager_measurement_nll(x, frame, grid55, meas_default)
         pri = reference_prior_nll(x, prior)
-        lazy_m = measurement_nll(x, frame, grid55, meas_default, sensors)
-        lazy_c = combined_nll(x, frame, grid55, meas_default, prior)
+        lazy_m = measurement_objective(frame, grid55, meas_default, sensors)(x)
+        lazy_c = combined_objective(frame, grid55, meas_default, prior)(x)
         assert lazy_m.value == meas.value
         assert lazy_c.value == every.value + pri.value
         # the derivatives do not depend on which of them is read first: a
         # second report read in the other order gives the same bytes
         if trial % 2:
             _ = (lazy_m.hess, lazy_c.hess)
-        other_m = measurement_nll(x, frame, grid55, meas_default, sensors)
-        other_c = combined_nll(x, frame, grid55, meas_default, prior)
+        other_m = measurement_objective(frame, grid55, meas_default, sensors)(x)
+        other_c = combined_objective(frame, grid55, meas_default, prior)(x)
         if not trial % 2:
             _ = (other_m.hess, other_c.hess)
         for lazy, other, eager in [
@@ -500,11 +502,12 @@ def test_per_fit_objectives_equal_the_per_call_kernel_bit_for_bit(
             (c.hess, c_ref[3]),
         ]:
             assert_close_to_reference(got, want)
-        # the per-call objectives give the per-fit ones' bytes
-        for got, want in [
-            (m.grad, measurement_nll(x, frame, grid55, meas_default, sensors).grad),
-            (c.hess, combined_nll(x, frame, grid55, meas_default, prior).hess),
-        ]:
+        # a fresh objective, and the gate's point evaluation over every
+        # sensor, give the reused objectives' bytes
+        fresh = [(c.hess, combined_objective(frame, grid55, meas_default, prior)(x).hess)]
+        if sensors is None:
+            fresh.append((m.grad, measurement_nll(x, frame, grid55, meas_default).grad))
+        for got, want in fresh:
             assert got.tobytes() == want.tobytes()
 
 
@@ -599,7 +602,8 @@ def test_grad_and_gauss_newton_build_no_residual_curvature(
     rng = np.random.default_rng(5)
     prior = random_prior(4, rng)
     x = rng.uniform(2.0, 38.0, size=8)
-    rep = combined_nll(x, rng.uniform(0.5, 4.0, size=25), grid55, meas_default, prior)
+    frame = rng.uniform(0.5, 4.0, size=25)
+    rep = combined_objective(frame, grid55, meas_default, prior)(x)
     _ = (rep.grad, rep.gauss_newton)
     assert built == []
     _ = rep.hess
@@ -613,13 +617,10 @@ def test_combined_derivatives_match_fd(grid55, meas_default):
         for _ in range(10):
             x = rng.uniform(2.0, 38.0, size=8)
             frame = rng.uniform(0.5, 4.0, size=25)
-            rep = combined_nll(x, frame, grid55, meas, prior)
-            fd_g = fd_gradient(
-                lambda z: combined_nll(z, frame, grid55, meas, prior).value, x
-            )
-            fd_h = fd_hessian_from_grad(
-                lambda z: combined_nll(z, frame, grid55, meas, prior).grad, x
-            )
+            objective = combined_objective(frame, grid55, meas, prior)
+            rep = objective(x)
+            fd_g = fd_gradient(lambda z: objective(z).value, x)
+            fd_h = fd_hessian_from_grad(lambda z: objective(z).grad, x)
             np.testing.assert_allclose(rep.grad, fd_g, rtol=1e-5, atol=1e-6)
             np.testing.assert_allclose(rep.hess, fd_h, rtol=1e-4, atol=1e-5)
 
@@ -629,10 +630,33 @@ def test_combined_value_batch_agrees(grid55, meas_default, rng):
     frame = rng.uniform(0.5, 4.0, size=25)
     pts = rng.uniform(2.0, 38.0, size=(30, 8))
     batch = combined_value_batch(pts, frame, grid55, meas_default, prior)
-    single = [
-        combined_nll(p, frame, grid55, meas_default, prior).value for p in pts
-    ]
+    objective = combined_objective(frame, grid55, meas_default, prior)
+    single = [objective(p).value for p in pts]
     np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+
+def test_blocked_cloud_misfit_equals_the_whole_cloud_pass_bit_for_bit():
+    # the misfit kernel (the particle filter's weights, the cubature's
+    # values) runs in blocks of _PARTICLE_BLOCK target sets; every row must
+    # come out as one whole-cloud pass gives it
+    scn = benchmark_scenario(sigma_s2=0.1)
+    grid, meas = scn.grid, scn.meas
+    sig2 = meas.noise_variances(grid.count)
+    rng = np.random.default_rng(31)
+    frame = rng.uniform(0.0, 5.0, size=grid.count)
+    for n in (1, _PARTICLE_BLOCK, 2 * _PARTICLE_BLOCK + 17):
+        cloud = rng.uniform(-10.0, 50.0, size=(n, 4, 4))
+        cloud[0, 0, :2] = grid.positions[7]  # a target on a sensor
+        positions = cloud[:, :, :2]  # the strided view bpf_track passes
+        whole_signal = expected_signal(positions, grid, meas)
+        resid = whole_signal - frame
+        whole = np.einsum("ns,ns->n", resid, resid / sig2)
+        assert _misfit(positions, frame, grid, meas, sig2).tobytes() == whole.tobytes()
+        blocks = [
+            expected_signal(positions[lo : lo + _PARTICLE_BLOCK], grid, meas)
+            for lo in range(0, n, _PARTICLE_BLOCK)
+        ]
+        assert np.concatenate(blocks).tobytes() == whole_signal.tobytes()
 
 
 def test_belief_validation():

@@ -116,12 +116,6 @@ def test_directions_second_moment_identity():
         np.testing.assert_allclose(th.T @ th, scale * np.eye(dim), atol=1e-10)
 
 
-def test_directions_area_weight():
-    dirs = simplex_directions(8)
-    expect = (2.0 * math.pi) ** 4.0 / (math.gamma(4.0) * 8.0 * 9.0)
-    assert dirs.area_weight == pytest.approx(expect, rel=1e-14)
-
-
 @pytest.fixture(scope="module")
 def rule8():
     return radial_rule(8)

@@ -41,9 +41,8 @@ def _read_through_the_cli(cfg: dict) -> dict:
     }
 
 
-def test_configuration_block_is_what_an_empty_config_gives(monkeypatch):
+def test_configuration_block_is_what_an_empty_config_gives():
     # the block restates the dataclass defaults; it must not drift from them
-    monkeypatch.delenv("TT_SEED", raising=False)
     section = README.read_text().split("## Configuration", 1)[1]
     block = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
     assert set(block) == {"scenario", "filter", "bpf", "experiment"}

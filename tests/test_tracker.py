@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ttfilter import consistency, tracker
-from ttfilter.consistency import consistency_statistic, gate_threshold
+from ttfilter.consistency import gate_threshold, is_consistent
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import (
     DEFAULT_TARGETS,
@@ -24,7 +24,6 @@ from ttfilter.nll import (
     FilterNoiseModel,
     GaussianBelief,
     NllReport,
-    combined_nll,
     combined_objective,
     combined_value_batch,
     propagate_prior,
@@ -107,7 +106,7 @@ def test_init_fixed_center_refines_with_frame(grid55):
     before = measurement_nll(blind.mean_x, frame, grid55, meas).value
     after = measurement_nll(fitted.mean_x, frame, grid55, meas).value
     assert after < before
-    assert box.contains(fitted.mean_x)
+    assert np.array_equal(box.clip(fitted.mean_x), fitted.mean_x)
     np.testing.assert_array_equal(fitted.mean_v, np.zeros(8))
 
 
@@ -275,6 +274,29 @@ def test_step_non_finite_frame_falls_back_without_fitting(monkeypatch, bad):
     assert not out.consistent and np.isnan(out.statistic)
 
 
+@pytest.mark.parametrize("shape", [(24,), (26,), (5, 5)], ids=["24", "26", "5x5"])
+def test_step_rejects_a_frame_of_the_wrong_shape(shape):
+    # a caller's mistake, not a numerical failure: no fallback to the prior,
+    # and a NaN reading does not turn it into one
+    scn = benchmark_scenario()
+    ctx = make_context(scn, FilterConfig())
+    belief = tight_belief(scn.initial_states)
+    for fill in (1.0, np.nan):
+        with pytest.raises(ConfigurationError) as err:
+            step(belief, np.full(shape, fill), ctx)
+        assert str(err.value) == f"frame has shape {shape}, the grid needs (25,)"
+
+
+def test_step_rejects_a_belief_over_another_target_count():
+    scn = benchmark_scenario()
+    ctx = make_context(scn, FilterConfig())
+    frame = expected_signal(scn.initial_states[:, :2], scn.grid, scn.meas)
+    belief = tight_belief(scn.initial_states[:3])
+    with pytest.raises(ConfigurationError) as err:
+        step(belief, frame, ctx)
+    assert str(err.value) == "belief has 3 targets (mean (12,)), the scenario 4"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fixed_init_track_survives_non_finite_first_frame(bad):
     # the blind start skips its refit on a frame it cannot fit; only that
@@ -362,12 +384,12 @@ def test_step_recovery_engages_and_never_worsens_statistic():
 
     prior = propagate_prior(belief, ctx.noise)
     direct = minimize(
-        lambda x: combined_nll(x, frame, scn.grid, ctx.meas, prior),
+        combined_objective(frame, scn.grid, ctx.meas, prior),
         prior.mean_x,
         ctx.box,
         ctx.config.optimizer,
     )
-    stat0 = consistency_statistic(direct.x, frame, scn.grid, ctx.meas)
+    stat0 = is_consistent(direct.x, frame, scn.grid, ctx.meas)[1]
     assert stat0 > gate_threshold(scn.grid)
 
     out = step(belief, frame, ctx)
@@ -481,7 +503,7 @@ def test_step_repairs_hessian_after_main_fit_ends_on_a_bound(monkeypatch):
     # 0.1 m spread of a signal peak.
     out, fit = step_with_spied_main_fit(monkeypatch, 0.1, [3, 18], 11)
     assert fit.converged and 0 in fit.active_set
-    assert np.linalg.eigvalsh(fit.hess).min() < 0.0
+    assert np.linalg.eigvalsh(fit.report.hess).min() < 0.0
     assert_repaired_without_fallback(out)
     sd = np.sqrt(np.diag(out.posterior.cov_xx))
     assert sd[0] >= 1.0
@@ -495,7 +517,7 @@ def test_step_repairs_hessian_after_interior_fit_near_a_sensor(indefinite_interi
     # indefinite although no Newton step is left to take
     out, fit = indefinite_interior_step
     assert fit.converged and fit.active_set.size == 0
-    assert np.linalg.eigvalsh(fit.hess).min() < 0.0
+    assert np.linalg.eigvalsh(fit.report.hess).min() < 0.0
     assert_repaired_without_fallback(out)
     np.testing.assert_array_equal(out.x_ml, fit.x)
 
@@ -541,17 +563,14 @@ def test_step_posterior_is_its_blocks_rejoined_on_acceptance_tracks():
             belief = post
 
 
-def test_track_single_step_and_summary():
+def test_track_single_step():
     scn = benchmark_scenario()
     ctx = make_context(scn, FilterConfig())
     traj = simulate(scn, 1, np.random.default_rng(11))
     rec = track(traj, ctx, np.random.default_rng(12), label="tt")
     assert rec.estimates.shape == (1, 4, 2)
     assert rec.omat.shape == (1,)
-    s = rec.summary()
-    assert s["steps"] == 1
-    assert s["avg_omat"] == pytest.approx(rec.omat[0])
-    assert s["label"] == "tt"
+    assert rec.label == "tt"
 
 
 def test_track_same_seed_is_reproducible():
