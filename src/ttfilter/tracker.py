@@ -7,12 +7,12 @@ sensor in the same polar chart the cubature uses, ``FilterContext.chart``
 deciding which targets at each iterate; a fit that stops short of
 convergence is recorded as ``unconverged:main[iterations]``), gate
 the fit with the chi-square consistency test at ``consistency.gate_threshold``
-(escalating through one-by-one sensor re-acquisition and square hopping when
-it fails, an adopted refit put back into the prior's target labels and gated
-again at that threshold), factor the Hessian at the gated estimate (the
-Gauss-Newton matrix stands in where the Hessian is not positive definite,
-recorded as ``hessfix:gauss-newton``), spread sigma points on the combined
-NLL surface (in the polar chart about the
+(escalating through one-by-one re-acquisition from the frame and square
+hopping when it fails, an adopted refit put back into the prior's target
+labels and gated again at that threshold), factor the Hessian at the gated
+estimate (the Gauss-Newton matrix stands in where the Hessian is not
+positive definite, recorded as ``hessfix:gauss-newton``), spread sigma
+points on the combined NLL surface (in the polar chart about the
 sensor for each target that ``FilterContext.chart`` takes at the estimate,
 recorded as ``polar:c@s``), and read off posterior moments.  Prior and
 posterior are ``nll.GaussianBelief`` values, and a step's posterior is the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from ttfilter.consistency import (
     square_hopping_recovery,
 )
 from ttfilter.errors import ConfigurationError
+from ttfilter.metrics import omat
 from ttfilter.model import (
     DEFAULT_TARGETS,
     _pair_distances,
@@ -282,22 +284,56 @@ def test_excess_deficit_nonnegative_and_removal(grid55, meas_default, rng):
     np.testing.assert_allclose(ed.deficit, expect, rtol=1e-12)
 
 
-def test_one_by_one_recovers_from_belief_drift(grid55):
-    meas = MeasurementModel(sigma_s2=0.01)
-    truth = np.asarray(DEFAULT_TARGETS)[:, :2]
-    frame = expected_signal(truth, grid55, meas)
-    wrong = np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0)
-    prior = default_prior(wrong)
-    box = box_from_grid(grid55, n_targets=4)
-    res = one_by_one_recovery(frame, grid55, meas, prior, box)
-    stat = 2.0 * res.value
-    assert stat <= gate_threshold(grid55)
-    got = np.sort(res.x.reshape(-1, 2), axis=0)
-    want = np.sort(truth, axis=0)
-    np.testing.assert_allclose(got, want, atol=1e-3)
-    # the returned value is the full-sensor measurement fit at the estimate
+# noise-free frames at sigma^2 = 0.01 on which the fit from the peeled start
+# fails the gate (statistic 163.3 and 233.9): the ring sweep then finds the
+# first, and only the prior-mean sweep finds the second (ring 59.8)
+PEEL_MISSES_RING_FINDS = np.array([[33.0, 25.0], [20.0, 8.0], [26.0, 13.0], [28.0, 19.0]])
+PEEL_AND_RING_MISS = np.array([[29.0, 21.0], [32.0, 22.0], [6.0, 25.0], [8.0, 32.0]])
+TRUTH_3X6 = np.array([[13.0, 7.0], [38.0, 14.0]])  # two targets on a 3x6 grid
+
+
+def count_fits(monkeypatch) -> list:
+    """Record ``(start, result)`` of every fit one-by-one recovery makes."""
+    fits = []
+    minimize = consistency.minimize
+
+    def counting_minimize(fun, x0, box, options=None, **kwargs):
+        fits.append((np.array(x0), minimize(fun, x0, box, options, **kwargs)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(consistency, "minimize", counting_minimize)
+    return fits
+
+
+def drifted_recovery(truth, grid, meas):
+    """One-by-one recovery on the noise-free frame of ``truth`` with the
+    prior mean 5 m off it."""
+    prior = default_prior(np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0))
+    frame = expected_signal(truth, grid, meas)
+    box = box_from_grid(grid, n_targets=truth.shape[0])
+    return one_by_one_recovery(frame, grid, meas, prior, box), prior
+
+
+def relabel(x, truth):
+    est = x.reshape(-1, 2)
+    return est[omat(truth, est).assignment]
+
+
+def test_one_by_one_recovers_from_belief_drift(grid55, monkeypatch):
+    # from the neutral ring the sweep misses this frame (statistic 357.6), so
+    # sweeping from the ring, then the prior mean, took 20 fits; the fit from
+    # the peeled start finds it alone
     from ttfilter.nll import measurement_nll
 
+    fits = count_fits(monkeypatch)
+    meas = MeasurementModel(sigma_s2=0.01)
+    truth = np.asarray(DEFAULT_TARGETS)[:, :2]
+    res, _ = drifted_recovery(truth, grid55, meas)
+    assert len(fits) == 1 and res is fits[0][1]
+    assert 2.0 * res.value <= gate_threshold(grid55)
+    np.testing.assert_allclose(relabel(res.x, truth), truth, atol=1e-3)
+    # the returned value is the full-sensor measurement fit at the estimate
+    frame = expected_signal(truth, grid55, meas)
     assert res.value == pytest.approx(
         measurement_nll(res.x, frame, grid55, meas).value, rel=1e-12, abs=1e-12
     )
@@ -308,7 +344,7 @@ def test_one_by_one_builds_hessians_only_for_newton_directions(grid55, monkeypat
     # no caller reads it at a recovery fit's end, so none is built there
     # unless the fit's last direction, the one whose decrement stopped it,
     # needed it
-    from ttfilter import consistency, nll
+    from ttfilter import nll
 
     builds, fits, iterations, decrement_stops = [0], [0], [0], [0]
     build_hess = nll._MeasurementDerivatives.hess
@@ -332,51 +368,115 @@ def test_one_by_one_builds_hessians_only_for_newton_directions(grid55, monkeypat
     monkeypatch.setattr(nll._MeasurementDerivatives, "hess", counting_hess)
     monkeypatch.setattr(consistency, "minimize", counting_minimize)
     meas = MeasurementModel(sigma_s2=0.01)
-    truth = np.asarray(DEFAULT_TARGETS)[:, :2]
-    frame = expected_signal(truth, grid55, meas)
-    prior = default_prior(np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0))
-    one_by_one_recovery(frame, grid55, meas, prior, box_from_grid(grid55, 4))
-    assert fits[0] > 1 and decrement_stops[0] > 0
+    drifted_recovery(PEEL_MISSES_RING_FINDS, grid55, meas)
+    assert fits[0] == 11 and decrement_stops[0] > 0  # the peeled fit, then a sweep
     assert builds[0] == iterations[0] + decrement_stops[0]
 
 
-def test_one_by_one_sweeps_from_the_prior_only_when_the_neutral_start_fails(
-    grid55, monkeypatch
-):
+def test_one_by_one_tries_the_peel_then_the_ring_then_the_prior(grid55, monkeypatch):
     # a sweep is 10 stage fits on the 5x5 grid (the 16 boundary sensors, then
-    # the 9 others one at a time); the neutral ring sweeps first, and the
-    # prior mean sweeps only when the neutral result fails the gate
-    fits = []
-
-    def counting_minimize(fun, x0, box, options=None, **kwargs):
-        fits.append((np.array(x0), minimize(fun, x0, box, options, **kwargs)))
-        return fits[-1][1]
-
-    minimize = consistency.minimize
-    monkeypatch.setattr(consistency, "minimize", counting_minimize)
+    # the 9 others one at a time); it runs only when every earlier candidate
+    # failed the gate, so a call makes 1, 11 or 21 fits
+    fits = count_fits(monkeypatch)
     meas = MeasurementModel(sigma_s2=0.01)
-    box = box_from_grid(grid55, n_targets=4)
     thr = gate_threshold(grid55)
+    ring = consistency._center_ring(grid55, 4)
 
-    # the neutral sweep finds these targets, so its result is returned
+    def peel(truth):
+        return consistency._peel_start(expected_signal(truth, grid55, meas), grid55, meas, 4)
+
+    # the peeled fit passes: nothing else runs
     truth = np.array([[24.0, 13.0], [6.0, 5.0], [29.0, 32.0], [23.0, 27.0]])
-    prior = default_prior(np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0))
-    res = one_by_one_recovery(expected_signal(truth, grid55, meas), grid55, meas, prior, box)
+    res, _ = drifted_recovery(truth, grid55, meas)
+    assert len(fits) == 1 and res is fits[0][1]
+    np.testing.assert_array_equal(fits[0][0], peel(truth))
     assert 2.0 * res.value <= thr
-    assert len(fits) == 10
-    np.testing.assert_array_equal(fits[0][0], consistency._center_ring(grid55, 4))
-    assert res is fits[-1][1]
 
-    # from the ring the sweep misses the default targets; the prior-mean
-    # sweep runs, and the lower final value of the two is kept
+    # the peeled fit fails, the ring sweep passes and is returned
     fits.clear()
-    truth = np.asarray(DEFAULT_TARGETS)[:, :2]
-    prior = default_prior(np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0))
-    res = one_by_one_recovery(expected_signal(truth, grid55, meas), grid55, meas, prior, box)
-    assert 2.0 * fits[9][1].value > thr and 2.0 * res.value <= thr
-    assert len(fits) == 20
-    np.testing.assert_array_equal(fits[10][0], prior.mean_x)
-    assert res.value == min(fits[9][1].value, fits[19][1].value)
+    res, _ = drifted_recovery(PEEL_MISSES_RING_FINDS, grid55, meas)
+    assert len(fits) == 11 and res is fits[10][1]
+    np.testing.assert_array_equal(fits[0][0], peel(PEEL_MISSES_RING_FINDS))
+    np.testing.assert_array_equal(fits[1][0], ring)
+    assert 2.0 * fits[0][1].value > thr and 2.0 * res.value <= thr
+
+    # both fail, so the prior mean sweeps too
+    fits.clear()
+    res, prior = drifted_recovery(PEEL_AND_RING_MISS, grid55, meas)
+    assert len(fits) == 21
+    np.testing.assert_array_equal(fits[1][0], ring)
+    np.testing.assert_array_equal(fits[11][0], prior.mean_x)
+    assert 2.0 * fits[0][1].value > thr and 2.0 * fits[10][1].value > thr
+    assert 2.0 * res.value <= thr
+
+
+@pytest.mark.parametrize(
+    "truth, fifth, winner",
+    [
+        # statistics 672.8, 682.7 and 793.0: the peeled fit is kept
+        pytest.param(
+            [[19.0, 33.0], [7.0, 17.0], [21.0, 18.0], [24.0, 20.0]], [17.0, 27.0], 0,
+            id="peel-kept",
+        ),
+        # 5193.5, 6027.9 and 3433.0: the prior-mean sweep is kept
+        pytest.param(
+            [[8.0, 25.0], [9.0, 11.0], [20.0, 21.0], [19.0, 21.0]], [10.0, 30.0], 2,
+            id="prior-sweep-kept",
+        ),
+    ],
+)
+def test_one_by_one_returns_the_lowest_candidate_when_none_passes(
+    grid55, monkeypatch, truth, fifth, winner
+):
+    # a fifth target the four-target fit has no slot for, so the peeled fit
+    # and both sweeps fail the gate; the lowest of the three is returned
+    fits = count_fits(monkeypatch)
+    meas = MeasurementModel(sigma_s2=0.01)
+    truth = np.array(truth)
+    frame = expected_signal(np.vstack([truth, fifth]), grid55, meas)
+    box = box_from_grid(grid55, n_targets=4)
+    res = one_by_one_recovery(frame, grid55, meas, default_prior(truth), box)
+    assert len(fits) == 21
+    finals = [fits[0][1], fits[10][1], fits[20][1]]  # peel, ring sweep, prior sweep
+    assert all(2.0 * r.value > gate_threshold(grid55) for r in finals)
+    assert res is finals[winner]
+    assert res.value == min(r.value for r in finals)
+
+
+def peel_cases():
+    grid55, grid36, meas = build_grid(5, 5, 10.0), build_grid(3, 6, 10.0), MeasurementModel()
+    on_sensor = np.array([[20.0, 20.0], [31.0, 12.0]])  # target 0 on the center sensor
+    return [
+        pytest.param(grid55, np.zeros(25), 4, id="all-zero"),
+        pytest.param(grid55, -np.linspace(0.5, 3.0, 25), 4, id="all-negative"),
+        pytest.param(grid55, expected_signal(on_sensor, grid55, meas), 2, id="on-a-sensor"),
+        pytest.param(grid36, expected_signal(TRUTH_3X6, grid36, meas), 2, id="3x6"),
+    ]
+
+
+@pytest.mark.parametrize("grid, frame, n_targets", peel_cases())
+def test_peel_start_is_finite_inside_the_box_and_off_the_sensors(grid, frame, n_targets):
+    # a zero weight sum must not reach the centroid's division: pyproject
+    # turns RuntimeWarnings into errors, and this block turns every warning
+    meas = MeasurementModel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = consistency._peel_start(frame, grid, meas, n_targets)
+    box = box_from_grid(grid, n_targets)
+    assert start.shape == (2 * n_targets,) and np.isfinite(start).all()
+    np.testing.assert_array_equal(box.clip(start), start)
+    d = _pair_distances(start.reshape(-1, 2), grid.positions_t)[1].min(axis=1)
+    assert (d >= consistency.PEEL_STANDOFF * grid.spacing * (1.0 - 1e-12)).all()
+
+
+def test_peel_fit_passes_the_gate_on_a_non_square_grid(monkeypatch):
+    fits = count_fits(monkeypatch)
+    grid = build_grid(3, 6, 10.0)
+    meas = MeasurementModel(sigma_s2=0.01)
+    res, _ = drifted_recovery(TRUTH_3X6, grid, meas)
+    assert len(fits) == 1
+    assert 2.0 * res.value <= gate_threshold(grid)
+    np.testing.assert_allclose(relabel(res.x, TRUTH_3X6), TRUTH_3X6, atol=1e-3)
 
 
 def test_square_count_and_subset_cap(grid55):
