@@ -51,12 +51,16 @@ Levenberg shift there (see ``optimize.minimize``).  The exact Hessian is
 built only where it is read: for the later iterations, and at the final
 iterate, whose Hessian shapes the cubature; where that Hessian is not
 positive definite, the same Gauss-Newton matrix stands in for it
-(``hessfix``).  ``measurement_objective`` offers no such matrix, so the
-measurement-only fits (recovery and the fixed-center initial fit) run exact
-Newton throughout.  That split was measured: warming the measurement-only
-fits up as well made the ``acquire`` benchmark worse (square-hopping calls
-11 -> 64 and one-by-one calls 165 -> 218 per round, p99 47 -> 104 ms, avg
-OMAT 0.518 -> 0.533 m).
+(``hessfix``).  ``measurement_objective`` offers the measurement
+Gauss-Newton matrix Js Js^T only when asked (``warm_up``), and only
+one-by-one recovery's peeled fit asks: it starts from a reading of the frame
+about 3.8 m off the targets, where the exact Hessian is often indefinite, and
+on a seed-7 ``acquire`` benchmark round the warm-up took it from 3,377 to
+1,528 iterations over 163 fits, every one still passing the gate.  The
+blind fits (the fixed-center first-frame fit, the sensor-set sweeps and
+square hopping) run exact Newton throughout: warming the first-frame fit as
+well raised that round's first-frame iterations from 4,846 to 5,232 and its
+one-by-one calls from 163 to 208.
 """
 
 from __future__ import annotations
@@ -83,9 +87,11 @@ class NllReport:
     compute only the value at once.  A line-search trial that is rejected
     reads only the value, so it never builds a derivative.
 
-    ``gauss_newton``, when given, is a positive-definite stand-in for the
-    Hessian that is cheaper to build: only ``combined_objective`` offers one
-    (the Gauss-Newton matrix plus the prior precision).  It is None otherwise.
+    ``gauss_newton``, when given, is a positive-semidefinite stand-in for
+    the Hessian that is cheaper to build: ``combined_objective`` offers the
+    Gauss-Newton matrix plus the prior precision, which is positive
+    definite, and ``measurement_objective`` with ``warm_up`` the Gauss-Newton
+    matrix alone.  It is None otherwise.
     """
 
     __slots__ = ("value", "_grad", "_hess", "_gauss_newton")
@@ -95,7 +101,7 @@ class NllReport:
         value: float,
         grad: np.ndarray | Callable[[], np.ndarray],  # (n,)
         hess: np.ndarray | Callable[[], np.ndarray],  # (n, n), symmetric
-        gauss_newton: np.ndarray | Callable[[], np.ndarray] | None = None,  # PD
+        gauss_newton: np.ndarray | Callable[[], np.ndarray] | None = None,  # PSD
     ):
         self.value = value
         self._grad = grad
@@ -246,23 +252,6 @@ class PropagatedPrior(GaussianBelief):
     """
 
     xx_inv: np.ndarray  # (2C, 2C)
-
-
-@lru_cache(maxsize=16)
-def stacked_transition(n_targets: int) -> np.ndarray:
-    """Big constant-velocity transition [[I, I], [0, I]] (blocks of 2C).
-
-    Built once per target count and returned read-only.  ``propagate_prior``
-    applies it by block additions instead; the dense matrix is the reference
-    those additions must equal.
-    """
-    d = 2 * n_targets
-    eye = np.eye(d)
-    top = np.hstack([eye, eye])
-    bot = np.hstack([np.zeros((d, d)), eye])
-    F = np.vstack([top, bot])
-    F.setflags(write=False)
-    return F
 
 
 @lru_cache(maxsize=16)
@@ -462,6 +451,8 @@ def measurement_objective(
     grid: SensorGrid,
     meas: MeasurementModel,
     sensor_indices: np.ndarray | None = None,
+    *,
+    warm_up: bool = False,
 ) -> Objective:
     """The measurement half of the objective, as a function ``x -> NllReport``.
 
@@ -469,15 +460,17 @@ def measurement_objective(
     checked once, here, so one fit builds one objective and every evaluation
     reuses them.  ``sensor_indices`` restricts the sum to a subset of sensors
     (recovery needs this); None means all sensors.  The
-    gradient and Hessian are built when first read.  No Gauss-Newton matrix
-    is offered, so fits of this objective run exact Newton from the first
-    iteration (see the module docstring for why).
+    gradient and Hessian are built when first read.  With ``warm_up`` each
+    report also offers the Gauss-Newton matrix Js Js^T as ``gauss_newton``,
+    so a fit takes its first directions from it; without it (the default)
+    fits of this objective run exact Newton from the first iteration.  Only
+    one-by-one recovery's peeled fit sets it (see the module docstring).
     """
     terms = _sensor_terms(frame, grid, meas, sensor_indices)
 
     def evaluate(x: np.ndarray) -> NllReport:
         value, d = _measurement_terms(x, *terms, meas)
-        return NllReport(value, d.grad, d.hess)
+        return NllReport(value, d.grad, d.hess, d.gauss_newton if warm_up else None)
 
     return evaluate
 

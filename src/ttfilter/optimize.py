@@ -27,18 +27,22 @@ An iteration costs about 42 us on one core and a main fit about 0.25 ms
 (480 fits of 12 ``acceptance`` tracks, timed without tracing).
 
 Which curvature drives which iteration: when the objective offers a
-Gauss-Newton matrix (``NllReport.gauss_newton``; only
-``nll.combined_objective`` does, as the Gauss-Newton term plus the prior
-precision), the first ``WARMUP_ITERATIONS`` directions come from it.  It is
-positive definite, so those directions need no Levenberg shift search, and
-the residual-curvature part of the exact Hessian is not built for them.
-Later directions use the exact Hessian, and ``OptimizeResult.report.hess``
-is always the exact Hessian at the final iterate, also when the fit converges
-during the warm-up; it is built when first read.  An objective without
-that matrix (the measurement-only recovery and initial fits) runs exact
-Newton from the first iteration: warming those up as well raised the
-square-hopping calls per ``acquire`` benchmark round from 11 to 64 and its
-p99 step time from 47 to 104 ms (``nll`` has the full measurement).  In a traced
+Gauss-Newton matrix (``NllReport.gauss_newton``: ``nll.combined_objective``
+offers the Gauss-Newton term plus the prior precision, and
+``nll.measurement_objective`` with ``warm_up`` the Gauss-Newton term alone,
+which only one-by-one recovery's peeled fit asks for), the first
+``WARMUP_ITERATIONS`` directions come from it.  It is positive
+semidefinite, so those directions need no Levenberg shift search (unless it
+is singular), and the residual-curvature part of the exact Hessian is not
+built for them.  Later directions use the exact Hessian, and
+``OptimizeResult.report.hess`` is always the exact Hessian at the final
+iterate, also when the fit converges during the warm-up; it is built when
+first read.  An objective without that matrix (the blind measurement-only
+fits: the fixed-center initial fit, the recovery sweeps and square
+hopping) runs exact Newton from the first iteration: warming the initial
+fit up as well raised the one-by-one calls per ``acquire`` benchmark round
+from 163 to 208, while warming the peeled fit cut its iterations from 3,377
+to 1,528 (``nll`` has the measurements).  In a traced
 ``acceptance`` benchmark round (seed 7) the warm-up cut the main fit from
 38,435 iterations and 60,464 objective evaluations to 27,339 and 38,460.
 The count is fixed.  Adaptive rules were measured on ``acceptance``

@@ -52,6 +52,71 @@ def corner_scenario(sigma_s2: float) -> Scenario:
     )
 
 
+class CurvatureReads:
+    """An objective's report that logs, in order, each curvature matrix read
+    from it: "gauss_newton" when it offers that matrix, "none" when asked
+    for one it does not offer, and "hess" for the exact Hessian."""
+
+    def __init__(self, report, reads: list):
+        self._report, self._reads = report, reads
+
+    @property
+    def value(self):
+        return self._report.value
+
+    @property
+    def grad(self):
+        return self._report.grad
+
+    @property
+    def gauss_newton(self):
+        matrix = self._report.gauss_newton
+        self._reads.append("none" if matrix is None else "gauss_newton")
+        return matrix
+
+    @property
+    def hess(self):
+        self._reads.append("hess")
+        return self._report.hess
+
+
+def watch_curvature(monkeypatch, *modules) -> list:
+    """Record ``(reads, result)`` for every fit the ``modules`` run, where
+    ``reads`` lists the curvature matrices ``minimize`` read, in order (see
+    ``CurvatureReads``), up to the fit's return."""
+    from ttfilter.optimize import minimize
+
+    fits = []
+
+    def watched(fun, *args, **kwargs):
+        reads = []
+        res = minimize(lambda x: CurvatureReads(fun(x), reads), *args, **kwargs)
+        fits.append((reads.copy(), res))
+        return res
+
+    for module in modules:
+        monkeypatch.setattr(module, "minimize", watched)
+    return fits
+
+
+def assert_warmed_up(reads: list, iterations: int) -> None:
+    """The fit's first ``WARMUP_ITERATIONS`` directions (or all it took, if
+    fewer) came from the Gauss-Newton matrix, every later one from the exact
+    Hessian."""
+    from ttfilter.optimize import WARMUP_ITERATIONS as warm
+
+    assert len(reads) >= iterations
+    assert reads[:warm] == ["gauss_newton"] * min(len(reads), warm)
+    assert set(reads[warm:]) <= {"hess"}
+
+
+def assert_exact_newton(reads: list, iterations: int) -> None:
+    """The fit was offered no Gauss-Newton matrix: every direction it took
+    came from the exact Hessian."""
+    assert "gauss_newton" not in reads
+    assert reads.count("hess") >= iterations
+
+
 @pytest.fixture(scope="session")
 def indefinite_interior_step():
     """The first main fit of a fixed scan that converges with no bound active

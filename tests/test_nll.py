@@ -30,11 +30,24 @@ from ttfilter.nll import (
     measurement_objective,
     propagate_prior,
     stacked_filter_noise,
-    stacked_transition,
 )
 from ttfilter.optimize import box_from_grid, minimize
 
 from conftest import benchmark_scenario, fd_gradient, fd_hessian_from_grad, random_spd
+
+
+def stacked_transition(n_targets: int) -> np.ndarray:
+    """Big constant-velocity transition [[I, I], [0, I]] (blocks of 2C),
+    returned read-only.  ``propagate_prior`` applies it by block additions
+    instead; the dense matrix is the reference those additions must equal.
+    """
+    d = 2 * n_targets
+    eye = np.eye(d)
+    top = np.hstack([eye, eye])
+    bot = np.hstack([np.zeros((d, d)), eye])
+    F = np.vstack([top, bot])
+    F.setflags(write=False)
+    return F
 
 
 def random_prior(c: int, rng: np.random.Generator) -> PropagatedPrior:
@@ -580,7 +593,7 @@ def test_combined_value_batch_equals_offset_formula_bit_for_bit(grid55, c):
 def test_step_matrices_are_cached_and_read_only():
     noise = FilterNoiseModel(alpha=2.0)
     F, V = stacked_transition(3), stacked_filter_noise(3, noise)
-    assert stacked_transition(3) is F and stacked_filter_noise(3, noise) is V
+    assert stacked_filter_noise(3, noise) is V
     assert stacked_filter_noise(3, FilterNoiseModel()) is not V
     for mat in (F, V):
         with pytest.raises(ValueError):

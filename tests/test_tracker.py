@@ -31,7 +31,13 @@ from ttfilter.nll import (
 from ttfilter.optimize import NewtonOptions, minimize
 from ttfilter.tracker import FilterConfig, init_belief, make_context, step, track
 
-from conftest import benchmark_scenario, corner_scenario
+from conftest import (
+    assert_exact_newton,
+    assert_warmed_up,
+    benchmark_scenario,
+    corner_scenario,
+    watch_curvature,
+)
 
 
 def tight_belief(truth_state: np.ndarray, spatial=1e-2, velocity=1e-6) -> GaussianBelief:
@@ -434,6 +440,30 @@ def test_adopted_recovery_keeps_the_prior_target_labels(monkeypatch):
             matched = omat(prior.mean_x, estimate).assignment
             np.testing.assert_array_equal(matched, np.arange(4), err_msg=f"track {i}")
     assert adopted >= 3
+
+
+def test_only_the_peeled_recovery_fit_warms_up_on_gauss_newton(monkeypatch):
+    # the first step of an acquire-style track (blind fixed-center start at
+    # sigma^2 = 0.01, the first of criterion 3's stress tracks): the blind
+    # first-frame fit runs exact Newton throughout, the prior-anchored main
+    # fit fails the gate, and one-by-one recovery's peeled fit, which passes
+    # it, takes its first directions from the Gauss-Newton matrix
+    scn = benchmark_scenario(sigma_s2=0.01)
+    ctx = make_context(scn, FilterConfig(fixed_init=True))
+    fits = watch_curvature(monkeypatch, tracker, consistency)
+    traj = simulate(scn, 1, np.random.default_rng(np.random.SeedSequence([7, 0, 0])))
+    belief = init_belief(
+        "fixed_center", ctx.config, scn.grid,
+        np.random.default_rng(np.random.SeedSequence([7, 0, 6])),
+        n_targets=4, frame=traj.frames[0], meas=ctx.meas, box=ctx.box,
+    )
+    out = step(belief, traj.frames[0], ctx)
+    assert out.actions == ("one_by_one",) and out.consistent
+    (init_reads, init), (main_reads, main), (peel_reads, peel) = fits
+    assert init.iterations > 10 and peel.iterations > 3
+    assert_exact_newton(init_reads, init.iterations)
+    assert_warmed_up(main_reads, main.iterations)
+    assert_warmed_up(peel_reads, peel.iterations)
 
 
 def test_step_linear_path_identical_when_no_near_sensor_target():
