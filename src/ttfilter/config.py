@@ -114,7 +114,7 @@ def _text(value, name: str) -> str:
 
 def _variants(value, name: str) -> tuple[str, ...]:
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ConfigurationError(f"`variants` must be a list of names, got {value!r}")
+        raise ConfigurationError(f"{name} must be a list of names, got {value!r}")
     return tuple(value)
 
 

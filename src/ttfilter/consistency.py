@@ -11,19 +11,23 @@ the dof-25 threshold of 51.72 at p = 0.0013 is exceeded with probability
 2.3e-5, 57 times below the nominal rate, so a consistent fit fails the gate
 far more rarely than ``P_VALUE`` says.  The threshold keeps S dof, and
 ``gate_threshold`` is the one place that decides it: the main gate, the
-re-checks after a recovery, one-by-one's pass tests between its starts and
-square hopping's pass test all read it.  Two escalating repairs follow.
-One-by-one recovery first fits every sensor from a start peeled off the
-frame, one target per signal peak; only when that fit fails the gate does
-it re-estimate with sensors introduced one at a time (boundary ring first,
-then a maximin fill), swept from a neutral start and, only when that fails
-too, from the prior mean.  Square hopping then relocates the
-``N_BAD_TARGETS`` worst-fitting targets to the ``N_BAD_SQUARES`` grid cells
-with the largest signal deficit and re-optimizes.
+re-checks after a recovery and the recoveries' pass test all read it.  Two
+escalating repairs follow, both measurement fits with one contract: they
+produce candidate fits lazily, in a fixed order, and return the first whose
+statistic passes the gate, else the lowest, ties to the earlier
+(``_first_pass``, the one selection loop); ``tracker.step`` decides whether
+to adopt the result.  One-by-one recovery's candidates are a fit of every
+sensor from a start peeled off the frame, one target per signal peak, then
+the fits with sensors introduced one at a time (boundary ring first, then a
+maximin fill), swept from a neutral start and then from the prior mean.
+Square hopping relocates the ``N_BAD_TARGETS`` worst-fitting targets to the
+``N_BAD_SQUARES`` grid cells with the largest signal deficit and fits each
+pair of cells.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -33,7 +37,7 @@ from scipy.special import chdtri
 
 from .errors import ConfigurationError
 from .model import MeasurementModel, SensorGrid, _pair_distances, signal_components
-from .nll import PropagatedPrior, measurement_nll, measurement_objective
+from .nll import measurement_nll, measurement_objective
 from .optimize import BoxConstraints, NewtonOptions, OptimizeResult, minimize
 
 
@@ -188,11 +192,35 @@ def _grow_sensor_set(
     return res
 
 
+@dataclass
+class RecoveryOutcome:
+    """A recovery's pick among its candidate fits (``_first_pass``)."""
+
+    result: OptimizeResult | None  # None when there was no candidate to fit
+    gate_passed: bool
+    attempts: int  # candidate fits actually made
+
+
+def _first_pass(fits: Iterator[OptimizeResult], grid: SensorGrid) -> RecoveryOutcome:
+    """The recoveries' one selection: the first of the lazily produced
+    measurement ``fits`` whose statistic (twice its value) passes the gate,
+    else the lowest, ties to the earlier.  No fit after a pass is made."""
+    thr = gate_threshold(grid)
+    best, attempts = None, 0
+    for res in fits:
+        attempts += 1
+        if 2.0 * res.value <= thr:
+            return RecoveryOutcome(result=res, gate_passed=True, attempts=attempts)
+        if best is None or res.value < best.value:
+            best = res
+    return RecoveryOutcome(result=best, gate_passed=False, attempts=attempts)
+
+
 def one_by_one_recovery(
     frame: np.ndarray,
     grid: SensorGrid,
     meas: MeasurementModel,
-    prior: PropagatedPrior,
+    prior_x: np.ndarray,
     box: BoxConstraints,
     options: NewtonOptions | None = None,
 ) -> OptimizeResult:
@@ -200,14 +228,15 @@ def one_by_one_recovery(
 
     The refit is a pure measurement fit: the gate only fires when the belief
     stopped explaining the frame, so folding the (suspect) prior back into
-    the objective would drag every fit toward the basin being escaped.  The
-    candidates come in a fixed order and the first whose statistic passes
-    the gate (``gate_threshold``) wins, as in square hopping:
+    the objective would drag every fit toward the basin being escaped; the
+    prior mean ``prior_x`` (2C,) serves only as a start.  The candidates, in
+    order, each an all-sensor measurement fit at its end (``_first_pass``
+    returns the first that passes the gate, else the lowest):
 
-    1. one all-sensor fit from the peeled start (``_peel_start``), which
-       carries none of the belief that just failed the gate.  The start is
-       about 3.8 m off the targets, where the exact Hessian is often
-       indefinite, so this fit alone takes its first directions
+    1. one fit from the peeled start (``_peel_start``), which carries none
+       of the belief that just failed the gate.  The start is about 3.8 m
+       off the targets, where the exact Hessian is often indefinite, so
+       this fit alone takes its first directions
        (``optimize.WARMUP_ITERATIONS``) from the measurement Gauss-Newton
        matrix (``measurement_objective``'s ``warm_up``): on a seed-7
        ``acquire`` round that cut its iterations from 20.7 to 9.4 a fit,
@@ -216,40 +245,28 @@ def one_by_one_recovery(
        boundary stage, then the remaining sensors in maximin order,
        re-optimizing after each addition (10 fits on the 5x5 grid);
     3. the same sweep from the prior mean, the better start when the belief
-       merely drifted.
+       merely drifted, unless that mean is the ring.
 
-    When none passes, the lowest final value of those run is returned; each
-    is an all-sensor measurement fit, so twice its value is the statistic.
     A call thus makes 1 fit when the peeled fit passes, as it did on all 163
     calls of a seed-7 ``acquire`` benchmark round and on 55 of 56 of an
     ``acceptance`` round, and 1 + 10k fits when k sweeps follow.  The
-    candidates' targets come in their own order, so the caller puts an
-    adopted result back into the prior's target labels.
+    candidates' targets come in their own order.
     """
-    thr = gate_threshold(grid)
-    n_targets = prior.mean_x.size // 2
-    best = minimize(
-        measurement_objective(frame, grid, meas, warm_up=True),
-        _peel_start(frame, grid, meas, n_targets),
-        box,
-        options,
-    )
-    if 2.0 * best.value <= thr:
-        return best
-    neutral = _center_ring(grid, n_targets)
-    res = _grow_sensor_set(frame, grid, meas, neutral, box, options)
-    if 2.0 * res.value > thr and not np.allclose(neutral, prior.mean_x):
-        alt = _grow_sensor_set(frame, grid, meas, prior.mean_x, box, options)
-        if alt.value < res.value:
-            res = alt
-    return res if res.value < best.value else best
+    n_targets = prior_x.size // 2
 
+    def fits():
+        yield minimize(
+            measurement_objective(frame, grid, meas, warm_up=True),
+            _peel_start(frame, grid, meas, n_targets),
+            box,
+            options,
+        )
+        neutral = _center_ring(grid, n_targets)
+        yield _grow_sensor_set(frame, grid, meas, neutral, box, options)
+        if not np.allclose(neutral, prior_x):
+            yield _grow_sensor_set(frame, grid, meas, prior_x, box, options)
 
-@dataclass
-class RecoveryOutcome:
-    result: OptimizeResult
-    gate_passed: bool
-    attempts: int  # subsets actually optimized
+    return _first_pass(fits(), grid).result
 
 
 def square_hopping_recovery(
@@ -260,52 +277,28 @@ def square_hopping_recovery(
     box: BoxConstraints,
     options: NewtonOptions | None = None,
 ) -> RecoveryOutcome:
-    """Relocate the worst-fitting targets onto candidate grid squares.
+    """Relocate the worst-fitting targets of ``x_est`` onto grid squares.
 
     The targets with the largest signal excess are tentatively removed; grid
     squares are ranked by the measured signal their corner sensors are left
-    unable to explain; each small square subset seeds a fresh measurement
-    fit with the removed targets placed at the square centers.  Like the
-    one-by-one procedure the refit ignores the prior: the first candidate
-    whose statistic clears the gate wins, and a gate pass always improves on
-    the inconsistent incoming estimate because both are scored by the same
-    statistic.  If no candidate passes, the best measurement NLL seen
-    (including the incoming estimate) is returned flagged.
+    unable to explain; each subset of the best-ranked squares seeds a
+    measurement fit with the removed targets placed at the square centers.
+    Like one-by-one recovery the refit ignores the prior, and
+    ``_first_pass`` picks among the fits: the first that passes the gate,
+    else the lowest, flagged.  A grid with fewer squares than removed
+    targets has no subset: no fit is made and the result is None.
     """
     x_est = np.asarray(x_est, dtype=float).ravel()
-    thr = gate_threshold(grid)
-
-    objective = measurement_objective(frame, grid, meas)  # shared by every subset fit
-    rep = objective(x_est)
-    incoming = OptimizeResult(
-        x=x_est.copy(),
-        value=rep.value,
-        report=rep,
-        iterations=0,
-        converged=True,
-        active_set=np.array([], dtype=int),
-    )
-    if 2.0 * incoming.value <= thr:
-        return RecoveryOutcome(result=incoming, gate_passed=True, attempts=0)
-
+    objective = measurement_objective(frame, grid, meas)  # shared by every fit
     ed = excess_deficit(x_est, frame, grid, meas, N_BAD_TARGETS)
-    bad, n_bad = ed.removed, len(ed.removed)
-
     corners, centers = grid.squares()
     sq_deficit = ed.deficit[corners].sum(axis=1)
     ranked = np.lexsort((np.arange(len(sq_deficit)), -sq_deficit))
-    candidates = ranked[:N_BAD_SQUARES]
 
-    best = incoming
-    attempts = 0
-    for subset in combinations(candidates, n_bad):
-        x_start = x_est.copy()
-        for tgt, sq in zip(bad, subset):
-            x_start[2 * tgt : 2 * tgt + 2] = centers[sq]
-        res = minimize(objective, x_start, box, options)
-        attempts += 1
-        if res.value < best.value:
-            best = res
-        if 2.0 * res.value <= thr:
-            return RecoveryOutcome(result=res, gate_passed=True, attempts=attempts)
-    return RecoveryOutcome(result=best, gate_passed=False, attempts=attempts)
+    def fits():
+        for subset in combinations(ranked[:N_BAD_SQUARES], len(ed.removed)):
+            x_start = x_est.copy()
+            x_start.reshape(-1, 2)[list(ed.removed)] = centers[list(subset)]
+            yield minimize(objective, x_start, box, options)
+
+    return _first_pass(fits(), grid)

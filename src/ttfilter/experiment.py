@@ -34,25 +34,16 @@ from .metrics import BpfConfig, bpf_track
 from .model import Scenario, simulate
 from .tracker import FilterConfig, make_context, track
 
-# canonical variants: salt (stable seeding identity) and FilterConfig overrides
-VARIANTS: dict[str, tuple[int, dict | None]] = {
-    "tt-nonlinear": (0, {}),
-    "tt-linear": (1, {"nonlinear_correction": False}),
-    "tt-nohopping": (2, {"hopping": False}),
-    "tt-no1by1": (3, {"one_by_one": False}),
-    "tt-norecovery": (4, {"hopping": False, "one_by_one": False}),
-    "tt-fixedinit": (5, {"fixed_init": True}),
-    "bpf": (6, None),
-}
-
-LABELS = {
-    "tt-nonlinear": "TT nonlinear",
-    "tt-linear": "TT linear",
-    "tt-nohopping": "TT noHopping",
-    "tt-no1by1": "TT no1by1",
-    "tt-norecovery": "TT noRecovery",
-    "tt-fixedinit": "TT fixedInit",
-    "bpf": "BPF",
+# canonical variants: salt (stable seeding identity), FilterConfig overrides
+# and the label ``summary.json`` gives the variant
+VARIANTS: dict[str, tuple[int, dict | None, str]] = {
+    "tt-nonlinear": (0, {}, "TT nonlinear"),
+    "tt-linear": (1, {"nonlinear_correction": False}, "TT linear"),
+    "tt-nohopping": (2, {"hopping": False}, "TT noHopping"),
+    "tt-no1by1": (3, {"one_by_one": False}, "TT no1by1"),
+    "tt-norecovery": (4, {"hopping": False, "one_by_one": False}, "TT noRecovery"),
+    "tt-fixedinit": (5, {"fixed_init": True}, "TT fixedInit"),
+    "bpf": (6, None, "BPF"),
 }
 
 
@@ -133,7 +124,7 @@ def _run_point_track(args) -> dict:
 
     results = {}
     for name in variants:
-        salt, overrides = VARIANTS[name]
+        salt, overrides, _ = VARIANTS[name]
         ss = np.random.SeedSequence([seed, track_idx, 1 + salt])
         try:
             ctx = make_context(scenario, replace(fcfg, **(overrides or {})))
@@ -220,7 +211,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> ExperimentResult:
                 omats = [res["omat"] for res in runs]
                 times = [res["step_time"] for res in runs]
                 per_variant[name] = {
-                    "label": LABELS[name],
+                    "label": VARIANTS[name][2],
                     "tracks": len(runs),
                     "avg_omat": float(np.mean(omats)) if runs else None,
                     "time_per_step": float(np.mean(times)) if runs else None,

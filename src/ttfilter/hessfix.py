@@ -15,7 +15,8 @@ active, as when a target drifts out of the search box, and on interior fits
 that stop on the Newton decrement with a target 0.1-0.3 m from a sensor,
 where the exact Hessian can be indefinite although no Newton step is left
 to take.  It did not fire on the benchmark's ``acceptance`` and ``acquire``
-workloads (seeds 1, 7, 29 and 42).
+workloads at seeds 1, 7, 29 and 42, nor on ``acquire`` at seed 89; it fired
+on one step of an ``acceptance`` round at seed 89.
 """
 
 from __future__ import annotations

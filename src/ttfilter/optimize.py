@@ -21,8 +21,8 @@ In the chart below, -g . d equals -g_c . d_c.  Stopping on the decrement
 spares a fit its last, negligible step, which on stiff fits can sit below
 the resolution of the Armijo test (a decrease of about 2e-15 on a value of
 17), where the line search would fail at the optimum.  In a traced
-``acceptance`` benchmark round (seed 7) the main fit takes 17,867
-iterations and 25,223 evaluations, and the recovery fits 8,876 iterations.
+``acceptance`` benchmark round (seed 7) the 2,880 main fits take 17,735
+iterations and 24,997 evaluations, and the 66 recovery fits 744 iterations.
 An iteration costs about 42 us on one core and a main fit about 0.25 ms
 (480 fits of 12 ``acceptance`` tracks, timed without tracing).
 

@@ -8,8 +8,10 @@ deciding which targets at each iterate; a fit that stops short of
 convergence is recorded as ``unconverged:main[iterations]``), gate
 the fit with the chi-square consistency test at ``consistency.gate_threshold``
 (escalating through one-by-one re-acquisition from the frame and square
-hopping when it fails, an adopted refit put back into the prior's target
-labels and gated again at that threshold), factor the Hessian at the gated
+hopping when it fails; each returns its first candidate fit that passes the
+gate, else its lowest, and ``step`` alone adopts it when twice its value is
+below the statistic, puts it back into the prior's target labels by OMAT's
+assignment and gates it again), factor the Hessian at the gated
 estimate (the Gauss-Newton matrix stands in where the Hessian is not
 positive definite, recorded as ``hessfix:gauss-newton``), spread sigma
 points on the combined NLL surface (in the polar chart about the
@@ -41,7 +43,7 @@ from .consistency import (
 )
 from .errors import ConfigurationError, NumericalError
 from .hessfix import repair_hessian
-from .metrics import TrackRecord, _linear_sum_assignment, omat
+from .metrics import TrackRecord, omat
 from .model import MeasurementModel, Scenario, SensorGrid, Trajectory, stack_state
 from .moments import assemble, spatial_moments, velocity_moments
 from .nll import (
@@ -225,17 +227,6 @@ class StepOutput:
     wall_time: float
 
 
-def _in_prior_labels(x: np.ndarray, prior_x: np.ndarray) -> np.ndarray:
-    """``x`` (2C,) with its targets reordered so that target c is the one
-    matched to target c of ``prior_x`` by the minimum-distance assignment
-    OMAT uses.  A recovery fit starts away from the prior mean and its
-    measurement likelihood cannot tell targets apart, so its labels are
-    arbitrary; the prior term of the combined objective is not."""
-    est, ref = x.reshape(-1, 2), prior_x.reshape(-1, 2)
-    dist = np.linalg.norm(ref[:, None, :] - est[None, :, :], axis=2)
-    return est[_linear_sum_assignment(dist)[1]].ravel()
-
-
 def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepOutput:
     """Advance the belief by one measurement frame.
 
@@ -266,28 +257,28 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
         x_hat, report = res.x, res.report
         ok, stat = is_consistent(x_hat, frame, grid, meas)
 
-        # Recoveries refit by measurement likelihood alone, so their value
-        # doubles as the candidate statistic: adopt whenever it improves, in
-        # the prior's target labels.
-        if not ok and cfg.one_by_one:
-            cand = one_by_one_recovery(
-                frame, grid, meas, prior, ctx.box, options=cfg.optimizer
-            )
-            actions.append("one_by_one")
-            if 2.0 * cand.value < stat:
-                x_hat, report = _in_prior_labels(cand.x, prior.mean_x), None
-                ok, stat = is_consistent(x_hat, frame, grid, meas)
-
-        if not ok and cfg.hopping:
-            outcome = square_hopping_recovery(
-                x_hat, frame, grid, meas, ctx.box, cfg.optimizer
-            )
-            actions.append(
-                f"hopping:{'pass' if outcome.gate_passed else 'best'}"
-                f"[{outcome.attempts}]"
-            )
-            if 2.0 * outcome.result.value < stat:
-                x_hat, report = _in_prior_labels(outcome.result.x, prior.mean_x), None
+        # Recoveries refit by measurement likelihood alone, so twice a
+        # candidate's value is its statistic: adopt one that lowers it and
+        # gate it again.  That likelihood cannot tell targets apart and the
+        # prior term can, so an adopted fit takes the labels of the prior
+        # mean's targets by OMAT's minimum-distance assignment.
+        for stage, enabled in (("one_by_one", cfg.one_by_one), ("hopping", cfg.hopping)):
+            if ok or not enabled:
+                continue
+            if stage == "one_by_one":
+                cand = one_by_one_recovery(
+                    frame, grid, meas, prior.mean_x, ctx.box, cfg.optimizer
+                )
+            else:
+                hop = square_hopping_recovery(
+                    x_hat, frame, grid, meas, ctx.box, cfg.optimizer
+                )
+                cand = hop.result
+                stage += f":{'pass' if hop.gate_passed else 'best'}[{hop.attempts}]"
+            actions.append(stage)
+            if cand is not None and 2.0 * cand.value < stat:
+                labels = omat(prior.mean_x, cand.x).assignment
+                x_hat, report = cand.x.reshape(-1, 2)[labels].ravel(), None
                 ok, stat = is_consistent(x_hat, frame, grid, meas)
 
         if report is None:  # an adopted recovery fit ignored the prior

@@ -89,7 +89,7 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err
         if "variants" in text:  # not split into ['t', 't', '-', ...]
-            assert "`variants` must be a list of names" in err
+            assert "experiment.variants must be a list of names" in err
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,13 @@ from ttfilter.nll import (
     measurement_objective,
     propagate_prior,
 )
-from ttfilter.optimize import WARMUP_ITERATIONS, NewtonOptions, box_from_grid, minimize
+from ttfilter.optimize import (
+    WARMUP_ITERATIONS,
+    NewtonOptions,
+    OptimizeResult,
+    box_from_grid,
+    minimize,
+)
 
 from conftest import assert_exact_newton, assert_warmed_up, watch_curvature
 
@@ -119,7 +125,7 @@ def test_perfect_frame_is_consistent(grid55, meas_default):
 
 
 def test_gate_threshold_is_the_one_threshold(grid55, meas_default, monkeypatch):
-    # S dof at P_VALUE, read by the gate and by square hopping's pass test
+    # S dof at P_VALUE, read by the gate and by the recoveries' pass test
     assert gate_threshold(grid55) == chi2_threshold(grid55.count, P_VALUE)
     truth = np.asarray(DEFAULT_TARGETS)[:, :2]
     frame = expected_signal(truth, grid55, meas_default)
@@ -128,7 +134,7 @@ def test_gate_threshold_is_the_one_threshold(grid55, meas_default, monkeypatch):
     monkeypatch.setattr(consistency, "gate_threshold", lambda grid: np.inf)
     assert is_consistent(far, frame, grid55, meas_default)[0]
     out = square_hopping_recovery(far, frame, grid55, meas_default, box)
-    assert out.gate_passed and out.attempts == 0
+    assert out.gate_passed and out.attempts == 1  # the first subset fit passes
     monkeypatch.setattr(consistency, "gate_threshold", lambda grid: -1.0)
     assert not is_consistent(truth.ravel(), frame, grid55, meas_default)[0]
 
@@ -318,7 +324,7 @@ def drifted_recovery(truth, grid, meas):
     prior = default_prior(np.clip(truth + np.array([4.0, 3.0]), 0.0, 40.0))
     frame = expected_signal(truth, grid, meas)
     box = box_from_grid(grid, n_targets=truth.shape[0])
-    return one_by_one_recovery(frame, grid, meas, prior, box), prior
+    return one_by_one_recovery(frame, grid, meas, prior.mean_x, box), prior
 
 
 def relabel(x, truth):
@@ -484,7 +490,7 @@ def test_one_by_one_returns_the_lowest_candidate_when_none_passes(
     truth = np.array(truth)
     frame = expected_signal(np.vstack([truth, fifth]), grid55, meas)
     box = box_from_grid(grid55, n_targets=4)
-    res = one_by_one_recovery(frame, grid55, meas, default_prior(truth), box)
+    res = one_by_one_recovery(frame, grid55, meas, default_prior(truth).mean_x, box)
     assert len(fits) == 21
     finals = [fits[0][1], fits[10][1], fits[20][1]]  # peel, ring sweep, prior sweep
     assert all(2.0 * r.value > gate_threshold(grid55) for r in finals)
@@ -537,18 +543,6 @@ def test_square_count_and_subset_cap(grid55):
     assert comb(N_BAD_SQUARES, N_BAD_TARGETS) == 66
 
 
-def test_hopping_short_circuits_when_consistent(grid55, meas_default):
-    truth = np.asarray(DEFAULT_TARGETS)[:, :2]
-    frame = expected_signal(truth, grid55, meas_default)
-    box = box_from_grid(grid55, n_targets=4)
-    out = square_hopping_recovery(
-        truth.ravel(), frame, grid55, meas_default, box
-    )
-    assert out.gate_passed
-    assert out.attempts == 0
-    np.testing.assert_array_equal(out.result.x, truth.ravel())
-
-
 def test_hopping_relocates_misplaced_target(grid55):
     meas = MeasurementModel(sigma_s2=0.01)
     truth = np.asarray(DEFAULT_TARGETS)[:, :2]
@@ -581,16 +575,39 @@ def test_hopping_fits_run_exact_newton(grid55, monkeypatch):
     assert sum(res.iterations for _, res in fits) > 0
 
 
-def test_recovery_never_worsens_value(grid55, rng):
+def test_hopping_without_a_square_pair_makes_no_fit(monkeypatch):
+    # a 2x2 grid has one square, so there is no pair of squares for the two
+    # removed targets: no fit is made and there is no result
+    fits = count_fits(monkeypatch)
+    grid = build_grid(2, 2, 10.0)
     meas = MeasurementModel(sigma_s2=0.01)
-    truth = rng.uniform(8.0, 32.0, size=(4, 2))
-    frame = expected_signal(truth, grid55, meas) + 0.1 * rng.standard_normal(25)
-    wrong = rng.uniform(8.0, 32.0, size=(4, 2))
-    box = box_from_grid(grid55, n_targets=4)
-    from ttfilter.nll import measurement_nll
+    frame = expected_signal(np.array([[2.0, 3.0], [8.0, 7.0]]), grid, meas)
+    box = box_from_grid(grid, n_targets=2)
+    out = square_hopping_recovery([5.0, 5.0, 5.5, 5.0], frame, grid, meas, box)
+    assert (out.result, out.gate_passed, out.attempts) == (None, False, 0)
+    assert fits == []
 
-    incoming = measurement_nll(wrong.ravel(), frame, grid55, meas).value
-    out = square_hopping_recovery(
-        wrong.ravel(), frame, grid55, meas, box
-    )
-    assert out.result.value <= incoming + 1e-12
+
+def test_first_pass_takes_the_first_pass_else_the_lowest(grid55):
+    # the one selection both recoveries use; fits after a pass are not made
+    thr = gate_threshold(grid55)
+
+    def fit(stat):
+        return OptimizeResult(
+            x=np.zeros(2), value=stat / 2.0, report=None, iterations=0,
+            converged=True, active_set=np.array([], dtype=int),
+        )
+
+    made = []
+
+    def fits(*stats):
+        for stat in stats:
+            made.append(stat)
+            yield fit(stat)
+
+    out = consistency._first_pass(fits(thr + 2.0, thr, thr - 1.0), grid55)
+    assert (out.result.value, out.gate_passed, out.attempts) == (thr / 2.0, True, 2)
+    assert made == [thr + 2.0, thr]
+    high, low, tie = fit(thr + 3.0), fit(thr + 1.0), fit(thr + 1.0)
+    out = consistency._first_pass(iter([high, low, tie]), grid55)
+    assert out.result is low and not out.gate_passed and out.attempts == 3

@@ -11,7 +11,6 @@ import pytest
 from ttfilter import experiment
 from ttfilter.errors import ConfigurationError
 from ttfilter.experiment import (
-    LABELS,
     VARIANTS,
     ExperimentSpec,
     run_experiment,
@@ -43,9 +42,15 @@ def read_rows(path) -> list[dict]:
 
 
 def test_variant_registry_is_coherent():
-    salts = [salt for salt, _ in VARIANTS.values()]
+    salts = [salt for salt, _, _ in VARIANTS.values()]
     assert len(set(salts)) == len(salts)
-    assert set(LABELS) == set(VARIANTS)
+    # the labels summary.json gives the variants
+    assert {name: label for name, (_, _, label) in VARIANTS.items()} == {
+        "tt-nonlinear": "TT nonlinear", "tt-linear": "TT linear",
+        "tt-nohopping": "TT noHopping", "tt-no1by1": "TT no1by1",
+        "tt-norecovery": "TT noRecovery", "tt-fixedinit": "TT fixedInit",
+        "bpf": "BPF",
+    }
     assert VARIANTS["tt-linear"][1] == {"nonlinear_correction": False}
     assert VARIANTS["tt-norecovery"][1] == {"hopping": False, "one_by_one": False}
     assert VARIANTS["tt-fixedinit"][1] == {"fixed_init": True}

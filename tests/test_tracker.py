@@ -28,7 +28,7 @@ from ttfilter.nll import (
     combined_value_batch,
     propagate_prior,
 )
-from ttfilter.optimize import NewtonOptions, minimize
+from ttfilter.optimize import NewtonOptions, OptimizeResult, minimize
 from ttfilter.tracker import FilterConfig, init_belief, make_context, step, track
 
 from conftest import (
@@ -440,6 +440,89 @@ def test_adopted_recovery_keeps_the_prior_target_labels(monkeypatch):
             matched = omat(prior.mean_x, estimate).assignment
             np.testing.assert_array_equal(matched, np.arange(4), err_msg=f"track {i}")
     assert adopted >= 3
+
+
+def stubbed_one_by_one(monkeypatch, below: bool):
+    """Stub one-by-one recovery to return the prior mean, targets reversed
+    and moved 0.1 m, with value half the gate statistic the step read last,
+    or the next float below that."""
+    statistics = []
+
+    def spy(*args):
+        statistics.append(is_consistent(*args))
+        return statistics[-1]
+
+    def recovery(frame, grid, meas, prior_x, box, options):
+        value = statistics[-1][1] / 2.0
+        x = prior_x.reshape(-1, 2)[::-1] + 0.1
+        return OptimizeResult(
+            x=x.ravel(), value=np.nextafter(value, 0.0) if below else value,
+            report=None, iterations=0, converged=True, active_set=np.array([], dtype=int),
+        )
+
+    monkeypatch.setattr(tracker, "is_consistent", spy)
+    monkeypatch.setattr(tracker, "one_by_one_recovery", recovery)
+    return statistics
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["equal", "below"])
+def test_step_adopts_a_recovery_only_below_the_statistic(monkeypatch, below):
+    # step alone decides: a candidate is adopted when twice its value is
+    # below the gate statistic, and then in the prior's target labels
+    scn = benchmark_scenario()
+    ctx = make_context(scn, FilterConfig(hopping=False))
+    truth = scn.initial_states
+    frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
+    wrong = truth.copy()
+    wrong[:, :2] = [[5.0, 35.0], [35.0, 5.0], [5.0, 5.0], [35.0, 35.0]]
+    belief = tight_belief(wrong)
+    main_fits = []
+
+    def spy(*args, **kwargs):
+        main_fits.append(minimize(*args, **kwargs))
+        return main_fits[-1]
+
+    monkeypatch.setattr(tracker, "minimize", spy)
+    statistics = stubbed_one_by_one(monkeypatch, below)
+    out = step(belief, frame, ctx)
+    assert "one_by_one" in out.actions
+    assert not statistics[0][0]
+    prior_x = propagate_prior(belief, ctx.noise).mean_x
+    if below:
+        np.testing.assert_array_equal(out.x_ml, prior_x + 0.1)
+        assert len(statistics) == 2 and out.statistic == statistics[1][1]
+    else:
+        np.testing.assert_array_equal(out.x_ml, main_fits[0].x)
+        assert len(statistics) == 1 and out.statistic == statistics[0][1]
+
+
+def test_step_completes_when_hopping_has_no_square_pair(monkeypatch):
+    # a 2x2 grid has one square and no pair for the two targets hopping
+    # removes: it makes no fit, and the step keeps the main fit's estimate.
+    # Two targets can match four noise-free readings, so the frame is
+    # lowered by 3 to leave readings no pair of targets explains
+    scn = Scenario(
+        grid=build_grid(2, 2, 10.0),
+        motion=MotionModel(gamma=0.05),
+        meas=MeasurementModel(sigma_s2=0.01),
+        initial_states=np.array([[2.0, 3.0, 0.0, 0.0], [8.0, 7.0, 0.0, 0.0]]),
+    )
+    ctx = make_context(scn, FilterConfig(one_by_one=False))
+    frame = expected_signal(scn.initial_states[:, :2], scn.grid, scn.meas) - 3.0
+    main_fits = []
+
+    def spy(*args, **kwargs):
+        main_fits.append(minimize(*args, **kwargs))
+        return main_fits[-1]
+
+    monkeypatch.setattr(tracker, "minimize", spy)
+    monkeypatch.setattr(consistency, "minimize", spy)
+    out = step(tight_belief(scn.initial_states), frame, ctx)
+    assert "hopping:best[0]" in out.actions and not out.consistent
+    assert not any(a.startswith("fallback:") for a in out.actions)
+    assert len(main_fits) == 1
+    np.testing.assert_array_equal(out.x_ml, main_fits[0].x)
+    assert np.isfinite(out.posterior.mean).all()
 
 
 def test_only_the_peeled_recovery_fit_warms_up_on_gauss_newton(monkeypatch):
