@@ -3,10 +3,10 @@
 Every field is optional.  A reader passes on only the keys a config sets,
 each checked by its reader below; the defaults are those of the dataclasses
 the readers build (``model.build_grid``, ``MeasurementModel``,
-``MotionModel``, ``Scenario``, ``FilterConfig``, ``NewtonOptions``,
-``BpfConfig`` and ``experiment.ExperimentSpec``), written there and nowhere
-else.  A key that no reader uses is a configuration error, at every level,
-so a misspelt or removed setting is not silently replaced by its default.
+``MotionModel``, ``Scenario``, ``FilterConfig``, ``BpfConfig`` and
+``experiment.ExperimentSpec``), written there and nowhere else.  A key that
+no reader uses is a configuration error, at every level, so a misspelt or
+removed setting is not silently replaced by its default.
 See the README for the full schema.
 """
 
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .metrics import BpfConfig
 from .model import DEFAULT_TARGETS, MeasurementModel, MotionModel, Scenario, build_grid
-from .optimize import NewtonOptions
 from .tracker import FilterConfig
 
 SECTIONS = ("scenario", "filter", "bpf", "experiment")
@@ -69,24 +68,22 @@ def _given(sec: dict, readers: dict, where: str) -> dict:
 
 
 def integer(value, name: str) -> int:
-    """``value`` as an int; a bool or a number with a fractional part is
-    rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    try:
+    """``value`` as an int.  Only a JSON number with no fractional part is
+    read: a string, a bool or 2.5 is rejected, not parsed or truncated."""
+    if type(value) is int or (isinstance(value, float) and value.is_integer()):
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from exc
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def number(value, name: str) -> float:
-    """``value`` as a finite float; a bool, NaN or an infinity is rejected,
-    not read as 1.0 or passed on to fail later."""
-    if not isinstance(value, bool):
+    """``value`` as a finite float.  Only a JSON number is read: a string, a
+    bool, NaN or an infinity is rejected, not parsed, read as 1.0 or passed
+    on to fail later."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             out = float(value)
-        except (TypeError, ValueError):
-            out = math.nan
+        except OverflowError:  # an integer beyond the float range
+            out = math.inf
         if math.isfinite(out):
             return out
     raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
@@ -124,7 +121,6 @@ MEASUREMENT = {"amplitude": number, "offset": number, "exponent": number,
 MOTION = {"gamma": number}
 FILTER = {"alpha": number, "sigma_s2": _number_or_null,
           "init_spatial_var": number, "init_velocity_var": number}
-NEWTON = {"grad_tol": number, "max_iter": integer}
 EXPERIMENT = {"tracks": integer, "steps": integer, "seed": integer,
               "variants": _variants}
 
@@ -152,11 +148,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 
 def filter_config_from_config(cfg: dict) -> FilterConfig:
-    sec = _section(cfg, "filter", (*FILTER, *NEWTON))
-    return FilterConfig(
-        optimizer=NewtonOptions(**_given(sec, NEWTON, "filter")),
-        **_given(sec, FILTER, "filter"),
-    )
+    sec = _section(cfg, "filter", tuple(FILTER))
+    return FilterConfig(**_given(sec, FILTER, "filter"))
 
 
 def bpf_config_from_config(cfg: dict) -> BpfConfig:

@@ -2,7 +2,7 @@
 
 Twice the measurement NLL at the true positions is chi-square with one
 degree of freedom per sensor, and the gate compares it with that law's far
-upper-tail threshold to flag steps where the optimizer converged to the
+upper-tail threshold to flag steps where the Newton fit converged to the
 wrong basin.  The filter gates its fitted estimate, though, and fitting the
 2C coordinates to the frame lowers the statistic: at the estimate it follows
 chi-square with S - 2C dof instead (measured mean 16.9 and variance 34.2 on
@@ -38,7 +38,7 @@ from scipy.special import chdtri
 from .errors import ConfigurationError
 from .model import MeasurementModel, SensorGrid, _pair_distances, signal_components
 from .nll import measurement_nll, measurement_objective
-from .optimize import BoxConstraints, NewtonOptions, OptimizeResult, minimize
+from .optimize import BoxConstraints, OptimizeResult, minimize
 
 
 P_VALUE = 0.0013  # the gate's nominal false-alarm rate at the true positions
@@ -176,19 +176,16 @@ def _grow_sensor_set(
     meas: MeasurementModel,
     start: np.ndarray,
     box: BoxConstraints,
-    options: NewtonOptions | None,
 ) -> OptimizeResult:
     used = grid.boundary_indices()
     taken = np.zeros(grid.count, dtype=bool)
     taken[used] = True
-    res = minimize(measurement_objective(frame, grid, meas, used), start, box, options)
+    res = minimize(measurement_objective(frame, grid, meas, used), start, box)
     while used.size < grid.count:
         pick = maximin_pick(res.x, grid, taken)
         taken[pick] = True
         used = np.append(used, pick)
-        res = minimize(
-            measurement_objective(frame, grid, meas, used), res.x, box, options
-        )
+        res = minimize(measurement_objective(frame, grid, meas, used), res.x, box)
     return res
 
 
@@ -222,7 +219,6 @@ def one_by_one_recovery(
     meas: MeasurementModel,
     prior_x: np.ndarray,
     box: BoxConstraints,
-    options: NewtonOptions | None = None,
 ) -> OptimizeResult:
     """Re-acquire the target vector from the frame alone.
 
@@ -259,12 +255,11 @@ def one_by_one_recovery(
             measurement_objective(frame, grid, meas, warm_up=True),
             _peel_start(frame, grid, meas, n_targets),
             box,
-            options,
         )
         neutral = _center_ring(grid, n_targets)
-        yield _grow_sensor_set(frame, grid, meas, neutral, box, options)
+        yield _grow_sensor_set(frame, grid, meas, neutral, box)
         if not np.allclose(neutral, prior_x):
-            yield _grow_sensor_set(frame, grid, meas, prior_x, box, options)
+            yield _grow_sensor_set(frame, grid, meas, prior_x, box)
 
     return _first_pass(fits(), grid).result
 
@@ -275,7 +270,6 @@ def square_hopping_recovery(
     grid: SensorGrid,
     meas: MeasurementModel,
     box: BoxConstraints,
-    options: NewtonOptions | None = None,
 ) -> RecoveryOutcome:
     """Relocate the worst-fitting targets of ``x_est`` onto grid squares.
 
@@ -299,6 +293,6 @@ def square_hopping_recovery(
         for subset in combinations(ranked[:N_BAD_SQUARES], len(ed.removed)):
             x_start = x_est.copy()
             x_start.reshape(-1, 2)[list(ed.removed)] = centers[list(subset)]
-            yield minimize(objective, x_start, box, options)
+            yield minimize(objective, x_start, box)
 
     return _first_pass(fits(), grid)

@@ -6,15 +6,15 @@ the free block (with a Levenberg diagonal shift when the block is not PD),
 and the step is backtracked under the Armijo rule after projection onto the
 box.
 
-Two rules declare convergence, both read against ``NewtonOptions.grad_tol``.
-The cheap one comes first: the projected-gradient norm is at most
-``grad_tol``.  The other is the Newton decrement (Boyd and Vandenberghe,
-Convex Optimization, 9.5.1): when an exact-Newton direction d comes from an
-unshifted Cholesky factor and -g . d <= ``grad_tol``, the quadratic model
-predicts at most ``grad_tol`` / 2 of further decrease, and the fit stops at
-x without taking the step.  At the default 1e-6 that is 5e-7, which neither
-the gate (2 NLL against about 52) nor the cubature weights can see; a
-smaller ``grad_tol`` tightens both rules.  The rule reads only directions
+Two rules declare convergence, both read against ``GRAD_TOL``; ``MAX_ITER``
+caps the iterations.  The cheap rule comes first: the projected-gradient
+norm is at most ``GRAD_TOL``.  The other is the Newton decrement (Boyd and
+Vandenberghe, Convex Optimization, 9.5.1): when an exact-Newton direction d
+comes from an unshifted Cholesky factor and -g . d <= ``GRAD_TOL``, the
+quadratic model predicts at most ``GRAD_TOL`` / 2 of further decrease, and
+the fit stops at x without taking the step.  At 1e-6 that is 5e-7, which
+neither the gate (2 NLL against about 52) nor the cubature weights can see;
+a smaller ``GRAD_TOL`` tightens both rules.  The rule reads only directions
 whose factor needed no Levenberg shift and that are not Gauss-Newton
 warm-up directions: a large shift makes -g . d small away from a minimum.
 In the chart below, -g . d equals -g_c . d_c.  Stopping on the decrement
@@ -109,7 +109,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,6 +123,8 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
 MIN_STEP = 1e-12  # smallest step length tried before giving up on a direction
 LEVENBERG_SCALE = 1e-6  # first diagonal shift, relative to the mean diagonal
 WARMUP_ITERATIONS = 3  # leading directions taken from a Gauss-Newton matrix
+GRAD_TOL = 1e-6  # bound of both stopping rules (see the module docstring)
+MAX_ITER = 200  # iteration cap of every fit
 
 
 @dataclass(frozen=True)
@@ -164,31 +165,6 @@ def box_from_grid(grid: SensorGrid, n_targets: int) -> BoxConstraints:
     return BoxConstraints(lower=lo, upper=hi)
 
 
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Stopping rule: a tolerance and an iteration cap.
-
-    ``grad_tol`` bounds both the projected-gradient norm and the Newton
-    decrement -g . d of an unshifted exact-Newton direction (see the module
-    docstring); a fit converges when either is met.
-
-    A tolerance that is not finite and positive would never be met (every
-    fit would run to the cap), and a cap below 1 would return every start
-    unfitted, so both are rejected.
-    """
-
-    grad_tol: float = 1e-6
-    max_iter: int = 200
-
-    def __post_init__(self):
-        tol = self.grad_tol
-        if not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0.0):
-            raise ConfigurationError(f"grad_tol must be finite and positive, got {tol!r}")
-        cap = self.max_iter
-        if isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1:
-            raise ConfigurationError(f"max_iter must be an integer >= 1, got {cap!r}")
-
-
 @dataclass
 class OptimizeResult:
     x: np.ndarray
@@ -196,7 +172,6 @@ class OptimizeResult:
     report: NllReport  # the objective's last evaluation, at x
     iterations: int
     converged: bool
-    active_set: np.ndarray  # indices of coordinates sitting on a bound
 
 
 def _factor_solve(shifted: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -315,7 +290,6 @@ def minimize(
     fun: Objective,
     x0: np.ndarray,
     box: BoxConstraints,
-    options: NewtonOptions | None = None,
     chart: Callable[[np.ndarray], Sequence[ChartFrame]] | None = None,
 ) -> OptimizeResult:
     """Minimize ``fun`` over the box starting from ``x0`` (clipped inside).
@@ -324,8 +298,6 @@ def minimize(
     its exact-Newton step takes in the near-sensor chart (see the module
     docstring); None, or no frames, keeps the step Cartesian.
     """
-    opts = options or NewtonOptions()
-    grad_tol, max_iter = opts.grad_tol, opts.max_iter
     lower, upper = box.lower, box.upper
     inner_lo, inner_hi = box.inner_lower, box.inner_upper
     x = box.clip(np.asarray(x0, dtype=float).ravel())
@@ -335,10 +307,10 @@ def minimize(
 
     iterations = 0
     converged = False
-    while iterations < max_iter:
+    while iterations < MAX_ITER:
         g = report.grad
         proj_grad = x - np.minimum(np.maximum(x - g, lower), upper)
-        if float(np.abs(proj_grad).max()) <= grad_tol:
+        if float(np.abs(proj_grad).max()) <= GRAD_TOL:
             converged = True
             break
 
@@ -368,7 +340,7 @@ def minimize(
             else:
                 direction = np.zeros_like(x)
                 direction[idx], shift = _shifted_solve(curv[np.ix_(idx, idx)], -g[idx])
-            if exact and shift == 0.0 and -float(g @ direction) <= grad_tol:
+            if exact and shift == 0.0 and -float(g @ direction) <= GRAD_TOL:
                 converged = True  # the Newton decrement: nothing left to gain
                 break
         else:
@@ -389,5 +361,4 @@ def minimize(
         report=report,
         iterations=iterations,
         converged=converged,
-        active_set=np.flatnonzero((x <= inner_lo) | (x >= inner_hi)),
     )

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,9 +54,11 @@ from .nll import (
     measurement_objective,
     propagate_prior,
 )
-from .optimize import BoxConstraints, NewtonOptions, box_from_grid, minimize
+from .optimize import BoxConstraints, box_from_grid, minimize
 from .quadrature import (
     ChartFrame,
+    DirectionSet,
+    RadialRule,
     build_sigma_points,
     chart_frame,
     near_sensor_pairs,
@@ -85,7 +87,6 @@ class FilterConfig:
     sigma_s2: float | None = None  # override the scenario's measurement noise
     init_spatial_var: float = 100.0
     init_velocity_var: float = 5e-4
-    optimizer: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
         """Reject numbers no filter can run with, before any track starts."""
@@ -112,8 +113,8 @@ class FilterContext:
     meas: MeasurementModel  # the filter's assumed measurement model
     noise: FilterNoiseModel
     box: BoxConstraints
-    rule: object
-    dirs: object
+    rule: RadialRule
+    dirs: DirectionSet
 
     def chart(self, x: np.ndarray) -> list[ChartFrame]:
         """The frames of the targets of ``x`` (2C,) that the near-sensor
@@ -198,7 +199,6 @@ def init_belief(
                     measurement_objective(frame, grid, meas),
                     mean[: 2 * c],
                     box,
-                    config.optimizer,
                 )
                 mean[: 2 * c] = fit.x
     else:
@@ -251,7 +251,7 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
     try:
         if non_finite.size:  # no fit can explain a NaN or infinite reading
             raise NumericalError(f"non-finite frame: sensors {non_finite.tolist()}")
-        res = minimize(objective, prior.mean_x, ctx.box, cfg.optimizer, chart=ctx.chart)
+        res = minimize(objective, prior.mean_x, ctx.box, chart=ctx.chart)
         if not res.converged:
             actions.append(f"unconverged:main[{res.iterations}]")
         x_hat, report = res.x, res.report
@@ -266,13 +266,9 @@ def step(belief: GaussianBelief, frame: np.ndarray, ctx: FilterContext) -> StepO
             if ok or not enabled:
                 continue
             if stage == "one_by_one":
-                cand = one_by_one_recovery(
-                    frame, grid, meas, prior.mean_x, ctx.box, cfg.optimizer
-                )
+                cand = one_by_one_recovery(frame, grid, meas, prior.mean_x, ctx.box)
             else:
-                hop = square_hopping_recovery(
-                    x_hat, frame, grid, meas, ctx.box, cfg.optimizer
-                )
+                hop = square_hopping_recovery(x_hat, frame, grid, meas, ctx.box)
                 cand = hop.result
                 stage += f":{'pass' if hop.gate_passed else 'best'}[{hop.attempts}]"
             actions.append(stage)

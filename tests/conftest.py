@@ -10,6 +10,13 @@ import pytest
 from ttfilter.model import MeasurementModel, MotionModel, Scenario, build_grid
 
 
+def active_set(x: np.ndarray, box) -> np.ndarray:
+    """Indices of the coordinates of ``x`` that sit on a bound of ``box``:
+    within the margin ``minimize`` reads, ``box.inner_lower`` and
+    ``box.inner_upper``."""
+    return np.flatnonzero((x <= box.inner_lower) | (x >= box.inner_upper))
+
+
 @pytest.fixture(scope="session")
 def grid55():
     return build_grid(5, 5, 10.0)
@@ -158,7 +165,7 @@ def indefinite_interior_step():
                     out = tracker.step(belief, frame, ctx)
                     fit = fits[0]
                     if (
-                        fit.converged and fit.active_set.size == 0
+                        fit.converged and active_set(fit.x, ctx.box).size == 0
                         and np.linalg.eigvalsh(fit.report.hess).min() < 0.0
                     ):
                         return out, fit

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -71,16 +72,13 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         ("track", '{"experiment": {"steps": true}}'),
         ("simulate", '{"experiment": {"seed": false}}'),
         ("track", '{"experiment": {"variants": "tt-linear"}}'),
-        ("track", '{"filter": {"grad_tol": -1}}'),
-        ("track", '{"filter": {"grad_tol": "nan"}}'),
-        ("track", '{"filter": {"max_iter": 0}}'),
         # integer fields are not truncated: 2.5, 5.9, true and 10.7 are errors
-        ("track", '{"filter": {"max_iter": 2.5}}'),
+        ("track", '{"bpf": {"particles": 2.5}}'),
         ("track", '{"scenario": {"grid": {"rows": 5.9}}}'),
         ("track", '{"scenario": {"grid": {"cols": true}}}'),
         ("track", '{"bpf": {"particles": true}}'),
         ("simulate", '{"experiment": {"seed": 1.5}}'),
-        ("track", '{"filter": {"max_iter": "many"}}'),
+        ("track", '{"bpf": {"particles": "many"}}'),
         ("track", '{"bpf": {"particles": 10.7}}'),
     ]:
         cfg.write_text(text)
@@ -104,10 +102,15 @@ def test_invalid_config_gives_config_exit(tmp_path, capsys):
         '{"scenario": {"amplitude": Infinity}}',
         '{"scenario": {"targets": [[1, 2, NaN, 0]], "bounds": "none"}}',
         '{"filter": {"alpha": true}}',
-        '{"filter": {"grad_tol": true}}',
         # a list entry holds to the rule of a scalar
         '{"scenario": {"sigma_s2": [true' + ", 0.1" * 24 + "]}}",
         '{"scenario": {"targets": [[true, 2, 0, 0]], "bounds": "none"}}',
+        # a number is a JSON number: a numeric string is not parsed
+        '{"scenario": {"sigma_s2": "0.1"}}',
+        '{"scenario": {"grid": {"rows": "5"}}}',
+        '{"experiment": {"seed": " 4"}}',
+        # an integer beyond the float range is not finite either
+        pytest.param('{"scenario": {"sigma_s2": 1' + "0" * 400 + "}}", id="1e400-integer"),
     ],
 )
 def test_bad_number_in_config_gives_config_exit(tmp_path, capsys, text):
@@ -118,7 +121,9 @@ def test_bad_number_in_config_gives_config_exit(tmp_path, capsys, text):
     code = main(["track", "--config", str(cfg), "--out", str(out),
                  "--tracks", "1", "--steps", "2"])
     assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert re.search(r'"(\w+)": [^{]', text)[1] in err  # names the key
     assert not (out / "steps.csv").exists()
 
 
@@ -143,12 +148,15 @@ def test_bad_number_in_config_gives_config_exit(tmp_path, capsys, text):
         ("track", '{"filter": {"box_margin": -20}}', "box_margin"),
         ("track", '{"filter": {"init_radius": -5}}', "init_radius"),
         ("benchmark", '{"bpf": {"resample_threshold": true}}', "resample_threshold"),
+        ("track", '{"filter": {"grad_tol": 1e-6}}', "grad_tol"),
+        ("track", '{"filter": {"max_iter": 200}}', "max_iter"),
     ],
     ids=[
         "filter.near_sensor_fraction", "top-level", "filter", "scenario.grid",
         "bpf", "experiment", "scenario", "simulate-experiment",
         "filter.p_value", "filter.n_bad_tgt", "filter.n_bad_sq", "filter.max_subsets",
         "filter.box_margin", "filter.init_radius", "bpf.resample_threshold",
+        "filter.grad_tol", "filter.max_iter",
     ],
 )
 def test_unknown_config_key_gives_config_exit(tmp_path, capsys, command, text, key):

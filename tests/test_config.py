@@ -36,7 +36,6 @@ def test_empty_config_gives_benchmark_defaults():
     fcfg = filter_config_from_config({})
     assert fcfg.alpha == 3.0
     assert fcfg.sigma_s2 is None
-    assert fcfg.optimizer.grad_tol == 1e-6
     assert fcfg == FilterConfig()
 
     bcfg = bpf_config_from_config({})
@@ -79,8 +78,6 @@ def test_filter_overrides_apply():
         "filter": {
             "alpha": 1.0,
             "sigma_s2": 0.2,
-            "grad_tol": 1e-8,
-            "max_iter": 50,
             "init_spatial_var": 25.0,
             "init_velocity_var": 1e-3,
         }
@@ -88,8 +85,6 @@ def test_filter_overrides_apply():
     fcfg = filter_config_from_config(cfg)
     assert fcfg.alpha == 1.0
     assert fcfg.sigma_s2 == 0.2
-    assert fcfg.optimizer.grad_tol == 1e-8
-    assert fcfg.optimizer.max_iter == 50
     assert fcfg.init_spatial_var == 25.0
     assert fcfg.init_velocity_var == 1e-3
     # a null sigma_s2 is the scenario's, as when the key is left out

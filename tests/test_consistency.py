@@ -43,8 +43,8 @@ from ttfilter.nll import (
     propagate_prior,
 )
 from ttfilter.optimize import (
+    GRAD_TOL,
     WARMUP_ITERATIONS,
-    NewtonOptions,
     OptimizeResult,
     box_from_grid,
     minimize,
@@ -310,8 +310,8 @@ def count_fits(monkeypatch) -> list:
     fits = []
     minimize = consistency.minimize
 
-    def counting_minimize(fun, x0, box, options=None, **kwargs):
-        fits.append((np.array(x0), minimize(fun, x0, box, options, **kwargs)))
+    def counting_minimize(fun, x0, box, **kwargs):
+        fits.append((np.array(x0), minimize(fun, x0, box, **kwargs)))
         return fits[-1][1]
 
     monkeypatch.setattr(consistency, "minimize", counting_minimize)
@@ -368,14 +368,13 @@ def test_one_by_one_builds_hessians_only_for_newton_directions(grid55, monkeypat
         builds[0] += self._hess is None
         return build_hess(self)
 
-    def counting_minimize(fun, x0, box, options=None, **kwargs):
+    def counting_minimize(fun, x0, box, **kwargs):
         before = builds[0]
-        res = minimize(fun, x0, box, options, **kwargs)
+        res = minimize(fun, x0, box, **kwargs)
         # a fit that stopped on the Newton decrement built the Hessian of its
         # last iterate for the direction that showed nothing left to gain
         proj_grad = res.x - box.clip(res.x - res.report.grad)
-        tol = (options or NewtonOptions()).grad_tol
-        stop = bool(res.converged and np.abs(proj_grad).max() > tol)
+        stop = bool(res.converged and np.abs(proj_grad).max() > GRAD_TOL)
         fits.append((res.iterations, stop, builds[0] - before))
         return res
 
@@ -594,8 +593,7 @@ def test_first_pass_takes_the_first_pass_else_the_lowest(grid55):
 
     def fit(stat):
         return OptimizeResult(
-            x=np.zeros(2), value=stat / 2.0, report=None, iterations=0,
-            converged=True, active_set=np.array([], dtype=int),
+            x=np.zeros(2), value=stat / 2.0, report=None, iterations=0, converged=True
         )
 
     made = []

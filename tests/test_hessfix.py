@@ -15,6 +15,9 @@ from ttfilter.nll import (
     combined_objective,
     propagate_prior,
 )
+from ttfilter.optimize import box_from_grid
+
+from conftest import active_set, corner_scenario
 
 
 def prior_at(x: np.ndarray):
@@ -42,7 +45,8 @@ def test_pd_hessian_returned_unchanged(grid55, meas_default, rng):
 
 
 def test_indefinite_fixture_is_actually_indefinite(indefinite_fit):
-    assert indefinite_fit.converged and indefinite_fit.active_set.size == 0
+    box = box_from_grid(corner_scenario(0.01).grid, 4)
+    assert indefinite_fit.converged and active_set(indefinite_fit.x, box).size == 0
     assert np.linalg.eigvalsh(indefinite_fit.report.hess).min() < -1.0
 
 

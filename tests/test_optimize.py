@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -25,13 +24,12 @@ from ttfilter.optimize import (
     LEVENBERG_SCALE,
     WARMUP_ITERATIONS,
     BoxConstraints,
-    NewtonOptions,
     _shifted_solve,
     box_from_grid,
     minimize,
 )
 
-from conftest import random_spd
+from conftest import active_set, random_spd
 
 EPS = np.finfo(float).eps
 
@@ -73,7 +71,7 @@ def test_quadratic_interior_converges_fast(rng):
     assert res.converged
     assert res.iterations <= 2
     np.testing.assert_allclose(res.x, m, atol=1e-8)
-    assert res.active_set.size == 0
+    assert active_set(res.x, wide_box(6)).size == 0
 
 
 def test_quadratic_constrained_matches_qp_oracle(rng):
@@ -112,7 +110,7 @@ def test_active_set_reported_on_boundary():
     box = BoxConstraints(lower=np.array([0.0, 0.0]), upper=np.array([1.0, 1.0]))
     res = minimize(quadratic(H, m), np.full(2, 0.5), box)
     np.testing.assert_allclose(res.x, [1.0, 0.3], atol=1e-8)
-    assert 0 in res.active_set.tolist()
+    assert 0 in active_set(res.x, box).tolist()
 
 
 def test_noise_free_signal_fit_recovers_target(rng):
@@ -185,11 +183,11 @@ def test_nonfinite_start_raises():
         minimize(fun, np.zeros(2), box)
 
 
-def test_iteration_cap_respected(rng):
+def test_iteration_cap_respected(rng, monkeypatch):
     H = random_spd(3, rng)
     m = rng.uniform(-3.0, 3.0, size=3)
-    opts = NewtonOptions(max_iter=1)
-    res = minimize(quadratic(H, m), np.zeros(3), wide_box(3), opts)
+    monkeypatch.setattr(optimize, "MAX_ITER", 1)
+    res = minimize(quadratic(H, m), np.zeros(3), wide_box(3))
     assert res.iterations <= 1
 
 
@@ -222,7 +220,7 @@ def test_rejected_line_search_trials_build_no_derivatives(grid55, meas_default):
     # read, unless the fit stopped on the Newton decrement, whose direction
     # at the final iterate already read it
     proj_grad = res.x - box.clip(res.x - res.report.grad)
-    on_decrement = float(np.abs(proj_grad).max()) > NewtonOptions().grad_tol
+    on_decrement = float(np.abs(proj_grad).max()) > optimize.GRAD_TOL
     assert res.converged and on_decrement
     assert hessians[0] == res.iterations + on_decrement
     res.report.hess
@@ -361,7 +359,7 @@ def test_gauss_newton_plus_prior_factors_unshifted_on_acceptance_geometry():
     assert tried == 8 * 60
 
 
-def test_main_fit_returns_exact_hessian_also_inside_warm_up():
+def test_main_fit_returns_exact_hessian_also_inside_warm_up(monkeypatch):
     ctx, prior, frame = list(acceptance_steps(2))[1]
     grid, meas = ctx.scenario.grid, ctx.meas
 
@@ -371,7 +369,9 @@ def test_main_fit_returns_exact_hessian_also_inside_warm_up():
     # which the Gauss-Newton warm-up meets the default gradient tolerance;
     # ``far`` may stop on the decrement a Newton step of H-norm up to 1e-3
     # short of that point
-    tight = minimize(fun, far.x, ctx.box, NewtonOptions(grad_tol=1e-11))
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "GRAD_TOL", 1e-11)
+        tight = minimize(fun, far.x, ctx.box)
     near = minimize(fun, tight.x + 1e-6, ctx.box)
     assert far.iterations >= WARMUP_ITERATIONS and far.converged
     assert 0 < near.iterations < WARMUP_ITERATIONS and near.converged
@@ -412,31 +412,6 @@ def test_measurement_only_fit_runs_exact_newton_from_the_start(monkeypatch):
     assert warm.shape != exact.shape or warm.tobytes() != exact.tobytes()
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"grad_tol": -1.0},
-        {"grad_tol": 0.0},
-        {"grad_tol": float("nan")},
-        {"grad_tol": float("inf")},
-        {"grad_tol": "1e-6"},
-        {"max_iter": 0},
-        {"max_iter": -3},
-        {"max_iter": 2.5},
-        {"max_iter": True},
-        {"max_iter": "10"},
-    ],
-)
-def test_newton_options_reject_values_that_break_every_fit(kwargs):
-    with pytest.raises(ConfigurationError):
-        NewtonOptions(**kwargs)
-
-
-def test_newton_options_accept_the_smallest_valid_values():
-    assert NewtonOptions(max_iter=1).max_iter == 1
-    assert NewtonOptions(grad_tol=1e-300, max_iter=np.int64(5)).grad_tol == 1e-300
-
-
 # The minimizer as it stood before its per-iteration bookkeeping was cut,
 # with the Newton-decrement stop: every floating-point operation of
 # ``minimize`` must stay the same, so this reference pins it bit for bit.
@@ -460,13 +435,12 @@ def reference_line_search(fun, box, x, report, direction):
     return None
 
 
-def reference_minimize(fun, x0, box, options=None, branches=None):
+def reference_minimize(fun, x0, box, branches=None):
     branches = {} if branches is None else branches
 
     def hit(name):
         branches[name] = branches.get(name, 0) + 1
 
-    opts = options or NewtonOptions()
     x = box.clip(np.asarray(x0, dtype=float).ravel())
     report = fun(x)
     if not np.isfinite(report.value):
@@ -475,10 +449,10 @@ def reference_minimize(fun, x0, box, options=None, branches=None):
     bound_eps = 1e-10 * (box.upper - box.lower)
     iterations = 0
     converged = False
-    while iterations < opts.max_iter:
+    while iterations < optimize.MAX_ITER:
         g = report.grad
         proj_grad = x - box.clip(x - g)
-        if float(np.abs(proj_grad).max()) <= opts.grad_tol:
+        if float(np.abs(proj_grad).max()) <= optimize.GRAD_TOL:
             converged = True
             break
 
@@ -501,11 +475,11 @@ def reference_minimize(fun, x0, box, options=None, branches=None):
                 idx = np.flatnonzero(free)
                 direction[idx], shift = _shifted_solve(curv[np.ix_(idx, idx)], -g[idx])
             # the Newton decrement, read only off an unshifted exact-Newton factor
-            if exact and shift == 0.0 and -float(g @ direction) <= opts.grad_tol:
+            if exact and shift == 0.0 and -float(g @ direction) <= optimize.GRAD_TOL:
                 hit("decrement stop")
                 converged = True
                 break
-            if exact and shift > 0.0 and -float(g @ direction) <= opts.grad_tol:
+            if exact and shift > 0.0 and -float(g @ direction) <= optimize.GRAD_TOL:
                 hit("small shifted decrement")
         else:
             hit("nothing free")
@@ -520,18 +494,16 @@ def reference_minimize(fun, x0, box, options=None, branches=None):
         x, report = step
         iterations += 1
 
-    on_bound = (x <= box.lower + bound_eps) | (x >= box.upper - bound_eps)
     return optimize.OptimizeResult(
         x=x,
         value=report.value,
         report=report,
         iterations=iterations,
         converged=converged,
-        active_set=np.flatnonzero(on_bound),
     )
 
 
-def assert_same_fit(fun, x0, box, options=None, branches=None):
+def assert_same_fit(fun, x0, box, branches=None):
     """``minimize`` and the reference evaluate the same points and agree bit for bit."""
     seen = ([], [])
 
@@ -543,19 +515,18 @@ def assert_same_fit(fun, x0, box, options=None, branches=None):
 
         return wrapped
 
-    got = minimize(spy(0), x0, box, options)
-    ref = reference_minimize(spy(1), x0, box, options, branches)
+    got = minimize(spy(0), x0, box)
+    ref = reference_minimize(spy(1), x0, box, branches)
     assert seen[0] == seen[1]
     assert got.x.tobytes() == ref.x.tobytes()
     assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
     assert got.report.hess.tobytes() == ref.report.hess.tobytes()
     assert got.iterations == ref.iterations
     assert got.converged == ref.converged
-    assert np.array_equal(got.active_set, ref.active_set)
     return got
 
 
-def test_minimize_equals_reference_on_acceptance_fits():
+def test_minimize_equals_reference_on_acceptance_fits(monkeypatch):
     fits = 0
     branches = {}
     for ctx, prior, frame in acceptance_steps(6):
@@ -566,7 +537,9 @@ def test_minimize_equals_reference_on_acceptance_fits():
         alone = measurement_objective(frame, grid, meas)
         assert_same_fit(alone, prior.mean_x + 2.0, box, branches=branches)
         # a capped fit stops at the same point
-        assert_same_fit(main, prior.mean_x, box, NewtonOptions(max_iter=2))
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "MAX_ITER", 2)
+            assert_same_fit(main, prior.mean_x, box)
         fits += 3
     assert fits == 18
     assert branches.get("decrement stop", 0) > 0
@@ -731,22 +704,21 @@ def crawl_fit():
     return ctx, combined_objective(frame, ctx.scenario.grid, ctx.meas, prior), prior
 
 
-def test_chart_fit_stops_crawling_around_a_sensor():
+def test_chart_fit_stops_crawling_around_a_sensor(monkeypatch):
     # the Cartesian loop takes 104 iterations along the ring-shaped valley
     # around the sensor's peak, the chart 10, to the same optimum
     ctx, fun, prior = crawl_fit()
-    cartesian = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer)
-    charted = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer,
-                       chart=ctx.chart)
+    cartesian = minimize(fun, prior.mean_x, ctx.box)
+    charted = minimize(fun, prior.mean_x, ctx.box, chart=ctx.chart)
     dist = np.hypot(*(charted.x.reshape(-1, 2)[:, None] - ctx.scenario.grid.positions).T)
     assert 0.1 < dist.min() < 0.16
     assert cartesian.converged and cartesian.iterations > 100
     assert charted.converged and charted.iterations <= 30
     # run to a tolerance whose decrement stop leaves nothing measurable,
     # both loops reach the same point (9e-9 m apart)
-    tight = dataclasses.replace(ctx.config.optimizer, grad_tol=1e-11)
-    cartesian_tight = minimize(fun, prior.mean_x, ctx.box, tight)
-    charted_tight = minimize(fun, prior.mean_x, ctx.box, tight, chart=ctx.chart)
+    monkeypatch.setattr(optimize, "GRAD_TOL", 1e-11)
+    cartesian_tight = minimize(fun, prior.mean_x, ctx.box)
+    charted_tight = minimize(fun, prior.mean_x, ctx.box, chart=ctx.chart)
     assert cartesian_tight.converged and cartesian_tight.iterations > 100
     assert charted_tight.converged and charted_tight.iterations <= 30
     np.testing.assert_allclose(charted_tight.x, cartesian_tight.x, rtol=0.0, atol=1e-6)
@@ -788,7 +760,7 @@ def test_chart_with_no_target_near_a_sensor_is_the_cartesian_loop_bit_for_bit():
 
 
 # The Newton-decrement stop: a fit whose unshifted exact-Newton step would
-# gain at most grad_tol / 2 stops where it is.
+# gain at most GRAD_TOL / 2 stops where it is.
 
 
 def test_main_fit_that_stalled_below_the_armijo_resolution_now_converges():
@@ -799,30 +771,31 @@ def test_main_fit_that_stalled_below_the_armijo_resolution_now_converges():
     ctx, belief, frame = acceptance_track_at(31, 28)
     prior = propagate_prior(belief, ctx.noise)
     fun = combined_objective(frame, ctx.scenario.grid, ctx.meas, prior)
-    res = minimize(fun, prior.mean_x, ctx.box, ctx.config.optimizer,
-                   chart=ctx.chart)
+    res = minimize(fun, prior.mean_x, ctx.box, chart=ctx.chart)
     proj_grad = res.x - ctx.box.clip(res.x - res.report.grad)
-    assert res.converged and res.active_set.size == 0
-    assert np.abs(proj_grad).max() > ctx.config.optimizer.grad_tol  # the decrement stopped it
+    assert res.converged and active_set(res.x, ctx.box).size == 0
+    assert np.abs(proj_grad).max() > optimize.GRAD_TOL  # the decrement stopped it
     out = tracker.step(belief, frame, ctx)
     assert not any(a.startswith(("unconverged:main", "fallback:")) for a in out.actions)
 
 
-def test_decrement_stop_never_fires_on_a_shifted_direction():
+def test_decrement_stop_never_fires_on_a_shifted_direction(monkeypatch):
     # a saddle, curvature 1 along x0 and -1000 along x1, at a point with
     # gradient 1e-2 along x0: the Levenberg shift (1048) makes -g . d about
-    # 1e-7, under the default grad_tol, while the projected gradient is 1e-2
+    # 1e-7, under GRAD_TOL, while the projected gradient is 1e-2
     fun = quadratic(np.diag([1.0, -1000.0]), np.zeros(2))
     x0 = np.array([1e-2, 0.0])
     box = wide_box(2)
     rep = fun(x0)
     d, shift = _shifted_solve(rep.hess, -rep.grad)
     assert shift > 1000.0
-    assert 0.0 < -float(rep.grad @ d) <= NewtonOptions().grad_tol
+    assert 0.0 < -float(rep.grad @ d) <= optimize.GRAD_TOL
     assert np.abs(x0 - box.clip(x0 - rep.grad)).max() == pytest.approx(1e-2)
 
     branches = {}
-    first = assert_same_fit(fun, x0, box, NewtonOptions(max_iter=1), branches=branches)
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "MAX_ITER", 1)
+        first = assert_same_fit(fun, x0, box, branches=branches)
     assert not first.converged and first.iterations == 1
     assert branches.get("small shifted decrement") == 1 and "decrement stop" not in branches
     assert not minimize(fun, x0, box).converged

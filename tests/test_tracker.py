@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ttfilter import consistency, tracker
+from ttfilter import consistency, optimize, tracker
 from ttfilter.consistency import gate_threshold, is_consistent
 from ttfilter.errors import ConfigurationError
 from ttfilter.model import (
@@ -28,10 +28,11 @@ from ttfilter.nll import (
     combined_value_batch,
     propagate_prior,
 )
-from ttfilter.optimize import NewtonOptions, OptimizeResult, minimize
+from ttfilter.optimize import OptimizeResult, box_from_grid, minimize
 from ttfilter.tracker import FilterConfig, init_belief, make_context, step, track
 
 from conftest import (
+    active_set,
     assert_exact_newton,
     assert_warmed_up,
     benchmark_scenario,
@@ -364,7 +365,7 @@ def test_every_fit_gathers_its_sensors_before_it_starts(monkeypatch):
     assert sum(evals for _, evals in fits) > 2 * len(fits)
 
 
-def test_step_records_an_unconverged_main_fit():
+def test_step_records_an_unconverged_main_fit(monkeypatch):
     # a main fit stopped by the iteration cap is tagged, and the tag does not
     # read as a fallback to the prior
     scn = benchmark_scenario()
@@ -372,13 +373,15 @@ def test_step_records_an_unconverged_main_fit():
     frame = expected_signal(truth[:, :2], scn.grid, scn.meas)
     off = truth.copy()
     off[:, :2] += 1.5
-    ctx = make_context(scn, FilterConfig(optimizer=NewtonOptions(max_iter=2)))
-    out = step(tight_belief(off, spatial=4.0), frame, ctx)
+    ctx = make_context(scn, FilterConfig())
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "MAX_ITER", 2)
+        out = step(tight_belief(off, spatial=4.0), frame, ctx)
     assert out.actions[0] == "unconverged:main[2]"
     assert not any(a.startswith("fallback:") for a in out.actions)
     assert np.isfinite(out.posterior.mean).all()
 
-    done = step(tight_belief(off, spatial=4.0), frame, make_context(scn, FilterConfig()))
+    done = step(tight_belief(off, spatial=4.0), frame, ctx)
     assert not any(a.startswith("unconverged") for a in done.actions)
 
 
@@ -396,7 +399,6 @@ def test_step_recovery_engages_and_never_worsens_statistic():
         combined_objective(frame, scn.grid, ctx.meas, prior),
         prior.mean_x,
         ctx.box,
-        ctx.config.optimizer,
     )
     stat0 = is_consistent(direct.x, frame, scn.grid, ctx.meas)[1]
     assert stat0 > gate_threshold(scn.grid)
@@ -452,12 +454,12 @@ def stubbed_one_by_one(monkeypatch, below: bool):
         statistics.append(is_consistent(*args))
         return statistics[-1]
 
-    def recovery(frame, grid, meas, prior_x, box, options):
+    def recovery(frame, grid, meas, prior_x, box):
         value = statistics[-1][1] / 2.0
         x = prior_x.reshape(-1, 2)[::-1] + 0.1
         return OptimizeResult(
             x=x.ravel(), value=np.nextafter(value, 0.0) if below else value,
-            report=None, iterations=0, converged=True, active_set=np.array([], dtype=int),
+            report=None, iterations=0, converged=True,
         )
 
     monkeypatch.setattr(tracker, "is_consistent", spy)
@@ -618,7 +620,8 @@ def test_step_repairs_hessian_after_main_fit_ends_on_a_bound(monkeypatch):
     # target 11.7 m from the nearest sensor, and no target is pinned to the
     # 0.1 m spread of a signal peak.
     out, fit = step_with_spied_main_fit(monkeypatch, 0.1, [3, 18], 11)
-    assert fit.converged and 0 in fit.active_set
+    box = box_from_grid(corner_scenario(0.1).grid, 4)
+    assert fit.converged and 0 in active_set(fit.x, box)
     assert np.linalg.eigvalsh(fit.report.hess).min() < 0.0
     assert_repaired_without_fallback(out)
     sd = np.sqrt(np.diag(out.posterior.cov_xx))
@@ -632,7 +635,8 @@ def test_step_repairs_hessian_after_interior_fit_near_a_sensor(indefinite_interi
     # target beside a sensor, on a point where the exact Hessian is
     # indefinite although no Newton step is left to take
     out, fit = indefinite_interior_step
-    assert fit.converged and fit.active_set.size == 0
+    box = box_from_grid(corner_scenario(0.01).grid, 4)
+    assert fit.converged and active_set(fit.x, box).size == 0
     assert np.linalg.eigvalsh(fit.report.hess).min() < 0.0
     assert_repaired_without_fallback(out)
     np.testing.assert_array_equal(out.x_ml, fit.x)
