@@ -68,6 +68,10 @@ class ExperimentSpec:
             )
         if not self.variants:
             raise ConfigurationError("at least one variant is required")
+        # a repeated variant would run twice and write its rows twice
+        repeated = sorted({v for v in self.variants if self.variants.count(v) > 1})
+        if repeated:
+            raise ConfigurationError(f"variants must be distinct, {repeated} repeated")
         # every track's generators derive from SeedSequence([seed, ...]),
         # which takes only non-negative integer entropy
         seed = self.seed

@@ -319,6 +319,29 @@ def test_sweep_with_a_repeated_value_gives_config_exit(tmp_path, capsys):
     assert not (out / "steps.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, text, repeated",
+    [
+        (["--variant", "tt-nonlinear", "--variant", "tt-nonlinear"], None, "tt-nonlinear"),
+        ([], '{"experiment": {"variants": ["tt-linear", "tt-nonlinear", "tt-linear"]}}',
+         "tt-linear"),
+    ],
+    ids=["flag", "config"],
+)
+def test_repeated_variant_gives_config_exit(tmp_path, capsys, flags, text, repeated):
+    # a repeated variant would run twice and write its rows twice
+    out = tmp_path / "run"
+    argv = ["track", "--out", str(out), "--tracks", "2", "--steps", "3", *flags]
+    if text is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: variants must be distinct, [{repeated!r}] repeated" in err
+    assert not (out / "steps.csv").exists()
+
+
 def test_config_experiment_section_feeds_spec(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
